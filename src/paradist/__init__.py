@@ -32,6 +32,7 @@ from .feasibility import (
     RealizedSystem,
     ThresholdEstimate,
     Witness,
+    classify,
     necessity_scan,
     nns_exists,
     realize,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 
 class AllZero(ValueError):
@@ -89,7 +88,9 @@ def realize_channels(span: SpanSet) -> KrausPair:
     basis = span.basis
     m = len(basis)
     n = span.dim
-    stacked = block_diag(*basis) if m > 1 else basis[0]
+    stacked = np.zeros((n * m, n * m), dtype=complex)
+    for j, block in enumerate(basis):
+        stacked[j * n:(j + 1) * n, j * n:(j + 1) * n] = block
     u, s, vh = np.linalg.svd(stacked)
     k = int(np.sum(s > 1e-10 * s[0]))
     if k == 0:
@@ -106,15 +107,12 @@ def realize_channels(span: SpanSet) -> KrausPair:
     b0 = _sqrtm_psd(np.eye(n) - b_gram / scale)
     c0 = _sqrtm_psd(np.eye(n) - c_gram / scale)
 
-    def slot(top: np.ndarray, middle: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-        return np.vstack([top, middle, bottom])
-
     zk = np.zeros((k, n), dtype=complex)
     zn = np.zeros((n, n), dtype=complex)
-    e_ops = [slot(p / np.sqrt(scale), zn, zn) for p in b_parts]
-    f_ops = [slot(p / np.sqrt(scale), zn, zn) for p in c_parts]
-    e_ops.append(slot(zk, b0, zn))
-    f_ops.append(slot(zk, zn, c0))
+    e_ops = [np.vstack([p / np.sqrt(scale), zn, zn]) for p in b_parts]
+    f_ops = [np.vstack([p / np.sqrt(scale), zn, zn]) for p in c_parts]
+    e_ops.append(np.vstack([zk, b0, zn]))
+    f_ops.append(np.vstack([zk, zn, c0]))
     return KrausPair(e_ops=e_ops, f_ops=f_ops, scale=scale, rank=k)
 
 

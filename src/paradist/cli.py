@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,12 +36,10 @@ from .channels import (
     verify_kraus,
 )
 from .feasibility import (
-    Certificate,
     NumericalIndeterminate,
     NonMonotonePredicate,
-    Witness,
+    classify,
     necessity_scan,
-    nns_exists,
     threshold_bisect,
 )
 from .tensor import (
@@ -211,28 +208,11 @@ def _cmd_verify_catalog(args) -> int:
 
 def _cmd_feasibility(args) -> int:
     alpha = _resolve_alpha(args)
-    tolerances = {"witness": args.tol_witness, "margin": args.tol_margin}
-    base = {"version": __version__, "n": args.n, "alpha": alpha, "tolerances": tolerances}
-    try:
-        outcome = nns_exists(alpha, args.n,
-                             tol_witness=args.tol_witness, tol_margin=args.tol_margin)
-    except NumericalIndeterminate as exc:
-        payload = dict(base, kind="indeterminate", detail=str(exc))
-        _emit(_json(payload), args.output)
-        return EXIT_INDETERMINATE
-    payload = dict(base, **outcome.to_dict())
+    outcome = classify(alpha, args.n, tol_witness=args.tol_witness, tol_margin=args.tol_margin)
+    payload = dict(outcome.to_dict(), version=__version__, n=args.n, alpha=alpha,
+                   tolerances={"witness": args.tol_witness, "margin": args.tol_margin})
     _emit(_json(payload), args.output)
-    return EXIT_OK
-
-
-def _sweep_point(alpha: float, n: int, tol_witness: float, tol_margin: float) -> tuple[str, float]:
-    try:
-        outcome = nns_exists(alpha, n, tol_witness=tol_witness, tol_margin=tol_margin)
-    except NumericalIndeterminate:
-        return "indeterminate", float("nan")
-    if isinstance(outcome, Witness):
-        return "witness", outcome.residual
-    return "certificate", outcome.margin
+    return EXIT_INDETERMINATE if isinstance(outcome, NumericalIndeterminate) else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -242,19 +222,17 @@ def _cmd_sweep(args) -> int:
         args.alpha_min + (args.alpha_max - args.alpha_min) * i / (args.points - 1)
         for i in range(args.points)
     ]
-    with ThreadPoolExecutor(max_workers=min(8, args.points)) as pool:
-        results = list(pool.map(
-            lambda a: _sweep_point(a, args.n, args.tol_witness, args.tol_margin), alphas
-        ))
+    outcomes = [classify(a, args.n, tol_witness=args.tol_witness, tol_margin=args.tol_margin)
+                for a in alphas]
     buf = io.StringIO()
     buf.write(f"# paradist {__version__} tol_witness={args.tol_witness!r}"
               f" tol_margin={args.tol_margin!r}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["alpha", "n", "outcome", "metric"])
-    for alpha, (outcome, metric) in zip(alphas, results):
-        writer.writerow([repr(alpha), args.n, outcome, repr(metric)])
+    for alpha, outcome in zip(alphas, outcomes):
+        writer.writerow([repr(alpha), args.n, outcome.kind, repr(outcome.metric)])
     _emit(buf.getvalue(), args.output)
-    if any(outcome == "indeterminate" for outcome, _ in results):
+    if any(isinstance(outcome, NumericalIndeterminate) for outcome in outcomes):
         return EXIT_INDETERMINATE
     return EXIT_OK
 

@@ -8,14 +8,14 @@ active-set nonnegative least squares solve.  A near-zero projection
 residual hands back a witness in the cone; a nonzero residual r is, by the
 projection's optimality conditions, a separating vector: h = -r restricted
 to the M rows satisfies h'M > 0 columnwise (the finite-dimensional
-separation certificate).  Both outcomes are re-verified against freshly
-built matrices before being returned.
+separation certificate).  Both outcomes are re-verified against the one
+read-only system built for the decision.  `classify` turns (alpha, n) into
+an outcome, indeterminate included; every report is rendered from it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +33,18 @@ MAX_THRESHOLD_ORDER = 10
 
 
 class NumericalIndeterminate(RuntimeError):
-    """Neither a witness nor a certificate met its verification tolerance."""
+    """Neither a witness nor a certificate met its verification tolerance;
+    `classify` returns it as the indeterminate outcome."""
+
+    kind = "indeterminate"
+    metric = math.nan
 
     def __init__(self, message: str, objective: float | None = None):
         super().__init__(message)
         self.objective = objective
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "detail": str(self)}
 
 
 class NonMonotonePredicate(RuntimeError):
@@ -57,30 +64,42 @@ class RealizedSystem:
 class Witness:
     y: np.ndarray
     residual: float
+    kind = "witness"
+    metric = property(lambda self: self.residual)
 
     def to_dict(self) -> dict:
-        return {"kind": "witness", "y": self.y.tolist(), "residual": self.residual}
+        return {"kind": self.kind, "y": self.y.tolist(), "residual": self.residual}
 
 
 @dataclass(frozen=True)
 class Certificate:
     h: np.ndarray
     margin: float
+    kind = "certificate"
+    metric = property(lambda self: self.margin)
 
     def to_dict(self) -> dict:
-        return {"kind": "certificate", "h": self.h.tolist(), "margin": self.margin}
+        return {"kind": self.kind, "h": self.h.tolist(), "margin": self.margin}
 
 
 FeasibilityOutcome = Witness | Certificate
 
 
-def realize(alpha: float, n: int) -> RealizedSystem:
-    """Stack real and imaginary parts of the reduced system into a real
-    2(n+1) x p_n matrix with the same nonnegative null vectors."""
+def _build(alpha: float, n: int) -> tuple[np.ndarray, RealizedSystem]:
+    """The reduced system C and its real embedding, both read-only."""
     if not 1 <= n <= MAX_FEASIBILITY_ORDER:
         raise ValueError(f"order must lie in 1..{MAX_FEASIBILITY_ORDER}")
     c = build_C(alpha, n)
-    return RealizedSystem(matrix=np.vstack([c.real, c.imag]), alpha=float(alpha), order=n)
+    m = np.vstack([c.real, c.imag])
+    c.setflags(write=False)
+    m.setflags(write=False)
+    return c, RealizedSystem(matrix=m, alpha=float(alpha), order=n)
+
+
+def realize(alpha: float, n: int) -> RealizedSystem:
+    """Stack real and imaginary parts of the reduced system into a real
+    2(n+1) x p_n matrix with the same nonnegative null vectors."""
+    return _build(alpha, n)[1]
 
 
 def nns_exists(alpha: float, n: int, *,
@@ -98,8 +117,8 @@ def nns_exists(alpha: float, n: int, *,
     """
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
-    sys_ = system if system is not None else realize(alpha, n)
-    m = sys_.matrix
+    c, system = _build(alpha, n) if system is None else (build_C(alpha, n), system)
+    m = system.matrix
     rows, p = m.shape
     a = np.vstack([m, np.ones((1, p))])
     b = np.zeros(rows + 1)
@@ -109,13 +128,12 @@ def nns_exists(alpha: float, n: int, *,
     except IterationLimitReached as exc:
         raise NumericalIndeterminate(f"projection did not terminate cleanly: {exc}") from exc
 
-    # both outcomes are judged solely by re-verification against freshly
-    # built matrices; the projection just proposes candidates
+    # the projection only proposes candidates: a witness is judged on C,
+    # a certificate on M, both built once for this decision
     total = float(result.y.sum())
     if total > 0:
         y = result.y / total
-        fresh = build_C(alpha, n)
-        residual = float(np.max(np.abs(fresh @ y)))
+        residual = float(np.max(np.abs(c @ y)))
         if residual <= tol_witness and float(np.min(y)) >= -tol_negative:
             return Witness(y=y, residual=residual)
 
@@ -123,8 +141,7 @@ def nns_exists(alpha: float, n: int, *,
     hmax = float(np.max(np.abs(h)))
     if hmax > 0:
         h = h / hmax
-        fresh_m = sys_.matrix if system is not None else realize(alpha, n).matrix
-        margin = float(np.min(h @ fresh_m))
+        margin = float(np.min(h @ m))
         if margin >= tol_margin:
             return Certificate(h=h, margin=margin)
 
@@ -133,6 +150,15 @@ def nns_exists(alpha: float, n: int, *,
         f"and no separation margin above {tol_margin:.1e}",
         objective=result.rnorm,
     )
+
+
+def classify(alpha: float, n: int, **options) -> FeasibilityOutcome | NumericalIndeterminate:
+    """The outcome of `nns_exists` at (alpha, n), with an indeterminate
+    outcome returned instead of raised.  Every report renders from it."""
+    try:
+        return nns_exists(alpha, n, **options)
+    except NumericalIndeterminate as exc:
+        return exc
 
 
 def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, float]:
@@ -184,12 +210,11 @@ def threshold_bisect(n: int, tol_alpha: float = 1e-6, **options) -> ThresholdEst
     probes: list[tuple[float, bool]] = []
 
     def feasible(alpha: float) -> bool:
-        try:
-            flag = isinstance(nns_exists(alpha, n, **options), Witness)
-        except NumericalIndeterminate as exc:
-            if exc.objective is None or exc.objective <= tol_witness:
-                raise
-            flag = False
+        outcome = classify(alpha, n, **options)
+        if isinstance(outcome, NumericalIndeterminate) and (
+                outcome.objective is None or outcome.objective <= tol_witness):
+            raise outcome
+        flag = isinstance(outcome, Witness)
         probes.append((alpha, flag))
         return flag
 
@@ -226,26 +251,19 @@ def necessity_grid(n: int, points: int) -> np.ndarray:
 def necessity_point(alpha: float, n: int, **options) -> dict:
     """One grid point of the necessity scan: expects a verified certificate;
     a witness or an indeterminate outcome is flagged as an anomaly."""
-    row: dict = {"alpha": float(alpha), "n": n}
-    try:
-        outcome = nns_exists(alpha, n, **options)
-    except NumericalIndeterminate as exc:
-        row.update(outcome="indeterminate", detail=str(exc), anomaly=True)
-        return row
+    outcome = classify(alpha, n, **options)
+    row: dict = {"alpha": float(alpha), "n": n, "outcome": outcome.kind}
     if isinstance(outcome, Certificate):
         ok, margin = verify_certificate(outcome, alpha, n)
-        row.update(outcome="certificate", margin=margin, verified=ok, anomaly=not ok)
+        row.update(margin=margin, verified=ok, anomaly=not ok)
+    elif isinstance(outcome, Witness):
+        row.update(residual=outcome.residual, anomaly=True)
     else:
-        row.update(outcome="witness", residual=outcome.residual, anomaly=True)
+        row.update(detail=str(outcome), anomaly=True)
     return row
 
 
-def necessity_scan(n: int, points: int, workers: int | None = None, **options) -> list[dict]:
+def necessity_scan(n: int, points: int, **options) -> list[dict]:
     """Probe the conjecturally infeasible region; each grid point should
-    produce a verified certificate.  Grid points run concurrently; rows come
-    back in grid order."""
-    grid = necessity_grid(n, points)
-    if len(grid) == 0:
-        return []
-    with ThreadPoolExecutor(max_workers=workers or min(8, len(grid))) as pool:
-        return list(pool.map(lambda a: necessity_point(float(a), n, **options), grid))
+    produce a verified certificate.  Rows come back in grid order."""
+    return [necessity_point(float(a), n, **options) for a in necessity_grid(n, points)]

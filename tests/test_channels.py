@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import paradist
 from paradist.channels import (
     AllZero,
     ShapeMismatch,
@@ -124,3 +129,11 @@ def test_random_span_sets(rng):
         ok_f, defect_f = verify_kraus(pair.f_ops)
         assert ok_e and ok_f, (defect_e, defect_f)
         assert span_equality(pair.e_ops, pair.f_ops, mats)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(paradist.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import paradist, sys; assert 'scipy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,13 +1,18 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from paradist import __version__
+from paradist.catalog import conjectured_threshold
 from paradist.cli import main
+from paradist.feasibility import classify
 from paradist.tensor import build_C, matrix_from_json
+
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
 
 def run_cli(capsys, *args):
@@ -147,3 +152,59 @@ def test_output_file_and_env_override(tmp_path, capsys, monkeypatch):
     assert out == ""
     payload = json.loads((tmp_path / "report.json").read_text())
     assert abs(payload["alpha_star"] - 3 * math.pi / 4) <= 1e-3
+
+
+def test_sweep_rows_are_classify_outcomes(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--n", "4", "--points", "5")
+    assert code == 0
+    for line in out.strip().splitlines()[2:]:
+        alpha, n, kind, metric = line.split(",")
+        outcome = classify(float(alpha), 4)
+        assert (int(n), kind, metric) == (4, outcome.kind, repr(outcome.metric))
+
+
+@pytest.fixture(scope="module")
+def schema_validators():
+    """One validator per schema in docs/schemas, resolving `$ref`s through a
+    registry keyed by each schema's `$id`."""
+    jsonschema = pytest.importorskip("jsonschema")
+    from referencing import Registry, Resource
+
+    schemas = [json.loads(path.read_text(encoding="utf-8"))
+               for path in sorted(SCHEMA_DIR.glob("*.schema.json"))]
+    registry = Registry().with_resources(
+        (schema["$id"], Resource.from_contents(schema)) for schema in schemas)
+    return {schema["$id"]: jsonschema.Draft7Validator(schema, registry=registry)
+            for schema in schemas}
+
+
+_BELOW_N7 = repr(conjectured_threshold(7) - 1e-6)
+
+
+@pytest.mark.parametrize("schema_id, expected_code, kind, args", [
+    pytest.param("build-report", 0, None,
+                 ("build", "--n", "2", "--pi-frac", "3/4", "--emit", "C"), id="build"),
+    pytest.param("feasibility-outcome", 0, "witness",
+                 ("feasibility", "--n", "2", "--pi-frac", "7/8"), id="feasibility-witness"),
+    pytest.param("feasibility-outcome", 0, "certificate",
+                 ("feasibility", "--n", "3", "--pi-frac", "9/16"), id="feasibility-certificate"),
+    pytest.param("feasibility-outcome", 2, "indeterminate",
+                 ("feasibility", "--n", "7", "--alpha", _BELOW_N7), id="feasibility-indeterminate"),
+    pytest.param("threshold-estimate", 0, None, ("threshold", "--n", "3"), id="threshold"),
+    pytest.param("necessity-report", 0, None,
+                 ("necessity", "--n", "3", "--points", "4"), id="necessity"),
+    pytest.param("verify-catalog-report", 0, None,
+                 ("verify-catalog", "--n", "3", "--samples", "3"), id="verify-catalog"),
+    pytest.param("realize-report", 0, None,
+                 ("realize", "--random-dim", "3", "--seed", "7"), id="realize"),
+])
+def test_json_output_matches_schema(capsys, schema_validators, schema_id, expected_code,
+                                    kind, args):
+    code, out, _ = run_cli(capsys, *args)
+    assert code == expected_code
+    payload = json.loads(out)
+    errors = [error.message for error in
+              schema_validators[f"paradist/{schema_id}/v1"].iter_errors(payload)]
+    assert errors == []
+    if kind is not None:
+        assert payload["kind"] == kind

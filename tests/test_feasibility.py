@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import paradist.feasibility as feasibility
 from paradist.catalog import alpha_interval, conjectured_threshold, explicit_nns, interval_samples
 from paradist.feasibility import (
     Certificate,
     NumericalIndeterminate,
     RealizedSystem,
     Witness,
+    classify,
     necessity_grid,
     necessity_scan,
     nns_exists,
@@ -17,7 +19,7 @@ from paradist.feasibility import (
     threshold_bisect,
     verify_certificate,
 )
-from paradist.tensor import build_B
+from paradist.tensor import build_B, build_C
 
 
 def test_realized_system_shapes():
@@ -144,3 +146,54 @@ def test_indeterminate_reports_objective():
     system = RealizedSystem(matrix=m, alpha=math.pi - 0.2, order=1)
     with pytest.raises(NumericalIndeterminate):
         nns_exists(math.pi - 0.2, 1, system=system, tol_witness=1e-30)
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Every array `feasibility` obtains from build_C, in call order."""
+    calls = []
+
+    def counting(alpha, n):
+        calls.append(build_C(alpha, n))
+        return calls[-1]
+
+    monkeypatch.setattr(feasibility, "build_C", counting)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, expected", [
+    (math.pi, Witness),
+    (conjectured_threshold(4) - 0.05, Certificate),
+], ids=["witness", "certificate"])
+def test_one_build_per_decision(build_calls, alpha, expected):
+    assert isinstance(nns_exists(alpha, 4), expected)
+    assert len(build_calls) == 1
+    assert not build_calls[0].flags.writeable
+
+
+def test_passed_in_system_is_judged_against_its_own_matrix(build_calls):
+    alpha = conjectured_threshold(3) - 0.02
+    b = build_B(alpha, 3)
+    full = RealizedSystem(matrix=np.vstack([b.real, b.imag]), alpha=alpha, order=3)
+    cert = nns_exists(alpha, 3, system=full)
+    assert isinstance(cert, Certificate)
+    assert cert.h.shape == (full.matrix.shape[0],)
+    assert_allclose(cert.margin, np.min(cert.h @ full.matrix), rtol=0, atol=0)
+    assert len(build_calls) == 1
+
+
+def test_realized_system_is_read_only():
+    m = realize(2.0, 2).matrix
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
+def test_classify_returns_every_outcome():
+    assert isinstance(classify(math.pi, 3), Witness)
+    assert isinstance(classify(conjectured_threshold(3) - 0.05, 3), Certificate)
+    system = RealizedSystem(matrix=np.full((2, 3), 1e-14), alpha=math.pi - 0.2, order=1)
+    outcome = classify(math.pi - 0.2, 1, system=system, tol_witness=1e-30)
+    assert isinstance(outcome, NumericalIndeterminate)
+    assert outcome.objective is not None and outcome.objective > 0
+    assert outcome.to_dict() == {"kind": "indeterminate", "detail": str(outcome)}
+    assert math.isnan(outcome.metric)
