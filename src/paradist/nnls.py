@@ -13,10 +13,17 @@ gradient tolerance is column-scaled and sits just above the roundoff of
 the dot products involved, which matters here: separation margins near a
 feasibility boundary are far below any fixed absolute tolerance, yet well
 above the noise of the products that realize them.
+
+The loop's floating-point operations and their order are fixed, so a walk
+is reproducible bit for bit: the same data give the same iterates, residual,
+rnorm and iteration count.  `tests/test_nnls.py` pins three walks by their
+bits; a rewrite of the loop may change how operations are dispatched, never
+which ones run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,40 +50,44 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
 
     col_scale = np.maximum(np.linalg.norm(a, axis=0), np.finfo(float).tiny)
     eps = np.finfo(float).eps
+    tau_scale = 10.0 * eps * col_scale
     cap_outer = max_outer if max_outer is not None else max(30, 3 * n)
     cap_inner = max(30, 3 * n)
 
     abs_a = np.abs(a)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(b @ b)
     y = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)
     residual = b.copy()
-    rnorm = float(np.linalg.norm(residual))
+    rnorm = bnorm
     outer = 0
     while True:
         # the cancellation mass |A||y| + |b| sets the resolution floor of
         # the residual (with room for the condition of the support solve);
         # once the residual reaches it, the system is solved to working
-        # precision and smaller gradients are pure noise
-        mass = bnorm + float(np.max(abs_a @ np.abs(y)))
+        # precision and smaller gradients are pure noise.  y stays >= 0
+        # (never -0.0), so |y| is y itself
+        mass = bnorm + float((abs_a @ y).max())
         if rnorm <= 100.0 * eps * mass:
             break
         grad = a.T @ residual
-        tau = 10.0 * eps * col_scale * (rnorm + mass)
-        eligible = ~passive & ~blocked & (grad > tau)
-        if not np.any(eligible):
+        eligible = grad > tau_scale * (rnorm + mass)
+        eligible[passive] = False
+        eligible[blocked] = False
+        if not eligible.any():
             break
         outer += 1
         if outer > cap_outer:
             raise IterationLimitReached(f"exceeded {cap_outer} active-set iterations")
-        scores = np.where(eligible, grad / col_scale, -np.inf)
-        enter = int(np.argmax(scores))
+        scores = grad / col_scale
+        scores[~eligible] = -np.inf
+        enter = int(scores.argmax())
         passive[enter] = True
 
         for _ in range(cap_inner):
             sol, *_ = np.linalg.lstsq(a[:, passive], b, rcond=None)
-            if float(np.min(sol)) > 0.0:
+            if sol.min() > 0.0:
                 y[passive] = sol
                 y[~passive] = 0.0
                 break
@@ -84,7 +95,7 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
             shrink = sol <= 0.0
             denom = current[shrink] - sol[shrink]
             steps = np.where(denom > 0.0, current[shrink] / np.where(denom > 0.0, denom, 1.0), 0.0)
-            step = float(np.min(steps))
+            step = float(steps.min())
             moved = current + step * (sol - current)
             moved[shrink & (moved <= 0.0)] = 0.0
             y[passive] = np.maximum(moved, 0.0)
@@ -96,7 +107,7 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
             raise IterationLimitReached(f"inner loop exceeded {cap_inner} steps")
 
         residual = b - a @ y
-        new_rnorm = float(np.linalg.norm(residual))
+        new_rnorm = math.sqrt(residual @ residual)
         if not passive[enter]:
             # entering column was immediately dropped again; keep it out of
             # contention until some other column makes progress

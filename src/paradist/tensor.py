@@ -4,12 +4,18 @@ selector, and the reduced coefficient matrices.
 All builders share one power table of z = exp(i*alpha) (computed once and
 extended by repeated multiplication) together with exact integer binomials,
 so the direct and block constructions of the reduced matrix agree bitwise.
+The reduced matrix C is built from per-order integer tables, computed once
+for each order: which entries are nonzero, their signed binomial
+coefficients and their phase exponents.  One power table then fills every
+nonzero entry with coefficient times power, the same product the closed
+form computes entry by entry.
 """
 
 from __future__ import annotations
 
 import cmath
 from enum import Enum
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -109,18 +115,36 @@ def b_entry_closed_form(n: int, ones_count: int, label, alpha: float) -> complex
     return coeff * (-1) ** e0 * zp[2 * e0 + ones_count - n1]
 
 
-def _dedup_rows(alpha: float, n: int) -> np.ndarray:
-    """(n+1) x p_n matrix of closed-form rows, one per ones count."""
-    zp = z_powers(alpha, 2 * n)
+@lru_cache(maxsize=None)
+def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the (n+1) x p_n closed-form rows: the mask of
+    nonzero entries and, in row-major order over the mask, the signed
+    coefficients binom(n-j, n0) * binom(j, n1) * (-1)^e0 and the phase
+    exponents 2*e0 + j - n1, with e0 = n - j - n0."""
     cols = column_order(n)
-    out = np.zeros((n + 1, p_count(n)), dtype=complex)
+    mask = np.zeros((n + 1, p_count(n)), dtype=bool)
+    coeff = []
+    expo = []
     for j in range(n + 1):
         for col, (n0, n1, _) in enumerate(cols):
             if n0 > n - j or n1 > j:
                 continue
             e0 = n - j - n0
-            coeff = comb(n - j, n0) * comb(j, n1)
-            out[j, col] = coeff * (-1) ** e0 * zp[2 * e0 + j - n1]
+            mask[j, col] = True
+            coeff.append(comb(n - j, n0) * comb(j, n1) * (-1) ** e0)
+            expo.append(2 * e0 + j - n1)
+    tables = (mask, np.array(coeff, dtype=float), np.array(expo, dtype=np.intp))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _dedup_rows(alpha: float, n: int) -> np.ndarray:
+    """(n+1) x p_n matrix of closed-form rows, one per ones count.
+    Structural zeros are written by no product, so they stay +0.0."""
+    mask, coeff, expo = _row_tables(n)
+    out = np.zeros(mask.shape, dtype=complex)
+    out[mask] = coeff * z_powers(alpha, 2 * n)[expo]
     return out
 
 

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import displayed_b2, displayed_b3, displayed_c2, displayed_c3
-from paradist.labels import binary_labels, orbit_sizes, p_count
+from paradist import tensor
+from paradist.catalog import conjectured_threshold
+from paradist.labels import binary_labels, column_order, orbit_sizes, p_count
 from paradist.tensor import (
     MatrixForm,
     SizeExceeded,
@@ -120,6 +122,32 @@ def test_build_c_matches_displays():
         z = unit_phase(alpha)
         assert_allclose(build_C(alpha, 2), displayed_c2(z), atol=1e-12)
         assert_allclose(build_C(alpha, 3), displayed_c3(z), atol=1e-12)
+
+
+def test_build_c_equals_closed_form_bitwise():
+    # the entry-by-entry closed form is the reference; bytes also pin the
+    # sign of every zero, which the JSON reports print
+    for n in range(1, 13):
+        alphas = [*np.linspace(math.pi / 2, math.pi, 7), 2.3, conjectured_threshold(n) - 1e-3]
+        for alpha in alphas:
+            expected = np.array([[b_entry_closed_form(n, j, label, alpha) for label in column_order(n)]
+                                 for j in range(n + 1)], dtype=complex)
+            assert build_C(alpha, n).tobytes() == expected.tobytes(), (n, alpha)
+
+
+def test_row_tables_are_read_only():
+    for table in tensor._row_tables(5):
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_build_c_returns_fresh_writable_array():
+    held = build_C(2.0, 4)
+    held.setflags(write=False)  # as `feasibility` freezes the C it holds
+    fresh = build_C(2.0, 4)
+    assert fresh.flags.writeable
+    fresh[0, 0] = 7.0
+    assert build_C(2.0, 4)[0, 0] == 1.0
 
 
 def test_build_c_rows_are_trailing_one_rows_of_b():
