@@ -29,7 +29,6 @@ from .feasibility import (
     FeasibilityOutcome,
     NonMonotonePredicate,
     NumericalIndeterminate,
-    RealizedSystem,
     ThresholdEstimate,
     Witness,
     classify,

@@ -18,6 +18,8 @@ from .symmetry import expand, reduce, symmetrize_permutation
 from .tensor import build_C
 
 CATALOG_MAX_ORDER = 10
+TOL_RESIDUAL = 1e-9
+TOL_NEGATIVE = 1e-12
 
 
 class AlphaOutOfInterval(ValueError):
@@ -221,8 +223,8 @@ class VerificationReport:
         }
 
 
-def verify_vector(y: np.ndarray, alpha: float, n: int,
-                  tol_residual: float = 1e-9, tol_negative: float = 1e-12) -> VerificationReport:
+def verify_vector(y: np.ndarray, alpha: float, n: int, tol_residual: float = TOL_RESIDUAL,
+                  tol_negative: float = TOL_NEGATIVE) -> VerificationReport:
     """Residual and sign report for a candidate reduced solution."""
     y = np.asarray(y, dtype=float)
     c = build_C(alpha, n)
@@ -241,9 +243,8 @@ def verify_vector(y: np.ndarray, alpha: float, n: int,
     )
 
 
-def verify_catalog_entry(n: int, alpha: float,
-                         tol_residual: float = 1e-9,
-                         tol_negative: float = 1e-12) -> VerificationReport:
+def verify_catalog_entry(n: int, alpha: float, tol_residual: float = TOL_RESIDUAL,
+                         tol_negative: float = TOL_NEGATIVE) -> VerificationReport:
     """Evaluate the cataloged solution and verify residual and nonnegativity."""
     y = explicit_nns(n, alpha)
     return verify_vector(y, alpha, n, tol_residual=tol_residual, tol_negative=tol_negative)

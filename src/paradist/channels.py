@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TOL_KRAUS = 1e-10
+
 
 class AllZero(ValueError):
     """The input set spans only the zero matrix."""
@@ -116,7 +118,7 @@ def realize_channels(span: SpanSet) -> KrausPair:
     return KrausPair(e_ops=e_ops, f_ops=f_ops, scale=scale, rank=k)
 
 
-def verify_kraus(ops, tol: float = 1e-10) -> tuple[bool, float]:
+def verify_kraus(ops, tol: float = TOL_KRAUS) -> tuple[bool, float]:
     """Completeness defect ||sum op* op - I||_F and pass/fail at ``tol``."""
     ops = [np.asarray(op, dtype=complex) for op in ops]
     cols = ops[0].shape[1]

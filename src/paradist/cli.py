@@ -24,10 +24,13 @@ from . import __version__
 from .catalog import (
     AlphaOutOfInterval,
     CATALOG_MAX_ORDER,
+    TOL_NEGATIVE,
+    TOL_RESIDUAL,
     interval_samples,
     verify_catalog_entry,
 )
 from .channels import (
+    TOL_KRAUS,
     extract_basis,
     product_identity,
     random_span_set,
@@ -36,6 +39,9 @@ from .channels import (
     verify_kraus,
 )
 from .feasibility import (
+    TOL_ALPHA,
+    TOL_MARGIN,
+    TOL_WITNESS,
     NumericalIndeterminate,
     NonMonotonePredicate,
     classify,
@@ -50,6 +56,7 @@ from .tensor import (
     build_C,
     build_C_block,
     build_Q,
+    check_order,
     matrix_from_json,
     matrix_to_json,
 )
@@ -75,13 +82,13 @@ def _add_alpha_options(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_alpha(args) -> float:
+    alpha = args.alpha
     if getattr(args, "pi_frac", None):
         num, _, den = args.pi_frac.partition("/")
         try:
-            return math.pi * int(num) / int(den or "1")
-        except ValueError as exc:
+            alpha = math.pi * int(num) / int(den or "1")
+        except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad --pi-frac value {args.pi_frac!r}") from exc
-    alpha = args.alpha
     if alpha is None or not math.isfinite(alpha):
         raise ValueError("a finite --alpha or --pi-frac is required")
     return float(alpha)
@@ -103,15 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-catalog", help="verify cataloged solutions on a sample grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--tol-residual", type=float, default=1e-9)
-    p.add_argument("--tol-negative", type=float, default=1e-12)
+    p.add_argument("--tol-residual", type=float, default=TOL_RESIDUAL)
+    p.add_argument("--tol-negative", type=float, default=TOL_NEGATIVE)
     p.add_argument("--output")
 
     p = sub.add_parser("feasibility", help="decide nonnegative feasibility at one angle")
     p.add_argument("--n", type=int, required=True)
     _add_alpha_options(p)
-    p.add_argument("--tol-witness", type=float, default=1e-8)
-    p.add_argument("--tol-margin", type=float, default=1e-8)
+    p.add_argument("--tol-witness", type=float, default=TOL_WITNESS)
+    p.add_argument("--tol-margin", type=float, default=TOL_MARGIN)
     p.add_argument("--output")
 
     p = sub.add_parser("sweep", help="feasibility outcomes over an angle grid (CSV)")
@@ -119,19 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--alpha-min", type=float, default=math.pi / 2)
     p.add_argument("--alpha-max", type=float, default=math.pi)
-    p.add_argument("--tol-witness", type=float, default=1e-8)
-    p.add_argument("--tol-margin", type=float, default=1e-8)
+    p.add_argument("--tol-witness", type=float, default=TOL_WITNESS)
+    p.add_argument("--tol-margin", type=float, default=TOL_MARGIN)
     p.add_argument("--output")
 
     p = sub.add_parser("threshold", help="bisect the feasibility boundary in alpha")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=TOL_ALPHA)
     p.add_argument("--output")
 
     p = sub.add_parser("necessity", help="certificates across the infeasible region")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--tol-margin", type=float, default=1e-8)
+    p.add_argument("--tol-margin", type=float, default=TOL_MARGIN)
     p.add_argument("--output")
 
     p = sub.add_parser("realize", help="realize a product span by two operator families")
@@ -140,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--random-dim", type=int, help="generate random square matrices")
     p.add_argument("--random-count", type=int, default=3)
     p.add_argument("--seed", type=int, help="seed for --random-dim generation")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=TOL_KRAUS)
     p.add_argument("--output")
 
     return parser
@@ -157,12 +164,21 @@ def _emit(text: str, output: str | None) -> None:
         fh.write(text)
 
 
+def _check_tolerances(args) -> None:
+    for name, value in vars(args).items():
+        signed = name == "tol_negative"
+        if name.startswith("tol") and not (math.isfinite(value) and (signed or value >= 0)):
+            rule = "finite" if signed else "finite and nonnegative"
+            raise ValueError(f"--{name.replace('_', '-')} must be {rule}, got {value!r}")
+
+
 def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _cmd_build(args) -> int:
     alpha = _resolve_alpha(args)
+    check_order(args.n)
     form = MatrixForm(args.form)
     if args.emit == "A":
         matrix = a_alpha(alpha, form)
@@ -316,6 +332,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tolerances(args)
         return _COMMANDS[args.command](args)
     except NumericalIndeterminate as exc:
         print(f"paradist: indeterminate: {exc}", file=sys.stderr)

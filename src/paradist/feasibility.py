@@ -1,16 +1,18 @@
 """Feasibility of the reduced system over the nonnegative cone.
 
 For a given order and phase angle, decides whether the row-deduplicated
-system has a nontrivial nonnegative null vector.  The complex system is
-embedded as real/imaginary row pairs M, then the point b = (0, ..., 0, 1)
-is projected onto the cone spanned by the columns of [M; 1'] with an
-active-set nonnegative least squares solve.  A near-zero projection
-residual hands back a witness in the cone; a nonzero residual r is, by the
-projection's optimality conditions, a separating vector: h = -r restricted
-to the M rows satisfies h'M > 0 columnwise (the finite-dimensional
-separation certificate).  Both outcomes are re-verified against the one
-read-only system built for the decision.  `classify` turns (alpha, n) into
-an outcome, indeterminate included; every report is rendered from it.
+system C has a nontrivial nonnegative null vector.  C is embedded as its
+real rows over its imaginary rows (M, see `realize`), then the point
+b = (0, ..., 0, 1) is projected onto the cone spanned by the columns of
+[M; 1'] with an active-set nonnegative least squares solve.  A near-zero
+projection residual hands back a witness in the cone; a nonzero residual r
+is, by the projection's optimality conditions, a separating vector:
+h = -r restricted to the M rows satisfies h'M > 0 columnwise (the
+finite-dimensional separation certificate).  Each decision builds C once,
+read-only, and judges both outcomes on that system alone.  `classify`
+turns (alpha, n) into an outcome, indeterminate included; every report is
+rendered from it.  Only the witness and margin bars and the threshold's
+bracket width are per-call parameters; the other tolerances are constants.
 """
 
 from __future__ import annotations
@@ -20,16 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import conjectured_threshold
+from .catalog import CATALOG_MAX_ORDER, conjectured_threshold
 from .nnls import IterationLimitReached, nnls, refined_residual
 from .tensor import build_C
 
 TOL_WITNESS = 1e-8
 TOL_MARGIN = 1e-8
 TOL_NEGATIVE = 1e-12
-
-MAX_FEASIBILITY_ORDER = 12
-MAX_THRESHOLD_ORDER = 10
+TOL_ALPHA = 1e-6
 
 
 class NumericalIndeterminate(RuntimeError):
@@ -49,15 +49,6 @@ class NumericalIndeterminate(RuntimeError):
 
 class NonMonotonePredicate(RuntimeError):
     """Probed feasibility contradicts a single-threshold structure."""
-
-
-@dataclass(frozen=True)
-class RealizedSystem:
-    """Real embedding of the reduced system: stacked Re and Im rows."""
-
-    matrix: np.ndarray
-    alpha: float
-    order: int
 
 
 @dataclass(frozen=True)
@@ -85,28 +76,23 @@ class Certificate:
 FeasibilityOutcome = Witness | Certificate
 
 
-def _build(alpha: float, n: int) -> tuple[np.ndarray, RealizedSystem]:
-    """The reduced system C and its real embedding, both read-only."""
-    if not 1 <= n <= MAX_FEASIBILITY_ORDER:
-        raise ValueError(f"order must lie in 1..{MAX_FEASIBILITY_ORDER}")
+def _build(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced system C and its real embedding M, both read-only."""
     c = build_C(alpha, n)
     m = np.vstack([c.real, c.imag])
     c.setflags(write=False)
     m.setflags(write=False)
-    return c, RealizedSystem(matrix=m, alpha=float(alpha), order=n)
+    return c, m
 
 
-def realize(alpha: float, n: int) -> RealizedSystem:
-    """Stack real and imaginary parts of the reduced system into a real
-    2(n+1) x p_n matrix with the same nonnegative null vectors."""
+def realize(alpha: float, n: int) -> np.ndarray:
+    """The reduced system's real and imaginary rows stacked into a read-only
+    real 2(n+1) x p_n array with the same nonnegative null vectors."""
     return _build(alpha, n)[1]
 
 
-def nns_exists(alpha: float, n: int, *,
-               tol_witness: float = TOL_WITNESS,
-               tol_margin: float = TOL_MARGIN,
-               tol_negative: float = TOL_NEGATIVE,
-               system: RealizedSystem | None = None) -> FeasibilityOutcome:
+def nns_exists(alpha: float, n: int, *, tol_witness: float = TOL_WITNESS,
+               tol_margin: float = TOL_MARGIN) -> FeasibilityOutcome:
     """Decide whether a nontrivial nonnegative null vector exists.
 
     Projects onto the cone of the normalized system { y >= 0, M y = 0,
@@ -114,11 +100,13 @@ def nns_exists(alpha: float, n: int, *,
     NumericalIndeterminate when neither side can be certified at its
     tolerance, which near the feasibility boundary is unavoidable: the
     best achievable separation margin decays to zero at the boundary.
+    Both bars must be finite and positive.
     """
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
-    c, system = _build(alpha, n) if system is None else (build_C(alpha, n), system)
-    m = system.matrix
+    if not (0 < tol_witness < math.inf and 0 < tol_margin < math.inf):
+        raise ValueError("tol_witness and tol_margin must be finite and positive")
+    c, m = _build(alpha, n)
     rows, p = m.shape
     a = np.vstack([m, np.ones((1, p))])
     b = np.zeros(rows + 1)
@@ -134,7 +122,7 @@ def nns_exists(alpha: float, n: int, *,
     if total > 0:
         y = result.y / total
         residual = float(np.max(np.abs(c @ y)))
-        if residual <= tol_witness and float(np.min(y)) >= -tol_negative:
+        if residual <= tol_witness and float(np.min(y)) >= -TOL_NEGATIVE:
             return Witness(y=y, residual=residual)
 
     h = -refined_residual(a, b, result.y)[:rows]
@@ -152,11 +140,12 @@ def nns_exists(alpha: float, n: int, *,
     )
 
 
-def classify(alpha: float, n: int, **options) -> FeasibilityOutcome | NumericalIndeterminate:
+def classify(alpha: float, n: int, *, tol_witness: float = TOL_WITNESS,
+             tol_margin: float = TOL_MARGIN) -> FeasibilityOutcome | NumericalIndeterminate:
     """The outcome of `nns_exists` at (alpha, n), with an indeterminate
     outcome returned instead of raised.  Every report renders from it."""
     try:
-        return nns_exists(alpha, n, **options)
+        return nns_exists(alpha, n, tol_witness=tol_witness, tol_margin=tol_margin)
     except NumericalIndeterminate as exc:
         return exc
 
@@ -165,7 +154,7 @@ def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, f
     """Recompute h'M from a freshly built system; valid when the minimum
     column value is no less than the declared margin (within 1e-12)."""
     h = np.asarray(cert.h, dtype=float)
-    m = realize(alpha, n).matrix
+    m = realize(alpha, n)
     if h.shape != (m.shape[0],):
         return False, 0.0
     margin = float(np.min(h @ m))
@@ -188,7 +177,7 @@ class ThresholdEstimate:
         }
 
 
-def threshold_bisect(n: int, tol_alpha: float = 1e-6, **options) -> ThresholdEstimate:
+def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     """Bisect the phase angle over [pi/2, pi] for the feasibility boundary.
 
     Starts from the known-feasible right endpoint pi and a point just above
@@ -197,26 +186,26 @@ def threshold_bisect(n: int, tol_alpha: float = 1e-6, **options) -> ThresholdEst
     margin bar but whose projection residual is clearly positive still
     counts as the infeasible side for bracketing (near the boundary the
     best achievable margin decays below any fixed bar, so certified
-    infeasibility there is unattainable).  Probes must stay consistent with
-    a single threshold, otherwise NonMonotonePredicate is raised.
+    infeasibility there is unattainable).  The two endpoints must come out
+    infeasible and feasible, otherwise NonMonotonePredicate is raised; every
+    later probe lies strictly inside the bracket, so bisection keeps each
+    infeasible probe below each feasible one by construction.
     """
-    if not 1 <= n <= MAX_THRESHOLD_ORDER:
-        raise ValueError(f"order must lie in 1..{MAX_THRESHOLD_ORDER}")
+    if not 1 <= n <= CATALOG_MAX_ORDER:
+        raise ValueError(f"order must lie in 1..{CATALOG_MAX_ORDER}")
+    if not math.isfinite(tol_alpha):
+        raise ValueError("tol_alpha must be finite")
     if tol_alpha < 1e-8:
         raise ValueError("tol_alpha below 1e-8 is not resolvable in float")
     lo = math.pi / 2 + 1e-4
     hi = math.pi
-    tol_witness = options.get("tol_witness", TOL_WITNESS)
-    probes: list[tuple[float, bool]] = []
 
     def feasible(alpha: float) -> bool:
-        outcome = classify(alpha, n, **options)
+        outcome = classify(alpha, n)
         if isinstance(outcome, NumericalIndeterminate) and (
-                outcome.objective is None or outcome.objective <= tol_witness):
+                outcome.objective is None or outcome.objective <= TOL_WITNESS):
             raise outcome
-        flag = isinstance(outcome, Witness)
-        probes.append((alpha, flag))
-        return flag
+        return isinstance(outcome, Witness)
 
     if feasible(lo):
         raise NonMonotonePredicate(f"expected infeasibility near pi/2 at order {n}")
@@ -228,10 +217,6 @@ def threshold_bisect(n: int, tol_alpha: float = 1e-6, **options) -> ThresholdEst
             hi = mid
         else:
             lo = mid
-    worst_infeasible = max(a for a, flag in probes if not flag)
-    best_feasible = min(a for a, flag in probes if flag)
-    if worst_infeasible >= best_feasible:
-        raise NonMonotonePredicate("probes contradict a single feasibility threshold")
     return ThresholdEstimate(
         order=n,
         alpha_star=0.5 * (lo + hi),
@@ -248,10 +233,10 @@ def necessity_grid(n: int, points: int) -> np.ndarray:
     return lo + (hi - lo) * (np.arange(points) + 1) / (points + 1)
 
 
-def necessity_point(alpha: float, n: int, **options) -> dict:
+def necessity_point(alpha: float, n: int, *, tol_margin: float = TOL_MARGIN) -> dict:
     """One grid point of the necessity scan: expects a verified certificate;
     a witness or an indeterminate outcome is flagged as an anomaly."""
-    outcome = classify(alpha, n, **options)
+    outcome = classify(alpha, n, tol_margin=tol_margin)
     row: dict = {"alpha": float(alpha), "n": n, "outcome": outcome.kind}
     if isinstance(outcome, Certificate):
         ok, margin = verify_certificate(outcome, alpha, n)
@@ -263,7 +248,7 @@ def necessity_point(alpha: float, n: int, **options) -> dict:
     return row
 
 
-def necessity_scan(n: int, points: int, **options) -> list[dict]:
+def necessity_scan(n: int, points: int, *, tol_margin: float = TOL_MARGIN) -> list[dict]:
     """Probe the conjecturally infeasible region; each grid point should
     produce a verified certificate.  Rows come back in grid order."""
-    return [necessity_point(float(a), n, **options) for a in necessity_grid(n, points)]
+    return [necessity_point(float(a), n, tol_margin=tol_margin) for a in necessity_grid(n, points)]

@@ -121,9 +121,8 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
     return NnlsResult(y=y, residual=residual, rnorm=rnorm, iterations=outer)
 
 
-def refined_residual(a: np.ndarray, b: np.ndarray, y: np.ndarray,
-                     steps: int = 2) -> np.ndarray:
-    """Residual b - A y after iterative refinement of y on its support.
+def refined_residual(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Residual b - A y after two steps of iterative refinement of y on its support.
 
     Corrections are solved in double precision but residuals accumulate in
     extended precision, which restores the orthogonality of the residual to
@@ -138,7 +137,7 @@ def refined_residual(a: np.ndarray, b: np.ndarray, y: np.ndarray,
     support = y > 0
     if not np.any(support):
         return (b_hi - a_hi @ y_hi).astype(float)
-    for _ in range(steps):
+    for _ in range(2):
         r = b_hi - a_hi @ y_hi
         correction, *_ = np.linalg.lstsq(a[:, support], r.astype(float), rcond=None)
         y_hi[support] += correction

@@ -22,11 +22,11 @@ import numpy as np
 
 from .labels import MAX_ORDER, column_order, column_positions, p_count
 
-DEFAULT_ENTRY_BUDGET = 1 << 27
+ENTRY_BUDGET = 1 << 27
 
 
 class SizeExceeded(MemoryError):
-    """Requested dense matrix exceeds the configured entry budget."""
+    """Requested dense matrix exceeds ENTRY_BUDGET entries."""
 
 
 class MatrixForm(Enum):
@@ -64,7 +64,7 @@ def a_alpha(alpha: float, form: MatrixForm = MatrixForm.REDUCED) -> np.ndarray:
     raise ValueError(f"unknown form {form!r}")
 
 
-def kron_power(m: np.ndarray, n: int, entry_budget: int = DEFAULT_ENTRY_BUDGET) -> np.ndarray:
+def kron_power(m: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power of a dense matrix.
 
     Index order matches the digit-label convention: row/column digit strings
@@ -74,9 +74,9 @@ def kron_power(m: np.ndarray, n: int, entry_budget: int = DEFAULT_ENTRY_BUDGET) 
         raise ValueError("power must be >= 1")
     m = np.asarray(m)
     rows, cols = m.shape
-    if rows**n * cols**n > entry_budget:
+    if rows**n * cols**n > ENTRY_BUDGET:
         raise SizeExceeded(
-            f"kron power {rows}^{n} x {cols}^{n} exceeds budget of {entry_budget} entries"
+            f"kron power {rows}^{n} x {cols}^{n} exceeds budget of {ENTRY_BUDGET} entries"
         )
     out = m
     for _ in range(n - 1):
@@ -84,13 +84,13 @@ def kron_power(m: np.ndarray, n: int, entry_budget: int = DEFAULT_ENTRY_BUDGET) 
     return out
 
 
-def build_Q(n: int, entry_budget: int = DEFAULT_ENTRY_BUDGET) -> np.ndarray:
+def build_Q(n: int) -> np.ndarray:
     """Orbit selector: 3**n x p_n 0/1 matrix with a single 1 per row,
     marking which multiset orbit each ternary label belongs to."""
-    _check_order(n)
+    check_order(n)
     p = p_count(n)
-    if 3**n * p > entry_budget:
-        raise SizeExceeded(f"selector for order {n} exceeds budget of {entry_budget} entries")
+    if 3**n * p > ENTRY_BUDGET:
+        raise SizeExceeded(f"selector for order {n} exceeds budget of {ENTRY_BUDGET} entries")
     q = np.zeros((3**n, p))
     q[np.arange(3**n), column_positions(n)] = 1.0
     return q
@@ -139,9 +139,10 @@ def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _dedup_rows(alpha: float, n: int) -> np.ndarray:
-    """(n+1) x p_n matrix of closed-form rows, one per ones count.
-    Structural zeros are written by no product, so they stay +0.0."""
+def build_C(alpha: float, n: int) -> np.ndarray:
+    """Row-deduplicated system: (n+1) x p_n, one closed-form row per ones
+    count.  Structural zeros are written by no product, so they stay +0.0."""
+    check_order(n)
     mask, coeff, expo = _row_tables(n)
     out = np.zeros(mask.shape, dtype=complex)
     out[mask] = coeff * z_powers(alpha, 2 * n)[expo]
@@ -150,17 +151,10 @@ def _dedup_rows(alpha: float, n: int) -> np.ndarray:
 
 def build_B(alpha: float, n: int) -> np.ndarray:
     """Orbit-summed system: 2**n x p_n.  Rows with the same ones count are
-    identical, so each row is the closed-form row for its ones count."""
-    _check_order(n)
-    rows = _dedup_rows(alpha, n)
+    identical, so each row is the row of build_C for its ones count."""
+    rows = build_C(alpha, n)
     ones = np.array([bin(i).count("1") for i in range(2**n)])
     return rows[ones]
-
-
-def build_C(alpha: float, n: int) -> np.ndarray:
-    """Row-deduplicated system: (n+1) x p_n, one row per ones count."""
-    _check_order(n)
-    return _dedup_rows(alpha, n)
 
 
 def gamma(n: int, alpha: float) -> np.ndarray:
@@ -187,7 +181,7 @@ def build_C_block(alpha: float, n: int) -> np.ndarray:
     """Assemble the row-deduplicated system from its block decomposition:
     the k-th column group is k zero rows stacked over the binomial diagonal
     times the order-(n-k) phase block."""
-    _check_order(n)
+    check_order(n)
     blocks = [gamma(n, alpha)]
     for k in range(1, n + 1):
         body = d_diag(n, k) @ gamma(n - k, alpha)
@@ -210,6 +204,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return flat.reshape(obj["rows"], obj["cols"])
 
 
-def _check_order(n: int) -> None:
+def check_order(n: int) -> None:
+    """Refuse an order outside 1..MAX_ORDER."""
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {n}")

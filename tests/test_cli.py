@@ -13,6 +13,7 @@ from paradist.feasibility import classify
 from paradist.tensor import build_C, matrix_from_json
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+_BELOW_N7 = repr(conjectured_threshold(7) - 1e-6)
 
 
 def run_cli(capsys, *args):
@@ -144,6 +145,33 @@ def test_bad_pi_frac(capsys):
     assert "pi-frac" in err
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("args", [
+    ("feasibility", "--n", "4", "--pi-frac", "3/0"),
+    ("feasibility", "--n", "4", "--pi-frac", f"{_HUGE}/3"),
+    ("build", "--n", "2", "--pi-frac", f"3/{_HUGE}", "--emit", "C"),
+    ("feasibility", "--n", "7", "--alpha", _BELOW_N7, "--tol-margin", "-1"),
+    ("feasibility", "--n", "2", "--pi-frac", "7/8", "--tol-witness", "nan"),
+    ("feasibility", "--n", "2", "--pi-frac", "7/8", "--tol-witness", "0"),
+    ("sweep", "--n", "2", "--points", "3", "--tol-margin", "inf"),
+    ("threshold", "--n", "4", "--tol", "nan"),
+    ("threshold", "--n", "4", "--tol", "inf"),
+    ("necessity", "--n", "3", "--points", "2", "--tol-margin=-1e-8"),
+    ("verify-catalog", "--n", "3", "--tol-negative", "nan"),
+    ("verify-catalog", "--n", "3", "--tol-residual", "-1"),
+    ("realize", "--random-dim", "3", "--seed", "7", "--tol=-inf"),
+    ("build", "--n", "-5", "--pi-frac", "3/4", "--emit", "A"),
+    ("build", "--n", "13", "--pi-frac", "3/4", "--emit", "A"),
+], ids=lambda args: " ".join(args).replace(_HUGE, "10**400"))
+def test_usage_errors(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 64
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("paradist: error: ")
+
+
 def test_output_file_and_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PARADIST_OUTPUT_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "threshold", "--n", "2", "--tol", "1e-4",
@@ -177,8 +205,6 @@ def schema_validators():
     return {schema["$id"]: jsonschema.Draft7Validator(schema, registry=registry)
             for schema in schemas}
 
-
-_BELOW_N7 = repr(conjectured_threshold(7) - 1e-6)
 
 
 @pytest.mark.parametrize("schema_id, expected_code, kind, args", [

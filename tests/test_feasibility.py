@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from paradist.catalog import alpha_interval, conjectured_threshold, explicit_nns
 from paradist.feasibility import (
     Certificate,
     NumericalIndeterminate,
-    RealizedSystem,
     Witness,
     classify,
     necessity_grid,
@@ -19,22 +19,22 @@ from paradist.feasibility import (
     threshold_bisect,
     verify_certificate,
 )
-from paradist.tensor import build_B, build_C
+from paradist.nnls import refined_residual
+from paradist.tensor import build_B, build_C, build_Q, kron_power
 
 
 def test_realized_system_shapes():
-    sys_ = realize(2.0, 2)
-    assert sys_.matrix.shape == (6, 6)
-    sys1 = realize(math.pi, 1)
-    assert sys1.matrix.shape == (4, 3)
+    assert realize(2.0, 2).shape == (6, 6)
+    m1 = realize(math.pi, 1)
+    assert m1.shape == (4, 3)
     # at alpha = pi the system is real: imaginary rows vanish
-    assert np.max(np.abs(sys1.matrix[2:])) < 1e-12
+    assert np.max(np.abs(m1[2:])) < 1e-12
 
 
 def test_catalog_witness_through_real_embedding():
     alpha = 3 * math.pi / 4
     y = explicit_nns(2, alpha)
-    m = realize(alpha, 2).matrix
+    m = realize(alpha, 2)
     assert np.max(np.abs(m @ y)) <= 1e-12 * np.max(np.abs(y))
 
 
@@ -91,17 +91,48 @@ def test_alpha_range_enforced():
         nns_exists(3.3, 3)
 
 
-def test_duplicate_rows_give_same_outcome_class():
+@pytest.mark.parametrize("name", ["tol_witness", "tol_margin"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_tolerances_must_be_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        nns_exists(math.pi, 2, **{name: value})
+
+
+@pytest.fixture
+def substitute(monkeypatch):
+    """Make `feasibility` build its system with `builder` (build_C itself by
+    default); returns the list of every array it obtains, in call order."""
+
+    def install(builder=build_C):
+        calls = []
+
+        def recording(alpha, n):
+            calls.append(builder(alpha, n))
+            return calls[-1]
+
+        monkeypatch.setattr(feasibility, "build_C", recording)
+        return calls
+
+    return install
+
+
+def _tiny_system(alpha, n):
+    # one complex row at roundoff scale: its real embedding is a 2 x 3
+    # block of 1e-14, infeasible but far below the margin bar
+    return np.full((1, 3), 1e-14 + 1e-14j)
+
+
+def test_duplicate_rows_give_same_outcome_class(substitute):
+    cases = []
     for n in range(1, 6):
-        probes = [math.pi / 2 + 0.05, math.pi - 0.01]
+        cases += [(n, math.pi / 2 + 0.05), (n, math.pi - 0.01)]
         if n >= 2:
-            probes.append(conjectured_threshold(n) - 0.02)
-        for alpha in probes:
-            b = build_B(alpha, n)
-            full = RealizedSystem(matrix=np.vstack([b.real, b.imag]), alpha=alpha, order=n)
-            base = nns_exists(alpha, n)
-            dup = nns_exists(alpha, n, system=full)
-            assert type(base) is type(dup), (n, alpha)
+            cases.append((n, conjectured_threshold(n) - 0.02))
+    base = [type(nns_exists(alpha, n)) for n, alpha in cases]
+    # the orbit-summed system B repeats each row of C once per binary label
+    substitute(build_B)
+    dup = [type(nns_exists(alpha, n)) for n, alpha in cases]
+    assert dup == base
 
 
 def test_threshold_bisect_order_two():
@@ -116,6 +147,9 @@ def test_threshold_bisect_validation():
         threshold_bisect(11)
     with pytest.raises(ValueError):
         threshold_bisect(3, tol_alpha=1e-9)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            threshold_bisect(3, tol_alpha=tol)
 
 
 def test_necessity_grid_strictly_inside():
@@ -139,26 +173,18 @@ def test_necessity_scan_empty():
     assert necessity_scan(3, 0) == []
 
 
-def test_indeterminate_reports_objective():
-    # an artificial system that is infeasible but far below the margin bar:
+def test_indeterminate_reports_objective(substitute):
     # a single row at roundoff scale cannot be certified either way
-    m = np.full((2, 3), 1e-14)
-    system = RealizedSystem(matrix=m, alpha=math.pi - 0.2, order=1)
-    with pytest.raises(NumericalIndeterminate):
-        nns_exists(math.pi - 0.2, 1, system=system, tol_witness=1e-30)
+    substitute(_tiny_system)
+    with pytest.raises(NumericalIndeterminate) as raised:
+        nns_exists(math.pi - 0.2, 1, tol_witness=1e-30)
+    assert raised.value.objective > 0
 
 
 @pytest.fixture
-def build_calls(monkeypatch):
+def build_calls(substitute):
     """Every array `feasibility` obtains from build_C, in call order."""
-    calls = []
-
-    def counting(alpha, n):
-        calls.append(build_C(alpha, n))
-        return calls[-1]
-
-    monkeypatch.setattr(feasibility, "build_C", counting)
-    return calls
+    return substitute()
 
 
 @pytest.mark.parametrize("alpha, expected", [
@@ -171,29 +197,53 @@ def test_one_build_per_decision(build_calls, alpha, expected):
     assert not build_calls[0].flags.writeable
 
 
-def test_passed_in_system_is_judged_against_its_own_matrix(build_calls):
+def test_passed_in_system_is_judged_against_its_own_matrix(substitute):
+    # the system substituted for C is the one projected and the one judged
+    calls = substitute(build_B)
     alpha = conjectured_threshold(3) - 0.02
-    b = build_B(alpha, 3)
-    full = RealizedSystem(matrix=np.vstack([b.real, b.imag]), alpha=alpha, order=3)
-    cert = nns_exists(alpha, 3, system=full)
+    cert = nns_exists(alpha, 3)
     assert isinstance(cert, Certificate)
-    assert cert.h.shape == (full.matrix.shape[0],)
-    assert_allclose(cert.margin, np.min(cert.h @ full.matrix), rtol=0, atol=0)
-    assert len(build_calls) == 1
+    assert len(calls) == 1
+    m = np.vstack([calls[0].real, calls[0].imag])
+    assert cert.h.shape == (m.shape[0],) == (16,)
+    assert_allclose(cert.margin, np.min(cert.h @ m), rtol=0, atol=0)
+    assert verify_certificate(cert, alpha, 3) == (True, cert.margin)
 
 
 def test_realized_system_is_read_only():
-    m = realize(2.0, 2).matrix
+    m = realize(2.0, 2)
+    assert isinstance(m, np.ndarray) and m.dtype == float
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
 
 
-def test_classify_returns_every_outcome():
+def test_classify_returns_every_outcome(substitute):
     assert isinstance(classify(math.pi, 3), Witness)
     assert isinstance(classify(conjectured_threshold(3) - 0.05, 3), Certificate)
-    system = RealizedSystem(matrix=np.full((2, 3), 1e-14), alpha=math.pi - 0.2, order=1)
-    outcome = classify(math.pi - 0.2, 1, system=system, tol_witness=1e-30)
+    substitute(_tiny_system)
+    outcome = classify(math.pi - 0.2, 1, tol_witness=1e-30)
     assert isinstance(outcome, NumericalIndeterminate)
     assert outcome.objective is not None and outcome.objective > 0
     assert outcome.to_dict() == {"kind": "indeterminate", "detail": str(outcome)}
     assert math.isnan(outcome.metric)
+
+
+def test_decision_layer_has_no_dead_knobs():
+    # the settable parameters of the decision layer, pinned by name so that
+    # a new knob is a deliberate change to this list
+    expected = {
+        nns_exists: ["alpha", "n", "tol_witness", "tol_margin"],
+        classify: ["alpha", "n", "tol_witness", "tol_margin"],
+        threshold_bisect: ["n", "tol_alpha"],
+        necessity_scan: ["n", "points", "tol_margin"],
+        feasibility.necessity_point: ["alpha", "n", "tol_margin"],
+        refined_residual: ["a", "b", "y"],
+        kron_power: ["m", "n"],
+        build_Q: ["n"],
+    }
+    knobs = 0
+    for fn, names in expected.items():
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params] == names, fn.__name__
+        knobs += sum(p.default is not inspect.Parameter.empty for p in params)
+    assert knobs == 7

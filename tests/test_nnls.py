@@ -12,7 +12,7 @@ from paradist.nnls import IterationLimitReached, nnls, refined_residual
 
 def projection_problem(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The cone projection `nns_exists` solves: [M; 1'] y = (0, ..., 0, 1)."""
-    m = realize(alpha, n).matrix
+    m = realize(alpha, n)
     a = np.vstack([m, np.ones((1, m.shape[1]))])
     b = np.zeros(m.shape[0] + 1)
     b[-1] = 1.0
