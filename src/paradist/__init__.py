@@ -18,7 +18,6 @@ from .channels import (
     AllZero,
     KrausPair,
     ShapeMismatch,
-    SpanSet,
     extract_basis,
     realize_channels,
     span_equality,

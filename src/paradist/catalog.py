@@ -36,7 +36,7 @@ def conjectured_threshold(n: int) -> float:
 def alpha_interval(n: int) -> tuple[float, float]:
     """Catalog interval for order n: [pi/2 + pi/(2n), pi/2 + pi/(2(n-1)))
     for n >= 2, and the single point pi for n = 1."""
-    _check_catalog_order(n)
+    check_catalog_order(n)
     if n == 1:
         return (math.pi, math.pi)
     return (conjectured_threshold(n), conjectured_threshold(n - 1))
@@ -52,9 +52,7 @@ def in_interval(n: int, alpha: float) -> bool:
 def interval_samples(n: int, count: int) -> np.ndarray:
     """Deterministic angles in the catalog interval, left endpoint included."""
     lo, hi = alpha_interval(n)
-    if n == 1:
-        return np.full(count, math.pi)
-    # keep strictly below the open right endpoint
+    # keep strictly below the open right endpoint; n = 1 gives pi every time
     return lo + (hi - lo) * np.arange(count) / max(count, 1)
 
 
@@ -171,10 +169,7 @@ _BUILDERS = {
 
 def explicit_nns(n: int, alpha: float) -> np.ndarray:
     """The cataloged nonnegative solution at order n, evaluated at ``alpha``."""
-    _check_catalog_order(n)
-    if not in_interval(n, alpha):
-        lo, hi = alpha_interval(n)
-        raise AlphaOutOfInterval(f"alpha={alpha!r} outside [{lo!r}, {hi!r}) for order {n}")
+    _check_in_interval(n, alpha)
     y = _BUILDERS[n](float(alpha))
     assert len(y) == p_count(n)
     return y
@@ -187,9 +182,7 @@ def quadrant_of(k: int, alpha: float, n: int) -> int:
         raise ValueError("quadrant bookkeeping requires order >= 2")
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if not in_interval(n, alpha):
-        lo, hi = alpha_interval(n)
-        raise AlphaOutOfInterval(f"alpha={alpha!r} outside [{lo!r}, {hi!r}) for order {n}")
+    _check_in_interval(n, alpha)
     if k < n:
         return (k % 4) + 1
     return ((n + 1) % 4) + 1
@@ -250,21 +243,24 @@ def verify_catalog_entry(n: int, alpha: float, tol_residual: float = TOL_RESIDUA
     return verify_vector(y, alpha, n, tol_residual=tol_residual, tol_negative=tol_negative)
 
 
-def pad_solution(y: np.ndarray, weights=(1.0, 0.0, 0.0)) -> np.ndarray:
+def pad_solution(y: np.ndarray) -> np.ndarray:
     """Lift a reduced solution at order n to order n+1.
 
-    Tensors the expanded vector with a fixed nonnegative 3-vector and
-    re-symmetrizes; the result solves the order-(n+1) system whenever the
-    input solves the order-n system, and stays nonnegative.
+    Tensors the expanded vector with (1, 0, 0) and re-symmetrizes; the
+    result solves the order-(n+1) system whenever the input solves the
+    order-n system, and stays nonnegative.
     """
-    y = np.asarray(y, dtype=float)
-    e = np.asarray(weights, dtype=float)
-    if e.shape != (3,) or np.min(e) < 0:
-        raise ValueError("padding weights must be a nonnegative 3-vector")
-    full = np.kron(expand(y), e)
+    full = np.kron(expand(np.asarray(y, dtype=float)), [1.0, 0.0, 0.0])
     return reduce(symmetrize_permutation(full))
 
 
-def _check_catalog_order(n: int) -> None:
+def check_catalog_order(n: int) -> None:
+    """Refuse an order outside the catalog's 1..CATALOG_MAX_ORDER."""
     if not 1 <= n <= CATALOG_MAX_ORDER:
-        raise ValueError(f"catalog covers orders 1..{CATALOG_MAX_ORDER}, got {n}")
+        raise ValueError(f"order must lie in 1..{CATALOG_MAX_ORDER}, got {n}")
+
+
+def _check_in_interval(n: int, alpha: float) -> None:
+    if not in_interval(n, alpha):
+        lo, hi = alpha_interval(n)
+        raise AlphaOutOfInterval(f"alpha={alpha!r} outside [{lo!r}, {hi!r}) for order {n}")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TOL_KRAUS = 1e-10
+REL_TOL = 1e-10
+PSD_CLAMP = 1e-12
 
 
 class AllZero(ValueError):
@@ -25,16 +27,6 @@ class ShapeMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class SpanSet:
-    matrices: list[np.ndarray]
-    basis: list[np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return self.matrices[0].shape[0]
-
-
-@dataclass(frozen=True)
 class KrausPair:
     e_ops: list[np.ndarray]
     f_ops: list[np.ndarray]
@@ -42,7 +34,7 @@ class KrausPair:
     rank: int
 
 
-def extract_basis(mats, rel_tol: float = 1e-10) -> SpanSet:
+def extract_basis(mats) -> list[np.ndarray]:
     """Greedy maximal linearly independent subsequence, by testing each
     vectorized matrix against the span of those already kept."""
     mats = [np.asarray(m, dtype=complex) for m in mats]
@@ -62,39 +54,38 @@ def extract_basis(mats, rel_tol: float = 1e-10) -> SpanSet:
         for q in ortho:
             v -= (q.conj() @ v) * q
         norm = float(np.linalg.norm(v))
-        if norm > rel_tol * scale:
+        if norm > REL_TOL * scale:
             ortho.append(v / norm)
             basis.append(m)
     if not basis:
         raise AllZero("all input matrices vanish up to tolerance")
-    return SpanSet(matrices=mats, basis=basis)
+    return basis
 
 
-def _sqrtm_psd(h: np.ndarray, clamp: float = 1e-12) -> np.ndarray:
-    """Hermitian square root with small negative eigenvalues clamped to 0."""
+def _sqrtm_psd(h: np.ndarray) -> np.ndarray:
+    """Hermitian square root with eigenvalues down to -PSD_CLAMP clamped to 0."""
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    if float(np.min(w)) < -clamp:
+    if float(np.min(w)) < -PSD_CLAMP:
         raise ValueError(f"matrix is not positive semidefinite (min eig {np.min(w):.3e})")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def realize_channels(span: SpanSet) -> KrausPair:
-    """Build the two operator families realizing the span.
+def realize_channels(basis: list[np.ndarray]) -> KrausPair:
+    """Build the two operator families realizing the span of an `extract_basis` list.
 
     The m basis blocks are factored as the product of k x n slices of the
     rank decomposition; operators live in three row slots of sizes (k, n, n)
     so the completeness remainders occupy slots that never meet in any
     cross product.
     """
-    basis = span.basis
     m = len(basis)
-    n = span.dim
+    n = basis[0].shape[0]
     stacked = np.zeros((n * m, n * m), dtype=complex)
     for j, block in enumerate(basis):
         stacked[j * n:(j + 1) * n, j * n:(j + 1) * n] = block
     u, s, vh = np.linalg.svd(stacked)
-    k = int(np.sum(s > 1e-10 * s[0]))
+    k = int(np.sum(s > REL_TOL * s[0]))
     if k == 0:
         raise AllZero("basis blocks vanish")
     root = np.sqrt(s[:k])
@@ -137,16 +128,16 @@ def product_identity(pair: KrausPair) -> np.ndarray:
     return e_all.conj().T @ f_all
 
 
-def _unit_rows(stack: np.ndarray, rel_tol: float) -> np.ndarray:
+def _unit_rows(stack: np.ndarray) -> np.ndarray:
     """Drop near-zero rows and scale the rest to unit norm, so rank tests
     are insensitive to the overall scale of either operand."""
     norms = np.linalg.norm(stack, axis=1)
     top = float(np.max(norms)) if len(norms) else 0.0
-    keep = norms > rel_tol * max(top, np.finfo(float).tiny)
+    keep = norms > REL_TOL * max(top, np.finfo(float).tiny)
     return stack[keep] / norms[keep, None]
 
 
-def span_equality(e_ops, f_ops, mats, rel_tol: float = 1e-10) -> bool:
+def span_equality(e_ops, f_ops, mats) -> bool:
     """True when span{E_i* F_j} coincides with the span of ``mats``."""
     e_ops = [np.asarray(op, dtype=complex) for op in e_ops]
     f_ops = [np.asarray(op, dtype=complex) for op in f_ops]
@@ -156,12 +147,12 @@ def span_equality(e_ops, f_ops, mats, rel_tol: float = 1e-10) -> bool:
         if op.shape[1] != n:
             raise ShapeMismatch("operator column count must match the span dimension")
     products = [e.conj().T @ f for e in e_ops for f in f_ops]
-    prod_stack = _unit_rows(np.array([p.ravel() for p in products]), rel_tol)
-    span_stack = _unit_rows(np.array([m.ravel() for m in mats]), rel_tol)
+    prod_stack = _unit_rows(np.array([p.ravel() for p in products]))
+    span_stack = _unit_rows(np.array([m.ravel() for m in mats]))
     if len(prod_stack) == 0 or len(span_stack) == 0:
         return len(prod_stack) == len(span_stack)
     both = np.vstack([prod_stack, span_stack])
-    tol = rel_tol * max(both.shape)
+    tol = REL_TOL * max(both.shape)
     r_prod = np.linalg.matrix_rank(prod_stack, tol=tol)
     r_span = np.linalg.matrix_rank(span_stack, tol=tol)
     r_both = np.linalg.matrix_rank(both, tol=tol)

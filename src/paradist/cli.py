@@ -22,10 +22,9 @@ import numpy as np
 
 from . import __version__
 from .catalog import (
-    AlphaOutOfInterval,
-    CATALOG_MAX_ORDER,
     TOL_NEGATIVE,
     TOL_RESIDUAL,
+    check_catalog_order,
     interval_samples,
     verify_catalog_entry,
 )
@@ -48,6 +47,7 @@ from .feasibility import (
     necessity_scan,
     threshold_bisect,
 )
+from .labels import check_order
 from .tensor import (
     MatrixForm,
     SizeExceeded,
@@ -56,7 +56,6 @@ from .tensor import (
     build_C,
     build_C_block,
     build_Q,
-    check_order,
     matrix_from_json,
     matrix_to_json,
 )
@@ -73,6 +72,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        # a token that parses as a float ("-1e-8", "-inf") is a value, never
+        # an option, so `--tol -inf` reaches the tolerance check
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 def _add_alpha_options(p: argparse.ArgumentParser) -> None:
@@ -203,8 +211,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify_catalog(args) -> int:
-    if not 1 <= args.n <= CATALOG_MAX_ORDER:
-        raise ValueError(f"--n must lie in 1..{CATALOG_MAX_ORDER}")
+    check_catalog_order(args.n)
     if args.samples < 1:
         raise ValueError("--samples must be positive")
     reports = []
@@ -283,7 +290,11 @@ def _cmd_realize(args) -> int:
     if args.input is not None:
         with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
-        mats = [matrix_from_json(obj) for obj in data["matrices"]]
+        objs = data.get("matrices") if isinstance(data, dict) else None
+        if not (isinstance(objs, list) and all(isinstance(obj, dict) for obj in objs)):
+            raise ValueError(f"{args.input}: expected an object whose 'matrices' is a list "
+                             "of matrix objects")
+        mats = [matrix_from_json(obj) for obj in objs]
     else:
         if args.seed is None:
             raise ValueError("--random-dim requires --seed for reproducibility")
@@ -291,8 +302,8 @@ def _cmd_realize(args) -> int:
             raise ValueError("--random-dim and --random-count must be positive")
         rng = np.random.default_rng(args.seed)
         mats = random_span_set(rng, args.random_dim, args.random_count)
-    span = extract_basis(mats)
-    pair = realize_channels(span)
+    basis = extract_basis(mats)
+    pair = realize_channels(basis)
     e_ok, e_defect = verify_kraus(pair.e_ops, tol=args.tol)
     f_ok, f_defect = verify_kraus(pair.f_ops, tol=args.tol)
     spans_match = span_equality(pair.e_ops, pair.f_ops, mats)
@@ -302,7 +313,7 @@ def _cmd_realize(args) -> int:
         "tolerances": {"kraus": args.tol},
         "scale": pair.scale,
         "rank": pair.rank,
-        "basis_size": len(span.basis),
+        "basis_size": len(basis),
         "e_ops": [matrix_to_json(op) for op in pair.e_ops],
         "f_ops": [matrix_to_json(op) for op in pair.f_ops],
         "verification": {
@@ -340,7 +351,7 @@ def main(argv=None) -> int:
     except NonMonotonePredicate as exc:
         print(f"paradist: verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (ValueError, AlphaOutOfInterval, SizeExceeded, OSError, KeyError) as exc:
+    except (ValueError, SizeExceeded, OSError, KeyError) as exc:
         print(f"paradist: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

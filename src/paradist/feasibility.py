@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CATALOG_MAX_ORDER, conjectured_threshold
+from .catalog import check_catalog_order, conjectured_threshold
 from .nnls import IterationLimitReached, nnls, refined_residual
 from .tensor import build_C
 
 TOL_WITNESS = 1e-8
 TOL_MARGIN = 1e-8
-TOL_NEGATIVE = 1e-12
 TOL_ALPHA = 1e-6
 
 
@@ -117,12 +116,13 @@ def nns_exists(alpha: float, n: int, *, tol_witness: float = TOL_WITNESS,
         raise NumericalIndeterminate(f"projection did not terminate cleanly: {exc}") from exc
 
     # the projection only proposes candidates: a witness is judged on C,
-    # a certificate on M, both built once for this decision
+    # a certificate on M, both built once for this decision; nnls keeps
+    # y >= 0 (never -0.0), so only the residual decides a witness
     total = float(result.y.sum())
     if total > 0:
         y = result.y / total
         residual = float(np.max(np.abs(c @ y)))
-        if residual <= tol_witness and float(np.min(y)) >= -TOL_NEGATIVE:
+        if residual <= tol_witness:
             return Witness(y=y, residual=residual)
 
     h = -refined_residual(a, b, result.y)[:rows]
@@ -191,8 +191,7 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     later probe lies strictly inside the bracket, so bisection keeps each
     infeasible probe below each feasible one by construction.
     """
-    if not 1 <= n <= CATALOG_MAX_ORDER:
-        raise ValueError(f"order must lie in 1..{CATALOG_MAX_ORDER}")
+    check_catalog_order(n)
     if not math.isfinite(tol_alpha):
         raise ValueError("tol_alpha must be finite")
     if tol_alpha < 1e-8:

@@ -19,6 +19,12 @@ Triple = tuple[int, int, int]
 MAX_ORDER = 12
 
 
+def check_order(n: int) -> None:
+    """Refuse an order outside 1..MAX_ORDER."""
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {n}")
+
+
 def _check_digits(digits, base: int) -> tuple[int, ...]:
     digits = tuple(int(d) for d in digits)
     if len(digits) < 1:
@@ -124,8 +130,7 @@ def binary_labels(n: int):
 def column_positions(n: int) -> np.ndarray:
     """For each 0-based linear index of a ternary string, the position of
     its orbit in column order.  Shape (3**n,), read-only."""
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} beyond supported maximum {MAX_ORDER}")
+    check_order(n)
     idx = np.arange(3**n)
     n1 = np.zeros(3**n, dtype=np.int64)
     n2 = np.zeros(3**n, dtype=np.int64)

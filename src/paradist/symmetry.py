@@ -1,12 +1,16 @@
 """Solution symmetries: digit-permutation averaging, the digit-reversal
-involution, and the expand/reduce maps between full and orbit-reduced
-vectors."""
+involution and its palindrome test, and the expand/reduce maps between
+full and orbit-reduced vectors, each at a fixed relative tolerance."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .labels import column_positions, order_from_p, orbit_sizes, p_count
+
+TOL_REAL = 1e-12
+TOL_ORBIT = 1e-10
+TOL_MIRROR = 1e-12
 
 
 class LengthNotPowerOfThree(ValueError):
@@ -55,7 +59,7 @@ def symmetrize_permutation(x: np.ndarray) -> np.ndarray:
     return (sums / sizes)[cols]
 
 
-def reverse_conjugate(x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def reverse_conjugate(x: np.ndarray) -> np.ndarray:
     """Reindex a real full vector by the digit map d -> 2 - d.
 
     In linear indexing this is exactly entry reversal.  Real null vectors of
@@ -64,7 +68,7 @@ def reverse_conjugate(x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     x = np.asarray(x)
     order_of_full(x)
     scale = max(float(np.max(np.abs(x))), np.finfo(float).tiny)
-    if np.iscomplexobj(x) and float(np.max(np.abs(x.imag))) > tol * scale:
+    if np.iscomplexobj(x) and float(np.max(np.abs(x.imag))) > TOL_REAL * scale:
         raise NonRealInput("input has a non-negligible imaginary part")
     x = x.real if np.iscomplexobj(x) else x
     return x[::-1].copy()
@@ -77,31 +81,30 @@ def expand(y: np.ndarray) -> np.ndarray:
     return y[column_positions(n)]
 
 
-def reduce(x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def reduce(x: np.ndarray) -> np.ndarray:
     """Orbit representative values of an orbit-constant full vector.
 
     Raises :class:`NotOrbitConstant` when some orbit's entries deviate from
-    their mean by more than ``tol`` relative to the vector's magnitude.
+    their mean by more than TOL_ORBIT relative to the vector's magnitude.
     """
     x = np.asarray(x)
     n = order_of_full(x)
     means = symmetrize_permutation(x)
     scale = max(float(np.max(np.abs(x))), np.finfo(float).tiny)
     dev = float(np.max(np.abs(x - means)))
-    if dev > tol * scale:
-        raise NotOrbitConstant(f"max deviation {dev:.3e} exceeds {tol:.1e} relative")
+    if dev > TOL_ORBIT * scale:
+        raise NotOrbitConstant(f"max deviation {dev:.3e} exceeds {TOL_ORBIT:.1e} relative")
     cols = column_positions(n)
     out = np.empty(p_count(n), dtype=x.dtype)
     out[cols] = x
     return out
 
 
-def palindrome_check(y: np.ndarray, tol: float = 1e-12) -> bool:
+def palindrome_check(y: np.ndarray) -> bool:
     """True when the entry at (n0, n1, n2) equals the entry at (n2, n1, n0)
     for every multiset label."""
     y = np.asarray(y)
-    n = order_from_p(len(y))
     full = expand(y)
     mirrored = full[::-1]
     scale = max(float(np.max(np.abs(y))), np.finfo(float).tiny)
-    return float(np.max(np.abs(full - mirrored))) <= tol * scale
+    return float(np.max(np.abs(full - mirrored))) <= TOL_MIRROR * scale

@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .labels import MAX_ORDER, column_order, column_positions, p_count
+from .labels import check_order, column_order, column_positions, p_count
 
 ENTRY_BUDGET = 1 << 27
 
@@ -202,9 +202,3 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     entries = np.asarray(obj["entries"], dtype=float)
     flat = entries[0::2] + 1j * entries[1::2]
     return flat.reshape(obj["rows"], obj["cols"])
-
-
-def check_order(n: int) -> None:
-    """Refuse an order outside 1..MAX_ORDER."""
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {n}")

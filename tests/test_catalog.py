@@ -150,8 +150,3 @@ def test_pad_chain_across_orders():
         padded = pad_solution(y)
         report = verify_vector(padded, alpha, n + 1)
         assert report.passed, (n, alpha, report)
-
-
-def test_pad_requires_valid_weights():
-    with pytest.raises(ValueError):
-        pad_solution(np.ones(6), weights=(1.0, -0.5, 0.0))

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import paradist.feasibility as feasibility
 from paradist import __version__
 from paradist.catalog import conjectured_threshold
 from paradist.cli import main
-from paradist.feasibility import classify
+from paradist.feasibility import NumericalIndeterminate, Witness, classify
 from paradist.tensor import build_C, matrix_from_json
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 _BELOW_N7 = repr(conjectured_threshold(7) - 1e-6)
+_BUILD = ("build", "--n", "2", "--pi-frac", "3/4", "--emit")
 
 
 def run_cli(capsys, *args):
@@ -164,12 +166,61 @@ _HUGE = "1" + "0" * 400
     ("realize", "--random-dim", "3", "--seed", "7", "--tol=-inf"),
     ("build", "--n", "-5", "--pi-frac", "3/4", "--emit", "A"),
     ("build", "--n", "13", "--pi-frac", "3/4", "--emit", "A"),
+    # negative values in space form are values, not options
+    ("necessity", "--n", "3", "--points", "2", "--tol-margin", "-1e-8"),
+    ("realize", "--random-dim", "3", "--seed", "7", "--tol", "-inf"),
+    # counts and sizes each command checks itself
+    ("verify-catalog", "--n", "3", "--samples", "0"),
+    ("sweep", "--n", "2", "--points", "1"),
+    ("necessity", "--n", "3", "--points", "-1"),
+    ("realize", "--random-dim", "0", "--seed", "7"),
+    ("realize", "--random-dim", "3"),
 ], ids=lambda args: " ".join(args).replace(_HUGE, "10**400"))
 def test_usage_errors(capsys, args):
     code, out, err = run_cli(capsys, *args)
     assert code == 64
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("paradist: error: ")
+
+
+def test_catalog_orders_share_one_message(capsys):
+    # one owner of the 1..10 limit, one message on every command that has it
+    for command in ("threshold", "verify-catalog"):
+        code, _, err = run_cli(capsys, command, "--n", "11")
+        assert (code, err) == (64, "paradist: error: order must lie in 1..10, got 11\n")
+
+
+@pytest.mark.parametrize("doc", ["[1, 2]", '{"matrices": 5}', '{"matrices": [[1, 2]]}'],
+                         ids=["list", "matrices-number", "matrices-of-lists"])
+def test_realize_rejects_malformed_input(tmp_path, capsys, doc):
+    path = tmp_path / "span.json"
+    path.write_text(doc)
+    code, out, err = run_cli(capsys, "realize", "--input", str(path))
+    assert code == 64
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("paradist: error: ")
+
+
+def test_sweep_exits_indeterminate(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--n", "7", "--points", "2",
+                           "--alpha-min", _BELOW_N7, "--alpha-max", repr(math.pi))
+    assert code == 2
+    rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+    assert [(kind, metric == "nan") for _, _, kind, metric in rows] == [
+        ("indeterminate", True), ("witness", False)]
+
+
+@pytest.mark.parametrize("outcome, expected_code, prefix", [
+    (Witness(y=np.ones(3) / 3, residual=0.0), 1, "paradist: verification failure: "),
+    (NumericalIndeterminate("stuck", objective=0.0), 2, "paradist: indeterminate: "),
+], ids=["non-monotone", "indeterminate"])
+def test_threshold_failures_set_exit_code(capsys, monkeypatch, outcome, expected_code, prefix):
+    # every probe gets the same outcome: all witnesses contradict the
+    # infeasible left endpoint, an indeterminate probe cannot be bracketed
+    monkeypatch.setattr(feasibility, "classify", lambda alpha, n: outcome)
+    code, out, err = run_cli(capsys, "threshold", "--n", "3")
+    assert (code, out) == (expected_code, "")
+    assert err.count("\n") == 1 and err.startswith(prefix)
 
 
 def test_output_file_and_env_override(tmp_path, capsys, monkeypatch):
@@ -210,6 +261,12 @@ def schema_validators():
 @pytest.mark.parametrize("schema_id, expected_code, kind, args", [
     pytest.param("build-report", 0, None,
                  ("build", "--n", "2", "--pi-frac", "3/4", "--emit", "C"), id="build"),
+    pytest.param("build-report", 0, None, (*_BUILD, "A"), id="build-A"),
+    pytest.param("build-report", 0, None, (*_BUILD, "A", "--form", "original"),
+                 id="build-A-original"),
+    pytest.param("build-report", 0, None, (*_BUILD, "Q"), id="build-Q"),
+    pytest.param("build-report", 0, None, (*_BUILD, "B"), id="build-B"),
+    pytest.param("build-report", 0, None, (*_BUILD, "Cblock"), id="build-Cblock"),
     pytest.param("feasibility-outcome", 0, "witness",
                  ("feasibility", "--n", "2", "--pi-frac", "7/8"), id="feasibility-witness"),
     pytest.param("feasibility-outcome", 0, "certificate",

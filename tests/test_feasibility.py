@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import numpy as np
@@ -8,19 +7,21 @@ from numpy.testing import assert_allclose
 import paradist.feasibility as feasibility
 from paradist.catalog import alpha_interval, conjectured_threshold, explicit_nns, interval_samples
 from paradist.feasibility import (
+    TOL_WITNESS,
     Certificate,
+    NonMonotonePredicate,
     NumericalIndeterminate,
     Witness,
     classify,
     necessity_grid,
+    necessity_point,
     necessity_scan,
     nns_exists,
     realize,
     threshold_bisect,
     verify_certificate,
 )
-from paradist.nnls import refined_residual
-from paradist.tensor import build_B, build_C, build_Q, kron_power
+from paradist.tensor import build_B, build_C
 
 
 def test_realized_system_shapes():
@@ -82,6 +83,8 @@ def test_certificate_rejections():
     # the same certificate cannot verify where witnesses exist
     ok_shift, _ = verify_certificate(cert, alpha + 0.3, 4)
     assert not ok_shift
+    # nor against a system of another order
+    assert verify_certificate(cert, alpha, 3) == (False, 0.0)
 
 
 def test_alpha_range_enforced():
@@ -152,6 +155,27 @@ def test_threshold_bisect_validation():
             threshold_bisect(3, tol_alpha=tol)
 
 
+@pytest.mark.parametrize("outcome, message", [
+    (Witness(y=np.ones(3) / 3, residual=0.0), "infeasibility near pi/2"),
+    (Certificate(h=np.ones(4), margin=1.0), "feasibility at pi"),
+], ids=["witness-at-left", "certificate-at-right"])
+def test_threshold_bisect_checks_endpoints(monkeypatch, outcome, message):
+    monkeypatch.setattr(feasibility, "classify", lambda alpha, n: outcome)
+    with pytest.raises(NonMonotonePredicate, match=message):
+        threshold_bisect(3)
+
+
+@pytest.mark.parametrize("objective", [None, TOL_WITNESS])
+def test_threshold_bisect_raises_unresolved_probe(monkeypatch, objective):
+    # an indeterminate probe counts as infeasible only when its projection
+    # residual is clearly positive; otherwise it stops the bisection
+    probe = NumericalIndeterminate("stuck", objective=objective)
+    monkeypatch.setattr(feasibility, "classify", lambda alpha, n: probe)
+    with pytest.raises(NumericalIndeterminate) as raised:
+        threshold_bisect(3)
+    assert raised.value is probe
+
+
 def test_necessity_grid_strictly_inside():
     grid = necessity_grid(4, 50)
     assert len(grid) == 50
@@ -179,6 +203,26 @@ def test_indeterminate_reports_objective(substitute):
     with pytest.raises(NumericalIndeterminate) as raised:
         nns_exists(math.pi - 0.2, 1, tol_witness=1e-30)
     assert raised.value.objective > 0
+
+
+def test_necessity_point_flags_witness(substitute):
+    # the feasible system at pi stands in for the one at the grid angle
+    substitute(lambda alpha, n: build_C(math.pi, n))
+    alpha = float(necessity_grid(3, 1)[0])
+    row = necessity_point(alpha, 3)
+    assert row.keys() == {"alpha", "n", "outcome", "residual", "anomaly"}
+    assert (row["alpha"], row["n"], row["outcome"], row["anomaly"]) == (alpha, 3, "witness", True)
+    assert row["residual"] <= TOL_WITNESS
+
+
+def test_necessity_point_flags_indeterminate(substitute):
+    # one complex row of 1e-7: no witness within 1e-8, and a margin of
+    # about 2e-7, below the 1e-6 bar
+    substitute(lambda alpha, n: np.full((1, 3), 1e-7 + 1e-7j))
+    row = necessity_point(2.0, 1, tol_margin=1e-6)
+    assert row.keys() == {"alpha", "n", "outcome", "detail", "anomaly"}
+    assert (row["outcome"], row["anomaly"]) == ("indeterminate", True)
+    assert "no separation margin above 1.0e-06" in row["detail"]
 
 
 @pytest.fixture
@@ -227,23 +271,3 @@ def test_classify_returns_every_outcome(substitute):
     assert outcome.to_dict() == {"kind": "indeterminate", "detail": str(outcome)}
     assert math.isnan(outcome.metric)
 
-
-def test_decision_layer_has_no_dead_knobs():
-    # the settable parameters of the decision layer, pinned by name so that
-    # a new knob is a deliberate change to this list
-    expected = {
-        nns_exists: ["alpha", "n", "tol_witness", "tol_margin"],
-        classify: ["alpha", "n", "tol_witness", "tol_margin"],
-        threshold_bisect: ["n", "tol_alpha"],
-        necessity_scan: ["n", "points", "tol_margin"],
-        feasibility.necessity_point: ["alpha", "n", "tol_margin"],
-        refined_residual: ["a", "b", "y"],
-        kron_power: ["m", "n"],
-        build_Q: ["n"],
-    }
-    knobs = 0
-    for fn, names in expected.items():
-        params = inspect.signature(fn).parameters.values()
-        assert [p.name for p in params] == names, fn.__name__
-        knobs += sum(p.default is not inspect.Parameter.empty for p in params)
-    assert knobs == 7
