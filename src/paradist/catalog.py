@@ -196,12 +196,10 @@ class VerificationReport:
     min_entry: float
     nonneg: bool
     nonzero: bool
-    tol_residual: float
-    tol_negative: float
 
     @property
     def passed(self) -> bool:
-        return self.nonneg and self.nonzero and self.residual_inf <= self.tol_residual
+        return self.nonneg and self.nonzero and self.residual_inf <= TOL_RESIDUAL
 
     def to_dict(self) -> dict:
         return {
@@ -212,13 +210,13 @@ class VerificationReport:
             "nonneg": self.nonneg,
             "nonzero": self.nonzero,
             "passed": self.passed,
-            "tolerances": {"residual": self.tol_residual, "negative": self.tol_negative},
+            "tolerances": {"residual": TOL_RESIDUAL, "negative": TOL_NEGATIVE},
         }
 
 
-def verify_vector(y: np.ndarray, alpha: float, n: int, tol_residual: float = TOL_RESIDUAL,
-                  tol_negative: float = TOL_NEGATIVE) -> VerificationReport:
-    """Residual and sign report for a candidate reduced solution."""
+def verify_vector(y: np.ndarray, alpha: float, n: int) -> VerificationReport:
+    """Residual and sign report for a candidate reduced solution, judged at
+    TOL_RESIDUAL and TOL_NEGATIVE."""
     y = np.asarray(y, dtype=float)
     c = build_C(alpha, n)
     scale = float(np.max(np.abs(y)))
@@ -229,18 +227,14 @@ def verify_vector(y: np.ndarray, alpha: float, n: int, tol_residual: float = TOL
         alpha=float(alpha),
         residual_inf=residual,
         min_entry=min_entry,
-        nonneg=bool(min_entry >= -tol_negative),
+        nonneg=bool(min_entry >= -TOL_NEGATIVE),
         nonzero=bool(scale > 0),
-        tol_residual=tol_residual,
-        tol_negative=tol_negative,
     )
 
 
-def verify_catalog_entry(n: int, alpha: float, tol_residual: float = TOL_RESIDUAL,
-                         tol_negative: float = TOL_NEGATIVE) -> VerificationReport:
+def verify_catalog_entry(n: int, alpha: float) -> VerificationReport:
     """Evaluate the cataloged solution and verify residual and nonnegativity."""
-    y = explicit_nns(n, alpha)
-    return verify_vector(y, alpha, n, tol_residual=tol_residual, tol_negative=tol_negative)
+    return verify_vector(explicit_nns(n, alpha), alpha, n)
 
 
 def pad_solution(y: np.ndarray) -> np.ndarray:

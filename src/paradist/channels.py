@@ -44,9 +44,16 @@ def extract_basis(mats) -> list[np.ndarray]:
     for m in mats:
         if m.shape != (n, n):
             raise ShapeMismatch("matrices must be square and equally sized")
-    scale = max(float(np.linalg.norm(m)) for m in mats)
+    # a NaN or infinite entry, or a norm that overflows, is no zero matrix
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(m)) for m in mats]
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("input matrices must have finite entries and finite norms")
+    scale = max(norms)
     if scale == 0:
         raise AllZero("all input matrices vanish")
+    # with finite norms and scale > 0, the matrix of largest norm enters the
+    # basis unless an earlier one has, so the basis is never empty
     basis = []
     ortho: list[np.ndarray] = []
     for m in mats:
@@ -57,8 +64,6 @@ def extract_basis(mats) -> list[np.ndarray]:
         if norm > REL_TOL * scale:
             ortho.append(v / norm)
             basis.append(m)
-    if not basis:
-        raise AllZero("all input matrices vanish up to tolerance")
     return basis
 
 
@@ -109,8 +114,8 @@ def realize_channels(basis: list[np.ndarray]) -> KrausPair:
     return KrausPair(e_ops=e_ops, f_ops=f_ops, scale=scale, rank=k)
 
 
-def verify_kraus(ops, tol: float = TOL_KRAUS) -> tuple[bool, float]:
-    """Completeness defect ||sum op* op - I||_F and pass/fail at ``tol``."""
+def verify_kraus(ops) -> tuple[bool, float]:
+    """Completeness defect ||sum op* op - I||_F and pass/fail at TOL_KRAUS."""
     ops = [np.asarray(op, dtype=complex) for op in ops]
     cols = ops[0].shape[1]
     for op in ops:
@@ -118,7 +123,7 @@ def verify_kraus(ops, tol: float = TOL_KRAUS) -> tuple[bool, float]:
             raise ShapeMismatch("operators must share their column count")
     total = sum(op.conj().T @ op for op in ops)
     defect = float(np.linalg.norm(total - np.eye(cols)))
-    return defect <= tol, defect
+    return defect <= TOL_KRAUS, defect
 
 
 def product_identity(pair: KrausPair) -> np.ndarray:

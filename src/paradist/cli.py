@@ -21,13 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .catalog import (
-    TOL_NEGATIVE,
-    TOL_RESIDUAL,
-    check_catalog_order,
-    interval_samples,
-    verify_catalog_entry,
-)
+from .catalog import check_catalog_order, interval_samples, verify_catalog_entry
 from .channels import (
     TOL_KRAUS,
     extract_basis,
@@ -74,8 +68,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
     def _parse_optional(self, arg_string):
-        # a token that parses as a float ("-1e-8", "-inf") is a value, never
-        # an option, so `--tol -inf` reaches the tolerance check
+        # a token that parses as a float ("-1e-6", "-inf") is a value, never
+        # an option, so `--tol -1e-6` and `--alpha -1e-3` reach their checks
         try:
             float(arg_string)
         except ValueError:
@@ -118,15 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-catalog", help="verify cataloged solutions on a sample grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--tol-residual", type=float, default=TOL_RESIDUAL)
-    p.add_argument("--tol-negative", type=float, default=TOL_NEGATIVE)
     p.add_argument("--output")
 
     p = sub.add_parser("feasibility", help="decide nonnegative feasibility at one angle")
     p.add_argument("--n", type=int, required=True)
     _add_alpha_options(p)
-    p.add_argument("--tol-witness", type=float, default=TOL_WITNESS)
-    p.add_argument("--tol-margin", type=float, default=TOL_MARGIN)
     p.add_argument("--output")
 
     p = sub.add_parser("sweep", help="feasibility outcomes over an angle grid (CSV)")
@@ -134,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--alpha-min", type=float, default=math.pi / 2)
     p.add_argument("--alpha-max", type=float, default=math.pi)
-    p.add_argument("--tol-witness", type=float, default=TOL_WITNESS)
-    p.add_argument("--tol-margin", type=float, default=TOL_MARGIN)
     p.add_argument("--output")
 
     p = sub.add_parser("threshold", help="bisect the feasibility boundary in alpha")
@@ -146,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("necessity", help="certificates across the infeasible region")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--tol-margin", type=float, default=TOL_MARGIN)
     p.add_argument("--output")
 
     p = sub.add_parser("realize", help="realize a product span by two operator families")
@@ -155,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--random-dim", type=int, help="generate random square matrices")
     p.add_argument("--random-count", type=int, default=3)
     p.add_argument("--seed", type=int, help="seed for --random-dim generation")
-    p.add_argument("--tol", type=float, default=TOL_KRAUS)
     p.add_argument("--output")
 
     return parser
@@ -170,14 +156,6 @@ def _emit(text: str, output: str | None) -> None:
         output = os.path.join(out_dir, output)
     with open(output, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _check_tolerances(args) -> None:
-    for name, value in vars(args).items():
-        signed = name == "tol_negative"
-        if name.startswith("tol") and not (math.isfinite(value) and (signed or value >= 0)):
-            rule = "finite" if signed else "finite and nonnegative"
-            raise ValueError(f"--{name.replace('_', '-')} must be {rule}, got {value!r}")
 
 
 def _json(payload) -> str:
@@ -217,10 +195,7 @@ def _cmd_verify_catalog(args) -> int:
     reports = []
     ok = True
     for alpha in interval_samples(args.n, args.samples):
-        report = verify_catalog_entry(
-            args.n, float(alpha),
-            tol_residual=args.tol_residual, tol_negative=args.tol_negative,
-        )
+        report = verify_catalog_entry(args.n, float(alpha))
         ok = ok and report.passed
         entry = report.to_dict()
         entry["version"] = __version__
@@ -231,9 +206,9 @@ def _cmd_verify_catalog(args) -> int:
 
 def _cmd_feasibility(args) -> int:
     alpha = _resolve_alpha(args)
-    outcome = classify(alpha, args.n, tol_witness=args.tol_witness, tol_margin=args.tol_margin)
+    outcome = classify(alpha, args.n)
     payload = dict(outcome.to_dict(), version=__version__, n=args.n, alpha=alpha,
-                   tolerances={"witness": args.tol_witness, "margin": args.tol_margin})
+                   tolerances={"witness": TOL_WITNESS, "margin": TOL_MARGIN})
     _emit(_json(payload), args.output)
     return EXIT_INDETERMINATE if isinstance(outcome, NumericalIndeterminate) else EXIT_OK
 
@@ -245,11 +220,9 @@ def _cmd_sweep(args) -> int:
         args.alpha_min + (args.alpha_max - args.alpha_min) * i / (args.points - 1)
         for i in range(args.points)
     ]
-    outcomes = [classify(a, args.n, tol_witness=args.tol_witness, tol_margin=args.tol_margin)
-                for a in alphas]
+    outcomes = [classify(a, args.n) for a in alphas]
     buf = io.StringIO()
-    buf.write(f"# paradist {__version__} tol_witness={args.tol_witness!r}"
-              f" tol_margin={args.tol_margin!r}\n")
+    buf.write(f"# paradist {__version__} tol_witness={TOL_WITNESS!r} tol_margin={TOL_MARGIN!r}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["alpha", "n", "outcome", "metric"])
     for alpha, outcome in zip(alphas, outcomes):
@@ -272,13 +245,13 @@ def _cmd_threshold(args) -> int:
 def _cmd_necessity(args) -> int:
     if args.points < 0:
         raise ValueError("--points must be nonnegative")
-    rows = necessity_scan(args.n, args.points, tol_margin=args.tol_margin)
+    rows = necessity_scan(args.n, args.points)
     anomalies = sum(1 for row in rows if row.get("anomaly"))
     payload = {
         "version": __version__,
         "n": args.n,
         "points": args.points,
-        "tolerances": {"margin": args.tol_margin},
+        "tolerances": {"margin": TOL_MARGIN},
         "anomalies": anomalies,
         "rows": rows,
     }
@@ -304,13 +277,13 @@ def _cmd_realize(args) -> int:
         mats = random_span_set(rng, args.random_dim, args.random_count)
     basis = extract_basis(mats)
     pair = realize_channels(basis)
-    e_ok, e_defect = verify_kraus(pair.e_ops, tol=args.tol)
-    f_ok, f_defect = verify_kraus(pair.f_ops, tol=args.tol)
+    e_ok, e_defect = verify_kraus(pair.e_ops)
+    f_ok, f_defect = verify_kraus(pair.f_ops)
     spans_match = span_equality(pair.e_ops, pair.f_ops, mats)
     identity = product_identity(pair)
     payload = {
         "version": __version__,
-        "tolerances": {"kraus": args.tol},
+        "tolerances": {"kraus": TOL_KRAUS},
         "scale": pair.scale,
         "rank": pair.rank,
         "basis_size": len(basis),
@@ -343,7 +316,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_tolerances(args)
         return _COMMANDS[args.command](args)
     except NumericalIndeterminate as exc:
         print(f"paradist: indeterminate: {exc}", file=sys.stderr)
@@ -351,7 +323,7 @@ def main(argv=None) -> int:
     except NonMonotonePredicate as exc:
         print(f"paradist: verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (ValueError, SizeExceeded, OSError, KeyError) as exc:
+    except (ValueError, SizeExceeded, OSError) as exc:
         print(f"paradist: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

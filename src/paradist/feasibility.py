@@ -11,8 +11,9 @@ h = -r restricted to the M rows satisfies h'M > 0 columnwise (the
 finite-dimensional separation certificate).  Each decision builds C once,
 read-only, and judges both outcomes on that system alone.  `classify`
 turns (alpha, n) into an outcome, indeterminate included; every report is
-rendered from it.  Only the witness and margin bars and the threshold's
-bracket width are per-call parameters; the other tolerances are constants.
+rendered from it.  The witness and margin bars that decide what an
+outcome means are module constants, read at call time; only the
+threshold's bracket width is a per-call parameter.
 """
 
 from __future__ import annotations
@@ -90,21 +91,18 @@ def realize(alpha: float, n: int) -> np.ndarray:
     return _build(alpha, n)[1]
 
 
-def nns_exists(alpha: float, n: int, *, tol_witness: float = TOL_WITNESS,
-               tol_margin: float = TOL_MARGIN) -> FeasibilityOutcome:
+def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     """Decide whether a nontrivial nonnegative null vector exists.
 
     Projects onto the cone of the normalized system { y >= 0, M y = 0,
     sum(y) = 1 }.  Returns a re-verified Witness or Certificate; raises
     NumericalIndeterminate when neither side can be certified at its
-    tolerance, which near the feasibility boundary is unavoidable: the
-    best achievable separation margin decays to zero at the boundary.
-    Both bars must be finite and positive.
+    bar (TOL_WITNESS, TOL_MARGIN), which near the feasibility boundary is
+    unavoidable: the best achievable separation margin decays to zero at
+    the boundary.
     """
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
-    if not (0 < tol_witness < math.inf and 0 < tol_margin < math.inf):
-        raise ValueError("tol_witness and tol_margin must be finite and positive")
     c, m = _build(alpha, n)
     rows, p = m.shape
     a = np.vstack([m, np.ones((1, p))])
@@ -122,7 +120,7 @@ def nns_exists(alpha: float, n: int, *, tol_witness: float = TOL_WITNESS,
     if total > 0:
         y = result.y / total
         residual = float(np.max(np.abs(c @ y)))
-        if residual <= tol_witness:
+        if residual <= TOL_WITNESS:
             return Witness(y=y, residual=residual)
 
     h = -refined_residual(a, b, result.y)[:rows]
@@ -130,22 +128,21 @@ def nns_exists(alpha: float, n: int, *, tol_witness: float = TOL_WITNESS,
     if hmax > 0:
         h = h / hmax
         margin = float(np.min(h @ m))
-        if margin >= tol_margin:
+        if margin >= TOL_MARGIN:
             return Certificate(h=h, margin=margin)
 
     raise NumericalIndeterminate(
-        f"projection residual {result.rnorm:.3e}: no witness within {tol_witness:.1e} "
-        f"and no separation margin above {tol_margin:.1e}",
+        f"projection residual {result.rnorm:.3e}: no witness within {TOL_WITNESS:.1e} "
+        f"and no separation margin above {TOL_MARGIN:.1e}",
         objective=result.rnorm,
     )
 
 
-def classify(alpha: float, n: int, *, tol_witness: float = TOL_WITNESS,
-             tol_margin: float = TOL_MARGIN) -> FeasibilityOutcome | NumericalIndeterminate:
+def classify(alpha: float, n: int) -> FeasibilityOutcome | NumericalIndeterminate:
     """The outcome of `nns_exists` at (alpha, n), with an indeterminate
     outcome returned instead of raised.  Every report renders from it."""
     try:
-        return nns_exists(alpha, n, tol_witness=tol_witness, tol_margin=tol_margin)
+        return nns_exists(alpha, n)
     except NumericalIndeterminate as exc:
         return exc
 
@@ -192,10 +189,8 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     infeasible probe below each feasible one by construction.
     """
     check_catalog_order(n)
-    if not math.isfinite(tol_alpha):
-        raise ValueError("tol_alpha must be finite")
-    if tol_alpha < 1e-8:
-        raise ValueError("tol_alpha below 1e-8 is not resolvable in float")
+    if not (math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
+        raise ValueError(f"tol_alpha must be finite and at least 1e-8, got {tol_alpha!r}")
     lo = math.pi / 2 + 1e-4
     hi = math.pi
 
@@ -232,10 +227,10 @@ def necessity_grid(n: int, points: int) -> np.ndarray:
     return lo + (hi - lo) * (np.arange(points) + 1) / (points + 1)
 
 
-def necessity_point(alpha: float, n: int, *, tol_margin: float = TOL_MARGIN) -> dict:
+def necessity_point(alpha: float, n: int) -> dict:
     """One grid point of the necessity scan: expects a verified certificate;
     a witness or an indeterminate outcome is flagged as an anomaly."""
-    outcome = classify(alpha, n, tol_margin=tol_margin)
+    outcome = classify(alpha, n)
     row: dict = {"alpha": float(alpha), "n": n, "outcome": outcome.kind}
     if isinstance(outcome, Certificate):
         ok, margin = verify_certificate(outcome, alpha, n)
@@ -247,7 +242,7 @@ def necessity_point(alpha: float, n: int, *, tol_margin: float = TOL_MARGIN) -> 
     return row
 
 
-def necessity_scan(n: int, points: int, *, tol_margin: float = TOL_MARGIN) -> list[dict]:
+def necessity_scan(n: int, points: int) -> list[dict]:
     """Probe the conjecturally infeasible region; each grid point should
     produce a verified certificate.  Rows come back in grid order."""
-    return [necessity_point(float(a), n, tol_margin=tol_margin) for a in necessity_grid(n, points)]
+    return [necessity_point(float(a), n) for a in necessity_grid(n, points)]

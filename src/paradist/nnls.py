@@ -129,7 +129,9 @@ def refined_residual(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     the support columns down to the square of the working precision.  That
     orthogonality is exactly what separation margins extracted from the
     residual are made of, and plain least squares leaves too much slop in
-    it when the residual is many orders below the data.
+    it when the residual is many orders below the data.  The gain relies on
+    `np.longdouble` being the 80-bit x87 format; where it is plain float64
+    (MSVC builds on Windows, macOS on arm64) the refinement adds no precision.
     """
     a_hi = a.astype(np.longdouble)
     b_hi = b.astype(np.longdouble)

@@ -199,6 +199,16 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    entries = np.asarray(obj["entries"], dtype=float)
-    flat = entries[0::2] + 1j * entries[1::2]
-    return flat.reshape(obj["rows"], obj["cols"])
+    """Inverse of `matrix_to_json`; ValueError unless ``rows`` and ``cols``
+    are positive ints and ``entries`` is a list of 2*rows*cols numbers."""
+    rows, cols, entries = obj.get("rows"), obj.get("cols"), obj.get("entries")
+    if not all(type(k) is int and k > 0 for k in (rows, cols)):
+        raise ValueError(f"matrix rows and cols must be positive ints, got {rows!r}, {cols!r}")
+    if not (isinstance(entries, list) and len(entries) == 2 * rows * cols
+            and all(type(x) in (int, float) for x in entries)):
+        raise ValueError(f"matrix entries must be a list of {2 * rows * cols} numbers")
+    try:
+        pairs = np.asarray(entries, dtype=float)
+    except OverflowError as exc:  # an integer literal beyond float range
+        raise ValueError(f"matrix entries must fit in a float: {exc}") from exc
+    return (pairs[0::2] + 1j * pairs[1::2]).reshape(rows, cols)

@@ -98,11 +98,11 @@ def test_c05_catalog_verification():
         samples = interval_samples(n, 20)
         assert samples[0] == alpha_interval(n)[0]
         for alpha in samples:
-            rep = verify_catalog_entry(n, float(alpha),
-                                       tol_residual=1e-9, tol_negative=1e-12)
+            rep = verify_catalog_entry(n, float(alpha))
             worst_res = max(worst_res, rep.residual_inf)
             worst_min = min(worst_min, rep.min_entry)
             assert rep.passed, (n, alpha, rep)
+            assert rep.residual_inf <= 1e-9 and rep.min_entry >= -1e-12, (n, alpha, rep)
     report(5, f"catalog residual <= 1e-9 (worst {worst_res:.2e}), "
               f"min entry >= -1e-12 (worst {worst_min:.2e})")
 
@@ -111,7 +111,7 @@ def test_c06_necessity_certificates():
     started = time.perf_counter()
     worst = None
     for n in range(2, 11):
-        rows = necessity_scan(n, 50, tol_margin=1e-8)
+        rows = necessity_scan(n, 50)
         assert len(rows) == 50
         for row in rows:
             assert row["outcome"] == "certificate", (n, row)
@@ -174,10 +174,10 @@ def test_c09_padding_lifts_solutions():
             base = verify_catalog_entry(n, float(alpha))
             assert base.passed
             padded = pad_solution(explicit_nns(n, float(alpha)))
-            rep = verify_vector(padded, float(alpha), n + 1,
-                                tol_residual=1e-9, tol_negative=1e-12)
+            rep = verify_vector(padded, float(alpha), n + 1)
             worst = max(worst, rep.residual_inf)
             assert rep.passed, (n, alpha, rep)
+            assert rep.residual_inf <= 1e-9 and rep.min_entry >= -1e-12, (n, alpha, rep)
     report(9, f"padded solutions verify one order up, worst residual {worst:.2e}")
 
 
@@ -189,9 +189,10 @@ def test_c10_channel_realization():
         count = int(rng.integers(1, 6))
         mats = random_span_set(rng, dim, count)
         pair = realize_channels(extract_basis(mats))
-        ok_e, defect_e = verify_kraus(pair.e_ops, tol=1e-10)
-        ok_f, defect_f = verify_kraus(pair.f_ops, tol=1e-10)
+        ok_e, defect_e = verify_kraus(pair.e_ops)
+        ok_f, defect_f = verify_kraus(pair.f_ops)
         worst = max(worst, defect_e, defect_f)
         assert ok_e and ok_f, (dim, count, defect_e, defect_f)
+        assert defect_e <= 1e-10 and defect_f <= 1e-10, (dim, count, defect_e, defect_f)
         assert span_equality(pair.e_ops, pair.f_ops, mats), (dim, count)
     report(10, f"100 random spans realized, worst completeness defect {worst:.2e}")

@@ -49,6 +49,14 @@ def test_extract_basis_rejects_zero():
         extract_basis([np.zeros((2, 2)), np.zeros((2, 2))])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200], ids=["nan", "inf", "norm-overflow"])
+def test_extract_basis_rejects_non_finite(bad):
+    # non-finite input is refused as such, not mistaken for a zero matrix
+    with pytest.raises(ValueError, match="finite entries and finite norms") as raised:
+        extract_basis([np.eye(2), np.full((2, 2), bad)])
+    assert not isinstance(raised.value, AllZero)
+
+
 def test_extract_basis_rejects_mixed_shapes():
     with pytest.raises(ShapeMismatch):
         extract_basis([np.eye(2), np.eye(3)])
@@ -57,8 +65,8 @@ def test_extract_basis_rejects_mixed_shapes():
 def test_identity_span_realization():
     pair = realize_channels(extract_basis([np.eye(2)]))
     assert pair.rank == 2
-    ok_e, defect_e = verify_kraus(pair.e_ops, tol=1e-12)
-    ok_f, defect_f = verify_kraus(pair.f_ops, tol=1e-12)
+    ok_e, defect_e = verify_kraus(pair.e_ops)
+    ok_f, defect_f = verify_kraus(pair.f_ops)
     assert ok_e and ok_f
     assert defect_e <= 1e-12 and defect_f <= 1e-12
 

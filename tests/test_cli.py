@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 import paradist.feasibility as feasibility
 from paradist import __version__
 from paradist.catalog import conjectured_threshold
-from paradist.cli import main
+from paradist.cli import build_parser, main
 from paradist.feasibility import NumericalIndeterminate, Witness, classify
 from paradist.tensor import build_C, matrix_from_json
 
@@ -154,21 +155,15 @@ _HUGE = "1" + "0" * 400
     ("feasibility", "--n", "4", "--pi-frac", "3/0"),
     ("feasibility", "--n", "4", "--pi-frac", f"{_HUGE}/3"),
     ("build", "--n", "2", "--pi-frac", f"3/{_HUGE}", "--emit", "C"),
-    ("feasibility", "--n", "7", "--alpha", _BELOW_N7, "--tol-margin", "-1"),
-    ("feasibility", "--n", "2", "--pi-frac", "7/8", "--tol-witness", "nan"),
-    ("feasibility", "--n", "2", "--pi-frac", "7/8", "--tol-witness", "0"),
-    ("sweep", "--n", "2", "--points", "3", "--tol-margin", "inf"),
+    ("feasibility", "--n", "4", "--alpha", "nan"),
+    ("feasibility", "--n", "4", "--alpha", "inf"),
     ("threshold", "--n", "4", "--tol", "nan"),
     ("threshold", "--n", "4", "--tol", "inf"),
-    ("necessity", "--n", "3", "--points", "2", "--tol-margin=-1e-8"),
-    ("verify-catalog", "--n", "3", "--tol-negative", "nan"),
-    ("verify-catalog", "--n", "3", "--tol-residual", "-1"),
-    ("realize", "--random-dim", "3", "--seed", "7", "--tol=-inf"),
     ("build", "--n", "-5", "--pi-frac", "3/4", "--emit", "A"),
     ("build", "--n", "13", "--pi-frac", "3/4", "--emit", "A"),
     # negative values in space form are values, not options
-    ("necessity", "--n", "3", "--points", "2", "--tol-margin", "-1e-8"),
-    ("realize", "--random-dim", "3", "--seed", "7", "--tol", "-inf"),
+    ("threshold", "--n", "4", "--tol", "-1e-6"),
+    ("feasibility", "--n", "4", "--alpha", "-1e-3"),
     # counts and sizes each command checks itself
     ("verify-catalog", "--n", "3", "--samples", "0"),
     ("sweep", "--n", "2", "--points", "1"),
@@ -183,6 +178,39 @@ def test_usage_errors(capsys, args):
     assert err.count("\n") == 1 and err.startswith("paradist: error: ")
 
 
+# every option of every command, pinned so that a new flag is a deliberate
+# change to this table
+OPTIONS = {
+    "paradist": ["--version"],
+    "build": ["--alpha", "--emit", "--form", "--n", "--output", "--pi-frac"],
+    "verify-catalog": ["--n", "--output", "--samples"],
+    "feasibility": ["--alpha", "--n", "--output", "--pi-frac"],
+    "sweep": ["--alpha-max", "--alpha-min", "--n", "--output", "--points"],
+    "threshold": ["--n", "--output", "--tol"],
+    "necessity": ["--n", "--output", "--points"],
+    "realize": ["--input", "--output", "--random-count", "--random-dim", "--seed"],
+}
+
+
+def _option_strings(parser):
+    return sorted(option for action in parser._actions if action.dest != "help"
+                  for option in action.option_strings)
+
+
+def test_cli_option_surface():
+    parser = build_parser()
+    [commands] = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    found = {"paradist": _option_strings(parser)}
+    found.update((name, _option_strings(p)) for name, p in commands.choices.items())
+    assert found == OPTIONS
+    # the bars that decide an outcome are constants; only the threshold's
+    # bracket width is a tolerance flag
+    tolerance_flags = [(command, option) for command, options in OPTIONS.items()
+                       for option in options if option.startswith("--tol")]
+    assert tolerance_flags == [("threshold", "--tol")]
+
+
 def test_catalog_orders_share_one_message(capsys):
     # one owner of the 1..10 limit, one message on every command that has it
     for command in ("threshold", "verify-catalog"):
@@ -190,8 +218,27 @@ def test_catalog_orders_share_one_message(capsys):
         assert (code, err) == (64, "paradist: error: order must lie in 1..10, got 11\n")
 
 
-@pytest.mark.parametrize("doc", ["[1, 2]", '{"matrices": 5}', '{"matrices": [[1, 2]]}'],
-                         ids=["list", "matrices-number", "matrices-of-lists"])
+def _one_matrix(rows=1, cols=1, entries=(1, 0)):
+    return json.dumps({"matrices": [{"rows": rows, "cols": cols, "entries": entries}]})
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param("[1, 2]", id="list"),
+    pytest.param('{"matrices": 5}', id="matrices-number"),
+    pytest.param('{"matrices": [[1, 2]]}', id="matrices-of-lists"),
+    pytest.param(_one_matrix(rows="a"), id="rows-string"),
+    pytest.param(_one_matrix(rows=1.5), id="rows-float"),
+    pytest.param(_one_matrix(cols=True), id="cols-bool"),
+    pytest.param(_one_matrix(rows=0, entries=[]), id="rows-zero"),
+    pytest.param(_one_matrix(entries=None), id="entries-null"),
+    pytest.param(_one_matrix(entries=[1, 0, 0]), id="entries-too-many"),
+    pytest.param(_one_matrix(entries=["1", 0]), id="entries-string"),
+    pytest.param('{"matrices": [{"rows": 1, "cols": 1}]}', id="entries-missing"),
+    pytest.param(_one_matrix(entries=[math.nan, 0]), id="entry-nan"),
+    pytest.param('{"matrices": [{"rows": 1, "cols": 1, "entries": [1e400, 0]}]}',
+                 id="entry-overflow"),
+    pytest.param(_one_matrix(entries=[10**400, 0]), id="entry-int-overflow"),
+])
 def test_realize_rejects_malformed_input(tmp_path, capsys, doc):
     path = tmp_path / "span.json"
     path.write_text(doc)

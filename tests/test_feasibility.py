@@ -21,6 +21,7 @@ from paradist.feasibility import (
     threshold_bisect,
     verify_certificate,
 )
+from paradist.nnls import IterationLimitReached
 from paradist.tensor import build_B, build_C
 
 
@@ -94,13 +95,6 @@ def test_alpha_range_enforced():
         nns_exists(3.3, 3)
 
 
-@pytest.mark.parametrize("name", ["tol_witness", "tol_margin"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_tolerances_must_be_finite_and_positive(name, value):
-    with pytest.raises(ValueError, match="finite and positive"):
-        nns_exists(math.pi, 2, **{name: value})
-
-
 @pytest.fixture
 def substitute(monkeypatch):
     """Make `feasibility` build its system with `builder` (build_C itself by
@@ -148,10 +142,9 @@ def test_threshold_bisect_order_two():
 def test_threshold_bisect_validation():
     with pytest.raises(ValueError):
         threshold_bisect(11)
-    with pytest.raises(ValueError):
-        threshold_bisect(3, tol_alpha=1e-9)
-    for tol in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
+    for tol in (1e-9, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^tol_alpha must be finite and at least 1e-8, "
+                                             f"got {tol!r}$"):
             threshold_bisect(3, tol_alpha=tol)
 
 
@@ -197,12 +190,27 @@ def test_necessity_scan_empty():
     assert necessity_scan(3, 0) == []
 
 
-def test_indeterminate_reports_objective(substitute):
+def test_indeterminate_reports_objective(substitute, monkeypatch):
     # a single row at roundoff scale cannot be certified either way
     substitute(_tiny_system)
+    monkeypatch.setattr(feasibility, "TOL_WITNESS", 1e-30)
     with pytest.raises(NumericalIndeterminate) as raised:
-        nns_exists(math.pi - 0.2, 1, tol_witness=1e-30)
+        nns_exists(math.pi - 0.2, 1)
     assert raised.value.objective > 0
+
+
+def test_cut_off_projection_is_indeterminate(monkeypatch):
+    # a projection that stops early judges nothing, and has no objective
+    def cut_off(a, b):
+        raise IterationLimitReached("exceeded 3 active-set iterations")
+
+    monkeypatch.setattr(feasibility, "nnls", cut_off)
+    outcome = classify(math.pi, 3)
+    assert isinstance(outcome, NumericalIndeterminate)
+    assert outcome.objective is None
+    assert str(outcome) == ("projection did not terminate cleanly: "
+                            "exceeded 3 active-set iterations")
+    assert isinstance(outcome.__cause__, IterationLimitReached)
 
 
 def test_necessity_point_flags_witness(substitute):
@@ -215,11 +223,12 @@ def test_necessity_point_flags_witness(substitute):
     assert row["residual"] <= TOL_WITNESS
 
 
-def test_necessity_point_flags_indeterminate(substitute):
+def test_necessity_point_flags_indeterminate(substitute, monkeypatch):
     # one complex row of 1e-7: no witness within 1e-8, and a margin of
-    # about 2e-7, below the 1e-6 bar
+    # about 2e-7, below a 1e-6 bar
     substitute(lambda alpha, n: np.full((1, 3), 1e-7 + 1e-7j))
-    row = necessity_point(2.0, 1, tol_margin=1e-6)
+    monkeypatch.setattr(feasibility, "TOL_MARGIN", 1e-6)
+    row = necessity_point(2.0, 1)
     assert row.keys() == {"alpha", "n", "outcome", "detail", "anomaly"}
     assert (row["outcome"], row["anomaly"]) == ("indeterminate", True)
     assert "no separation margin above 1.0e-06" in row["detail"]
@@ -261,11 +270,12 @@ def test_realized_system_is_read_only():
         m[0, 0] = 1.0
 
 
-def test_classify_returns_every_outcome(substitute):
+def test_classify_returns_every_outcome(substitute, monkeypatch):
     assert isinstance(classify(math.pi, 3), Witness)
     assert isinstance(classify(conjectured_threshold(3) - 0.05, 3), Certificate)
     substitute(_tiny_system)
-    outcome = classify(math.pi - 0.2, 1, tol_witness=1e-30)
+    monkeypatch.setattr(feasibility, "TOL_WITNESS", 1e-30)
+    outcome = classify(math.pi - 0.2, 1)
     assert isinstance(outcome, NumericalIndeterminate)
     assert outcome.objective is not None and outcome.objective > 0
     assert outcome.to_dict() == {"kind": "indeterminate", "detail": str(outcome)}

@@ -8,14 +8,7 @@ import paradist
 # functions defined in its modules, pinned by name so that a new knob is a
 # deliberate change to this table
 KNOBS = {
-    "catalog.verify_catalog_entry": ["tol_residual", "tol_negative"],
-    "catalog.verify_vector": ["tol_residual", "tol_negative"],
-    "channels.verify_kraus": ["tol"],
     "cli.main": ["argv"],
-    "feasibility.classify": ["tol_witness", "tol_margin"],
-    "feasibility.necessity_point": ["tol_margin"],
-    "feasibility.necessity_scan": ["tol_margin"],
-    "feasibility.nns_exists": ["tol_witness", "tol_margin"],
     "feasibility.threshold_bisect": ["tol_alpha"],
     "nnls.nnls": ["max_outer"],
     "tensor.a_alpha": ["form"],
@@ -42,4 +35,4 @@ def test_package_has_no_dead_knobs():
         if knobs:
             found[name] = knobs
     assert found == KNOBS
-    assert sum(len(knobs) for knobs in KNOBS.values()) == 15
+    assert sum(len(knobs) for knobs in KNOBS.values()) == 4
