@@ -26,11 +26,10 @@ from .channels import (
 from .feasibility import (
     Certificate,
     FeasibilityOutcome,
+    Indeterminate,
     NonMonotonePredicate,
-    NumericalIndeterminate,
     ThresholdEstimate,
     Witness,
-    classify,
     necessity_scan,
     nns_exists,
     realize,

@@ -34,6 +34,13 @@ class KrausPair:
     rank: int
 
 
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm taken on x / max|x|, so that entries below about 1e-154
+    do not square to zero; nan or inf when an entry is."""
+    peak = float(np.max(np.abs(x), initial=0.0))
+    return peak * float(np.linalg.norm(x / peak)) if 0 < peak < np.inf else peak
+
+
 def extract_basis(mats) -> list[np.ndarray]:
     """Greedy maximal linearly independent subsequence, by testing each
     vectorized matrix against the span of those already kept."""
@@ -45,8 +52,7 @@ def extract_basis(mats) -> list[np.ndarray]:
         if m.shape != (n, n):
             raise ShapeMismatch("matrices must be square and equally sized")
     # a NaN or infinite entry, or a norm that overflows, is no zero matrix
-    with np.errstate(over="ignore"):
-        norms = [float(np.linalg.norm(m)) for m in mats]
+    norms = [_norm(m) for m in mats]
     if not np.all(np.isfinite(norms)):
         raise ValueError("input matrices must have finite entries and finite norms")
     scale = max(norms)
@@ -60,7 +66,7 @@ def extract_basis(mats) -> list[np.ndarray]:
         v = m.ravel().copy()
         for q in ortho:
             v -= (q.conj() @ v) * q
-        norm = float(np.linalg.norm(v))
+        norm = _norm(v)
         if norm > REL_TOL * scale:
             ortho.append(v / norm)
             basis.append(m)
@@ -136,7 +142,7 @@ def product_identity(pair: KrausPair) -> np.ndarray:
 def _unit_rows(stack: np.ndarray) -> np.ndarray:
     """Drop near-zero rows and scale the rest to unit norm, so rank tests
     are insensitive to the overall scale of either operand."""
-    norms = np.linalg.norm(stack, axis=1)
+    norms = np.array([_norm(row) for row in stack])
     top = float(np.max(norms)) if len(norms) else 0.0
     keep = norms > REL_TOL * max(top, np.finfo(float).tiny)
     return stack[keep] / norms[keep, None]

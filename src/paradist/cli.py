@@ -35,10 +35,10 @@ from .feasibility import (
     TOL_ALPHA,
     TOL_MARGIN,
     TOL_WITNESS,
-    NumericalIndeterminate,
+    Indeterminate,
     NonMonotonePredicate,
-    classify,
     necessity_scan,
+    nns_exists,
     threshold_bisect,
 )
 from .labels import check_order
@@ -206,11 +206,11 @@ def _cmd_verify_catalog(args) -> int:
 
 def _cmd_feasibility(args) -> int:
     alpha = _resolve_alpha(args)
-    outcome = classify(alpha, args.n)
+    outcome = nns_exists(alpha, args.n)
     payload = dict(outcome.to_dict(), version=__version__, n=args.n, alpha=alpha,
                    tolerances={"witness": TOL_WITNESS, "margin": TOL_MARGIN})
     _emit(_json(payload), args.output)
-    return EXIT_INDETERMINATE if isinstance(outcome, NumericalIndeterminate) else EXIT_OK
+    return EXIT_INDETERMINATE if isinstance(outcome, Indeterminate) else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -220,7 +220,7 @@ def _cmd_sweep(args) -> int:
         args.alpha_min + (args.alpha_max - args.alpha_min) * i / (args.points - 1)
         for i in range(args.points)
     ]
-    outcomes = [classify(a, args.n) for a in alphas]
+    outcomes = [nns_exists(a, args.n) for a in alphas]
     buf = io.StringIO()
     buf.write(f"# paradist {__version__} tol_witness={TOL_WITNESS!r} tol_margin={TOL_MARGIN!r}\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -228,7 +228,7 @@ def _cmd_sweep(args) -> int:
     for alpha, outcome in zip(alphas, outcomes):
         writer.writerow([repr(alpha), args.n, outcome.kind, repr(outcome.metric)])
     _emit(buf.getvalue(), args.output)
-    if any(isinstance(outcome, NumericalIndeterminate) for outcome in outcomes):
+    if any(isinstance(outcome, Indeterminate) for outcome in outcomes):
         return EXIT_INDETERMINATE
     return EXIT_OK
 
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NumericalIndeterminate as exc:
+    except Indeterminate as exc:
         print(f"paradist: indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except NonMonotonePredicate as exc:

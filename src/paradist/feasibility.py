@@ -9,9 +9,9 @@ projection residual hands back a witness in the cone; a nonzero residual r
 is, by the projection's optimality conditions, a separating vector:
 h = -r restricted to the M rows satisfies h'M > 0 columnwise (the
 finite-dimensional separation certificate).  Each decision builds C once,
-read-only, and judges both outcomes on that system alone.  `classify`
-turns (alpha, n) into an outcome, indeterminate included; every report is
-rendered from it.  The witness and margin bars that decide what an
+read-only, and judges both outcomes on that system alone.  `nns_exists`
+turns (alpha, n) into one of three outcomes, indeterminate included; every
+report is rendered from it.  The witness and margin bars that decide what an
 outcome means are module constants, read at call time; only the
 threshold's bracket width is a per-call parameter.
 """
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import check_catalog_order, conjectured_threshold
+from .labels import check_order
 from .nnls import IterationLimitReached, nnls, refined_residual
 from .tensor import build_C
 
@@ -32,9 +33,10 @@ TOL_MARGIN = 1e-8
 TOL_ALPHA = 1e-6
 
 
-class NumericalIndeterminate(RuntimeError):
-    """Neither a witness nor a certificate met its verification tolerance;
-    `classify` returns it as the indeterminate outcome."""
+class Indeterminate(RuntimeError):
+    """Neither a witness nor a certificate met its bar: the third outcome
+    `nns_exists` returns.  `threshold_bisect` raises one for a probe it
+    cannot bracket."""
 
     kind = "indeterminate"
     metric = math.nan
@@ -73,7 +75,7 @@ class Certificate:
         return {"kind": self.kind, "h": self.h.tolist(), "margin": self.margin}
 
 
-FeasibilityOutcome = Witness | Certificate
+FeasibilityOutcome = Witness | Certificate | Indeterminate
 
 
 def _build(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,11 +97,11 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     """Decide whether a nontrivial nonnegative null vector exists.
 
     Projects onto the cone of the normalized system { y >= 0, M y = 0,
-    sum(y) = 1 }.  Returns a re-verified Witness or Certificate; raises
-    NumericalIndeterminate when neither side can be certified at its
-    bar (TOL_WITNESS, TOL_MARGIN), which near the feasibility boundary is
+    sum(y) = 1 }.  Returns a re-verified Witness or Certificate, or an
+    Indeterminate when neither side can be certified at its bar
+    (TOL_WITNESS, TOL_MARGIN), which near the feasibility boundary is
     unavoidable: the best achievable separation margin decays to zero at
-    the boundary.
+    the boundary.  Raises only ValueError, for alpha outside [pi/2, pi].
     """
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
@@ -111,7 +113,7 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     try:
         result = nnls(a, b)
     except IterationLimitReached as exc:
-        raise NumericalIndeterminate(f"projection did not terminate cleanly: {exc}") from exc
+        return Indeterminate(f"projection did not terminate cleanly: {exc}")
 
     # the projection only proposes candidates: a witness is judged on C,
     # a certificate on M, both built once for this decision; nnls keeps
@@ -131,20 +133,11 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
         if margin >= TOL_MARGIN:
             return Certificate(h=h, margin=margin)
 
-    raise NumericalIndeterminate(
+    return Indeterminate(
         f"projection residual {result.rnorm:.3e}: no witness within {TOL_WITNESS:.1e} "
         f"and no separation margin above {TOL_MARGIN:.1e}",
         objective=result.rnorm,
     )
-
-
-def classify(alpha: float, n: int) -> FeasibilityOutcome | NumericalIndeterminate:
-    """The outcome of `nns_exists` at (alpha, n), with an indeterminate
-    outcome returned instead of raised.  Every report renders from it."""
-    try:
-        return nns_exists(alpha, n)
-    except NumericalIndeterminate as exc:
-        return exc
 
 
 def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, float]:
@@ -195,8 +188,8 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     hi = math.pi
 
     def feasible(alpha: float) -> bool:
-        outcome = classify(alpha, n)
-        if isinstance(outcome, NumericalIndeterminate) and (
+        outcome = nns_exists(alpha, n)
+        if isinstance(outcome, Indeterminate) and (
                 outcome.objective is None or outcome.objective <= TOL_WITNESS):
             raise outcome
         return isinstance(outcome, Witness)
@@ -230,7 +223,7 @@ def necessity_grid(n: int, points: int) -> np.ndarray:
 def necessity_point(alpha: float, n: int) -> dict:
     """One grid point of the necessity scan: expects a verified certificate;
     a witness or an indeterminate outcome is flagged as an anomaly."""
-    outcome = classify(alpha, n)
+    outcome = nns_exists(alpha, n)
     row: dict = {"alpha": float(alpha), "n": n, "outcome": outcome.kind}
     if isinstance(outcome, Certificate):
         ok, margin = verify_certificate(outcome, alpha, n)
@@ -245,4 +238,5 @@ def necessity_point(alpha: float, n: int) -> dict:
 def necessity_scan(n: int, points: int) -> list[dict]:
     """Probe the conjecturally infeasible region; each grid point should
     produce a verified certificate.  Rows come back in grid order."""
+    check_order(n)
     return [necessity_point(float(a), n) for a in necessity_grid(n, points)]

@@ -49,12 +49,22 @@ def test_extract_basis_rejects_zero():
         extract_basis([np.zeros((2, 2)), np.zeros((2, 2))])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200], ids=["nan", "inf", "norm-overflow"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308], ids=["nan", "inf", "norm-overflow"])
 def test_extract_basis_rejects_non_finite(bad):
     # non-finite input is refused as such, not mistaken for a zero matrix
     with pytest.raises(ValueError, match="finite entries and finite norms") as raised:
         extract_basis([np.eye(2), np.full((2, 2), bad)])
     assert not isinstance(raised.value, AllZero)
+
+
+def test_tiny_matrices_keep_their_span():
+    # entries below about 1e-154 square to zero in an unscaled norm
+    tiny = [np.eye(2) * 1e-170, np.array([[0, 1], [0, 0]]) * 1e-170]
+    basis = extract_basis(tiny)
+    assert len(basis) == 2
+    pair = realize_channels(basis)
+    assert span_equality(pair.e_ops, pair.f_ops, tiny)
+    assert not span_equality(pair.e_ops, pair.f_ops, [np.array([[0, 0], [1, 0]]) * 1e-170])
 
 
 def test_extract_basis_rejects_mixed_shapes():

@@ -11,7 +11,7 @@ import paradist.feasibility as feasibility
 from paradist import __version__
 from paradist.catalog import conjectured_threshold
 from paradist.cli import build_parser, main
-from paradist.feasibility import NumericalIndeterminate, Witness, classify
+from paradist.feasibility import Indeterminate, Witness, nns_exists
 from paradist.tensor import build_C, matrix_from_json
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -133,6 +133,19 @@ def test_realize_from_file(tmp_path, capsys):
     assert payload["verification"]["span_ok"]
 
 
+def test_realize_tiny_input(tmp_path, capsys):
+    # entries far below 1e-154 still span, and realize, their own span
+    doc = {"matrices": [{"rows": 2, "cols": 2, "entries": entries} for entries in (
+        [1e-170, 0, 0, 0, 0, 0, 1e-170, 0], [0, 0, 1e-170, 0, 0, 0, 0, 0])]}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "realize", "--input", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["basis_size"] == 2
+    assert payload["verification"]["kraus_ok"] and payload["verification"]["span_ok"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["build", "--n", "2", "--emit", "C"])  # missing alpha
@@ -168,6 +181,8 @@ _HUGE = "1" + "0" * 400
     ("verify-catalog", "--n", "3", "--samples", "0"),
     ("sweep", "--n", "2", "--points", "1"),
     ("necessity", "--n", "3", "--points", "-1"),
+    ("necessity", "--n", "0", "--points", "2"),
+    ("necessity", "--n", "13", "--points", "0"),
     ("realize", "--random-dim", "0", "--seed", "7"),
     ("realize", "--random-dim", "3"),
 ], ids=lambda args: " ".join(args).replace(_HUGE, "10**400"))
@@ -259,12 +274,12 @@ def test_sweep_exits_indeterminate(capsys):
 
 @pytest.mark.parametrize("outcome, expected_code, prefix", [
     (Witness(y=np.ones(3) / 3, residual=0.0), 1, "paradist: verification failure: "),
-    (NumericalIndeterminate("stuck", objective=0.0), 2, "paradist: indeterminate: "),
+    (Indeterminate("stuck", objective=0.0), 2, "paradist: indeterminate: "),
 ], ids=["non-monotone", "indeterminate"])
 def test_threshold_failures_set_exit_code(capsys, monkeypatch, outcome, expected_code, prefix):
     # every probe gets the same outcome: all witnesses contradict the
     # infeasible left endpoint, an indeterminate probe cannot be bracketed
-    monkeypatch.setattr(feasibility, "classify", lambda alpha, n: outcome)
+    monkeypatch.setattr(feasibility, "nns_exists", lambda alpha, n: outcome)
     code, out, err = run_cli(capsys, "threshold", "--n", "3")
     assert (code, out) == (expected_code, "")
     assert err.count("\n") == 1 and err.startswith(prefix)
@@ -280,12 +295,12 @@ def test_output_file_and_env_override(tmp_path, capsys, monkeypatch):
     assert abs(payload["alpha_star"] - 3 * math.pi / 4) <= 1e-3
 
 
-def test_sweep_rows_are_classify_outcomes(capsys):
+def test_sweep_rows_are_nns_exists_outcomes(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n", "4", "--points", "5")
     assert code == 0
     for line in out.strip().splitlines()[2:]:
         alpha, n, kind, metric = line.split(",")
-        outcome = classify(float(alpha), 4)
+        outcome = nns_exists(float(alpha), 4)
         assert (int(n), kind, metric) == (4, outcome.kind, repr(outcome.metric))
 
 

@@ -9,10 +9,9 @@ from paradist.catalog import alpha_interval, conjectured_threshold, explicit_nns
 from paradist.feasibility import (
     TOL_WITNESS,
     Certificate,
+    Indeterminate,
     NonMonotonePredicate,
-    NumericalIndeterminate,
     Witness,
-    classify,
     necessity_grid,
     necessity_point,
     necessity_scan,
@@ -153,7 +152,7 @@ def test_threshold_bisect_validation():
     (Certificate(h=np.ones(4), margin=1.0), "feasibility at pi"),
 ], ids=["witness-at-left", "certificate-at-right"])
 def test_threshold_bisect_checks_endpoints(monkeypatch, outcome, message):
-    monkeypatch.setattr(feasibility, "classify", lambda alpha, n: outcome)
+    monkeypatch.setattr(feasibility, "nns_exists", lambda alpha, n: outcome)
     with pytest.raises(NonMonotonePredicate, match=message):
         threshold_bisect(3)
 
@@ -162,9 +161,9 @@ def test_threshold_bisect_checks_endpoints(monkeypatch, outcome, message):
 def test_threshold_bisect_raises_unresolved_probe(monkeypatch, objective):
     # an indeterminate probe counts as infeasible only when its projection
     # residual is clearly positive; otherwise it stops the bisection
-    probe = NumericalIndeterminate("stuck", objective=objective)
-    monkeypatch.setattr(feasibility, "classify", lambda alpha, n: probe)
-    with pytest.raises(NumericalIndeterminate) as raised:
+    probe = Indeterminate("stuck", objective=objective)
+    monkeypatch.setattr(feasibility, "nns_exists", lambda alpha, n: probe)
+    with pytest.raises(Indeterminate) as raised:
         threshold_bisect(3)
     assert raised.value is probe
 
@@ -194,9 +193,9 @@ def test_indeterminate_reports_objective(substitute, monkeypatch):
     # a single row at roundoff scale cannot be certified either way
     substitute(_tiny_system)
     monkeypatch.setattr(feasibility, "TOL_WITNESS", 1e-30)
-    with pytest.raises(NumericalIndeterminate) as raised:
-        nns_exists(math.pi - 0.2, 1)
-    assert raised.value.objective > 0
+    outcome = nns_exists(math.pi - 0.2, 1)
+    assert isinstance(outcome, Indeterminate)
+    assert outcome.objective > 0
 
 
 def test_cut_off_projection_is_indeterminate(monkeypatch):
@@ -205,12 +204,11 @@ def test_cut_off_projection_is_indeterminate(monkeypatch):
         raise IterationLimitReached("exceeded 3 active-set iterations")
 
     monkeypatch.setattr(feasibility, "nnls", cut_off)
-    outcome = classify(math.pi, 3)
-    assert isinstance(outcome, NumericalIndeterminate)
+    outcome = nns_exists(math.pi, 3)
+    assert isinstance(outcome, Indeterminate)
     assert outcome.objective is None
     assert str(outcome) == ("projection did not terminate cleanly: "
                             "exceeded 3 active-set iterations")
-    assert isinstance(outcome.__cause__, IterationLimitReached)
 
 
 def test_necessity_point_flags_witness(substitute):
@@ -270,13 +268,13 @@ def test_realized_system_is_read_only():
         m[0, 0] = 1.0
 
 
-def test_classify_returns_every_outcome(substitute, monkeypatch):
-    assert isinstance(classify(math.pi, 3), Witness)
-    assert isinstance(classify(conjectured_threshold(3) - 0.05, 3), Certificate)
+def test_nns_exists_returns_every_outcome(substitute, monkeypatch):
+    assert isinstance(nns_exists(math.pi, 3), Witness)
+    assert isinstance(nns_exists(conjectured_threshold(3) - 0.05, 3), Certificate)
     substitute(_tiny_system)
     monkeypatch.setattr(feasibility, "TOL_WITNESS", 1e-30)
-    outcome = classify(math.pi - 0.2, 1)
-    assert isinstance(outcome, NumericalIndeterminate)
+    outcome = nns_exists(math.pi - 0.2, 1)
+    assert isinstance(outcome, Indeterminate)
     assert outcome.objective is not None and outcome.objective > 0
     assert outcome.to_dict() == {"kind": "indeterminate", "detail": str(outcome)}
     assert math.isnan(outcome.metric)

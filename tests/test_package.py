@@ -1,8 +1,15 @@
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path
+
+import pytest
 
 import paradist
+from paradist.feasibility import Certificate, Indeterminate, Witness
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # every knob of the package: the defaulted (and catch-all) parameters of the
 # functions defined in its modules, pinned by name so that a new knob is a
@@ -36,3 +43,19 @@ def test_package_has_no_dead_knobs():
             found[name] = knobs
     assert found == KNOBS
     assert sum(len(knobs) for knobs in KNOBS.values()) == 4
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark's tracer wraps these functions by name; a rename or a
+    # deletion must fail here rather than in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, name, _ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+@pytest.mark.parametrize("cls", [Witness, Certificate, Indeterminate])
+def test_outcome_class_name_is_its_kind(cls):
+    # the tracer names a decision's outcome by its lower-cased class name
+    assert cls.__name__.lower() == cls.kind
