@@ -34,7 +34,7 @@ class KrausPair:
     rank: int
 
 
-def _norm(x: np.ndarray) -> float:
+def scaled_norm(x: np.ndarray) -> float:
     """Frobenius norm taken on x / max|x|, so that entries below about 1e-154
     do not square to zero; nan or inf when an entry is."""
     peak = float(np.max(np.abs(x), initial=0.0))
@@ -52,7 +52,7 @@ def extract_basis(mats) -> list[np.ndarray]:
         if m.shape != (n, n):
             raise ShapeMismatch("matrices must be square and equally sized")
     # a NaN or infinite entry, or a norm that overflows, is no zero matrix
-    norms = [_norm(m) for m in mats]
+    norms = [scaled_norm(m) for m in mats]
     if not np.all(np.isfinite(norms)):
         raise ValueError("input matrices must have finite entries and finite norms")
     scale = max(norms)
@@ -66,7 +66,7 @@ def extract_basis(mats) -> list[np.ndarray]:
         v = m.ravel().copy()
         for q in ortho:
             v -= (q.conj() @ v) * q
-        norm = _norm(v)
+        norm = scaled_norm(v)
         if norm > REL_TOL * scale:
             ortho.append(v / norm)
             basis.append(m)
@@ -142,7 +142,7 @@ def product_identity(pair: KrausPair) -> np.ndarray:
 def _unit_rows(stack: np.ndarray) -> np.ndarray:
     """Drop near-zero rows and scale the rest to unit norm, so rank tests
     are insensitive to the overall scale of either operand."""
-    norms = np.array([_norm(row) for row in stack])
+    norms = np.array([scaled_norm(row) for row in stack])
     top = float(np.max(norms)) if len(norms) else 0.0
     keep = norms > REL_TOL * max(top, np.finfo(float).tiny)
     return stack[keep] / norms[keep, None]

@@ -28,6 +28,7 @@ from .channels import (
     product_identity,
     random_span_set,
     realize_channels,
+    scaled_norm,
     span_equality,
     verify_kraus,
 )
@@ -294,7 +295,7 @@ def _cmd_realize(args) -> int:
             "f_defect": f_defect,
             "kraus_ok": bool(e_ok and f_ok),
             "span_ok": bool(spans_match),
-            "product_norm": float(np.linalg.norm(identity)),
+            "product_norm": scaled_norm(identity),
         },
     }
     _emit(_json(payload), args.output)

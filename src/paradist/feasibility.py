@@ -101,7 +101,9 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     Indeterminate when neither side can be certified at its bar
     (TOL_WITNESS, TOL_MARGIN), which near the feasibility boundary is
     unavoidable: the best achievable separation margin decays to zero at
-    the boundary.  Raises only ValueError, for alpha outside [pi/2, pi].
+    the boundary.  A projection cut off by its iteration caps or by a
+    failed passive-set solve judges nothing: its Indeterminate carries no
+    objective.  Raises only ValueError, for alpha outside [pi/2, pi].
     """
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
@@ -112,7 +114,7 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     b[-1] = 1.0
     try:
         result = nnls(a, b)
-    except IterationLimitReached as exc:
+    except (IterationLimitReached, np.linalg.LinAlgError) as exc:
         return Indeterminate(f"projection did not terminate cleanly: {exc}")
 
     # the projection only proposes candidates: a witness is judged on C,
@@ -125,8 +127,12 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
         if residual <= TOL_WITNESS:
             return Witness(y=y, residual=residual)
 
-    h = -refined_residual(a, b, result.y)[:rows]
+    try:
+        h = -refined_residual(a, b, result.y)[:rows]
+    except np.linalg.LinAlgError as exc:
+        return Indeterminate(f"residual refinement failed: {exc}", objective=result.rnorm)
     hmax = float(np.max(np.abs(h)))
+    # a non-finite refinement leaves hmax nan, which fails this test
     if hmax > 0:
         h = h / hmax
         margin = float(np.min(h @ m))

@@ -3,7 +3,10 @@
 Solves  min ||A y - b||_2  over y >= 0.  Iterates stay in the cone by
 construction, every passive-set subproblem is solved freshly from the
 original data (so roundoff cannot accumulate across iterations), and the
-walk terminates finitely.
+walk terminates finitely.  Each subproblem is one Householder QR of the
+passive columns with b appended, then a triangular solve, as in Lawson and
+Hanson's own NNLS (Solving Least Squares Problems, 1974, ch. 23); a solve
+that fails or comes out non-finite ends the walk with LinAlgError.
 
 The residual r = b - A y at the solution is the key object for
 infeasibility certificates: the KKT conditions give A'r <= 0 columnwise
@@ -23,6 +26,7 @@ which ones run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +43,28 @@ class NnlsResult:
     residual: np.ndarray
     rnorm: float
     iterations: int
+
+
+@functools.lru_cache
+def _upper(k: int) -> np.ndarray:
+    """Read-only mask of the upper triangle of a k x k array."""
+    mask = ~np.tri(k, k, -1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _qr_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x minimizing ||a x - b||_2 for a of full column rank k, by one
+    Householder QR of [a | b]: the last column of its R is Q'b, so x solves
+    the triangle R[:k, :k] x = (Q'b)[:k].  LAPACK hands back R as the upper
+    triangle of the transposed reflector array.  Raises LinAlgError when
+    the triangle is singular, or when a has more columns than rows."""
+    k = a.shape[1]
+    h, _ = np.linalg.qr(np.column_stack([a, b]), mode="raw")
+    r = h.T[:k]
+    if len(r) < k:
+        raise np.linalg.LinAlgError(f"{k} columns but only {len(r)} rows")
+    return np.linalg.solve(np.where(_upper(k), r[:, :k], 0.0), r[:, k])
 
 
 def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResult:
@@ -86,7 +112,9 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
         passive[enter] = True
 
         for _ in range(cap_inner):
-            sol, *_ = np.linalg.lstsq(a[:, passive], b, rcond=None)
+            sol = _qr_solve(a[:, passive], b)
+            if not np.isfinite(sol).all():
+                raise np.linalg.LinAlgError("passive-set solve is not finite")
             if sol.min() > 0.0:
                 y[passive] = sol
                 y[~passive] = 0.0
@@ -124,14 +152,16 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
 def refined_residual(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Residual b - A y after two steps of iterative refinement of y on its support.
 
-    Corrections are solved in double precision but residuals accumulate in
-    extended precision, which restores the orthogonality of the residual to
-    the support columns down to the square of the working precision.  That
-    orthogonality is exactly what separation margins extracted from the
-    residual are made of, and plain least squares leaves too much slop in
-    it when the residual is many orders below the data.  The gain relies on
-    `np.longdouble` being the 80-bit x87 format; where it is plain float64
-    (MSVC builds on Windows, macOS on arm64) the refinement adds no precision.
+    Corrections are solved in double precision, by the same Householder QR
+    solve as the walk's passive sets (LinAlgError when one fails), but
+    residuals accumulate in extended precision, which restores the
+    orthogonality of the residual to the support columns down to the square
+    of the working precision.  That orthogonality is exactly what separation
+    margins extracted from the residual are made of, and plain least squares
+    leaves too much slop in it when the residual is many orders below the
+    data.  The gain relies on `np.longdouble` being the 80-bit x87 format;
+    where it is plain float64 (MSVC builds on Windows, macOS on arm64) the
+    refinement adds no precision.
     """
     a_hi = a.astype(np.longdouble)
     b_hi = b.astype(np.longdouble)
@@ -141,7 +171,7 @@ def refined_residual(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
         return (b_hi - a_hi @ y_hi).astype(float)
     for _ in range(2):
         r = b_hi - a_hi @ y_hi
-        correction, *_ = np.linalg.lstsq(a[:, support], r.astype(float), rcond=None)
+        correction = _qr_solve(a[:, support], r.astype(float))
         y_hi[support] += correction
         y_hi = np.maximum(y_hi, 0.0)
     return (b_hi - a_hi @ y_hi).astype(float)

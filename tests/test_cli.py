@@ -144,6 +144,7 @@ def test_realize_tiny_input(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["basis_size"] == 2
     assert payload["verification"]["kraus_ok"] and payload["verification"]["span_ok"]
+    assert payload["verification"]["product_norm"] > 0
 
 
 def test_usage_error_exit_code(capsys):

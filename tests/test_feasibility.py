@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import paradist.feasibility as feasibility
+import paradist.nnls
 from paradist.catalog import alpha_interval, conjectured_threshold, explicit_nns, interval_samples
 from paradist.feasibility import (
     TOL_WITNESS,
@@ -168,6 +169,24 @@ def test_threshold_bisect_raises_unresolved_probe(monkeypatch, objective):
     assert raised.value is probe
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_no_witness_below_threshold(n):
+    # the paper proves C(alpha) y = 0 has no nonzero y >= 0 below
+    # pi/2 + pi/(2n); twelve distances per decade from 1e-2 down to 1e-7
+    # reach the band where a near-null vector passes the witness bar
+    conj = conjectured_threshold(n)
+    witnesses = [d for d in np.logspace(-2, -7, 61).tolist()
+                 if isinstance(nns_exists(conj - d, n), Witness)]
+    assert witnesses == []
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_threshold_bracket_contains_boundary(n):
+    estimate = threshold_bisect(n)
+    half = estimate.bracket_width / 2
+    assert estimate.alpha_star - half <= conjectured_threshold(n) <= estimate.alpha_star + half
+
+
 def test_necessity_grid_strictly_inside():
     grid = necessity_grid(4, 50)
     assert len(grid) == 50
@@ -209,6 +228,46 @@ def test_cut_off_projection_is_indeterminate(monkeypatch):
     assert outcome.objective is None
     assert str(outcome) == ("projection did not terminate cleanly: "
                             "exceeded 3 active-set iterations")
+
+
+def _nan_solve(a, b):
+    return np.full(a.shape[1], np.nan)
+
+
+def _singular_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("solve, detail", [
+    (_nan_solve, "passive-set solve is not finite"),
+    (_singular_solve, "Singular matrix"),
+], ids=["nan", "raises"])
+@pytest.mark.parametrize("alpha", [math.pi, conjectured_threshold(3) - 0.05],
+                         ids=["feasible", "infeasible"])
+def test_failed_solve_ends_walk_as_indeterminate(monkeypatch, solve, detail, alpha):
+    # a passive-set solve that fails or is not finite judges nothing, on
+    # either side of the threshold
+    monkeypatch.setattr(paradist.nnls, "_qr_solve", solve)
+    outcome = nns_exists(alpha, 3)
+    assert isinstance(outcome, Indeterminate)
+    assert outcome.objective is None
+    assert str(outcome) == f"projection did not terminate cleanly: {detail}"
+
+
+@pytest.mark.parametrize("solve", [_nan_solve, _singular_solve], ids=["nan", "raises"])
+def test_failed_refinement_is_indeterminate(monkeypatch, solve):
+    # the walk itself ends cleanly, so the outcome keeps its objective
+    walk = paradist.nnls.nnls
+
+    def walk_then_break(a, b):
+        result = walk(a, b)
+        monkeypatch.setattr(paradist.nnls, "_qr_solve", solve)
+        return result
+
+    monkeypatch.setattr(feasibility, "nnls", walk_then_break)
+    outcome = nns_exists(conjectured_threshold(3) - 0.05, 3)
+    assert isinstance(outcome, Indeterminate)
+    assert outcome.objective > TOL_WITNESS
 
 
 def test_necessity_point_flags_witness(substitute):

@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from paradist.catalog import conjectured_threshold
-from paradist.feasibility import realize
-from paradist.nnls import IterationLimitReached, nnls, refined_residual
+from paradist.feasibility import TOL_WITNESS, realize
+from paradist.nnls import IterationLimitReached, _qr_solve, nnls, refined_residual
 
 
 def projection_problem(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -59,6 +59,26 @@ def test_outer_iteration_cap():
         nnls(a, b, max_outer=1)
 
 
+def test_qr_solve_matches_svd_least_squares(rng):
+    # LAPACK's SVD-based solver stays here as the reference; on random
+    # tall or square Gaussian problems both agree to near working precision
+    for _ in range(20):
+        rows = int(rng.integers(2, 28))
+        a = rng.standard_normal((rows, int(rng.integers(1, rows + 1))))
+        b = rng.standard_normal(rows)
+        ref, *_ = np.linalg.lstsq(a, b, rcond=None)
+        assert_allclose(_qr_solve(a, b), ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+
+def test_qr_solve_refuses_rank_deficient_systems(rng):
+    with pytest.raises(np.linalg.LinAlgError, match="3 columns but only 2 rows"):
+        _qr_solve(rng.standard_normal((2, 3)), rng.standard_normal(2))
+    a = rng.standard_normal((5, 3))
+    a[:, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _qr_solve(a, rng.standard_normal(5))
+
+
 def test_refined_residual_with_empty_support(rng):
     a = rng.standard_normal((5, 3))
     b = rng.standard_normal(5)
@@ -69,19 +89,26 @@ def test_refined_residual_with_empty_support(rng):
 # iterations, rnorm as a hex float and the sha256 of y's bytes.  The loop's
 # floating-point operations and their order are fixed, so any rewrite of
 # `nnls` must reproduce these exactly (with numpy's bundled BLAS/LAPACK).
+# The ids name the problems, not the pins, so that re-recording a pin keeps
+# the test's name.
 GOLDEN = [
-    (4, 5 * math.pi / 8, 9, "0x1.3991a4627b661p-49",
-     "e0310d7a6a73c7aaf3cdc6c28607bff0b09e6c617bf8f93dc461ebcaf24281f6"),
-    (10, conjectured_threshold(10) + 0.05, 20, "0x1.c27cce56515f1p-48",
-     "c5dd25d88fa29046c765f92855008568293aca430da0a3a88e2c726b824550ff"),
-    (12, conjectured_threshold(12) - 1e-3, 73, "0x1.4396ca895351dp-29",
-     "1f0a7fc0e39a86a15ce045bec746032faea9a79847466f04f657964e527956c0"),
+    (4, 5 * math.pi / 8, 9, "0x1.a336f28a22f6ap-52",
+     "a9cf111fc82e1b65be4ad81a635d14df68f456d0d5283ef586bb64a80af62f52"),
+    (10, conjectured_threshold(10) + 0.05, 20, "0x1.d7bb2ab5b193fp-52",
+     "b4957a4106485bec9465ae4ff5746c7bb5151bdfacd29593311c35d0020da31a"),
+    (12, conjectured_threshold(12) - 1e-3, 56, "0x1.9ab4e29aae410p-26",
+     "3a8922c238e44954583c4c2c5957ffcc0d88e84743b4da62aafc757b66ccb48e"),
 ]
 
 
-@pytest.mark.parametrize("n, alpha, iterations, rnorm, y_sha", GOLDEN)
+@pytest.mark.parametrize("n, alpha, iterations, rnorm, y_sha", GOLDEN,
+                         ids=["n4-5pi8", "n10-above", "n12-below"])
 def test_golden_walks(n, alpha, iterations, rnorm, y_sha):
     result = nnls(*projection_problem(alpha, n))
     assert result.iterations == iterations
     assert float(result.rnorm).hex() == rnorm
     assert hashlib.sha256(result.y.tobytes()).hexdigest() == y_sha
+    if alpha < conjectured_threshold(n):
+        # below the threshold the projection keeps a residual above the
+        # witness bar, so no witness can come out of it
+        assert result.rnorm > TOL_WITNESS

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -43,6 +44,17 @@ def test_package_has_no_dead_knobs():
             found[name] = knobs
     assert found == KNOBS
     assert sum(len(knobs) for knobs in KNOBS.values()) == 4
+
+
+def test_one_least_squares_routine():
+    # every least-squares solve goes through the engine's Householder QR;
+    # LAPACK's SVD-based gelsd (`np.linalg.lstsq`) stays out of the package
+    for path in sorted(Path(paradist.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert "lstsq" not in names, path.name
 
 
 def test_benchmark_tracer_targets_resolve():
