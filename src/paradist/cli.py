@@ -45,7 +45,6 @@ from .feasibility import (
 from .labels import check_order
 from .tensor import (
     MatrixForm,
-    SizeExceeded,
     a_alpha,
     build_B,
     build_C,
@@ -324,7 +323,7 @@ def main(argv=None) -> int:
     except NonMonotonePredicate as exc:
         print(f"paradist: verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (ValueError, SizeExceeded, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"paradist: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -93,17 +93,27 @@ def realize(alpha: float, n: int) -> np.ndarray:
     return _build(alpha, n)[1]
 
 
+def _separation(h: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float]:
+    """h scaled to max|h| = 1 and its margin min(h'M), 0.0 for a zero h:
+    the one certificate rule, met at margin >= TOL_MARGIN."""
+    hmax = float(np.max(np.abs(h)))
+    if hmax == 0.0:
+        return h, 0.0
+    h = h / hmax
+    return h, float(np.min(h @ m))
+
+
 def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     """Decide whether a nontrivial nonnegative null vector exists.
 
     Projects onto the cone of the normalized system { y >= 0, M y = 0,
-    sum(y) = 1 }.  Returns a re-verified Witness or Certificate, or an
-    Indeterminate when neither side can be certified at its bar
-    (TOL_WITNESS, TOL_MARGIN), which near the feasibility boundary is
-    unavoidable: the best achievable separation margin decays to zero at
-    the boundary.  A projection cut off by its iteration caps or by a
-    failed passive-set solve judges nothing: its Indeterminate carries no
-    objective.  Raises only ValueError, for alpha outside [pi/2, pi].
+    sum(y) = 1 }.  Returns a Witness, a Certificate (by `_separation`), or
+    an Indeterminate when neither side meets its bar (TOL_WITNESS,
+    TOL_MARGIN), which near the feasibility boundary is unavoidable: the
+    best achievable separation margin decays to zero at the boundary.  A
+    walk cut off by its caps or by a failed solve has no objective; a failed
+    refinement keeps the walk's rnorm.  Raises only ValueError, for alpha
+    outside [pi/2, pi].
     """
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
@@ -128,16 +138,11 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
             return Witness(y=y, residual=residual)
 
     try:
-        h = -refined_residual(a, b, result.y)[:rows]
+        h, margin = _separation(-refined_residual(a, b, result.y)[:rows], m)
     except np.linalg.LinAlgError as exc:
         return Indeterminate(f"residual refinement failed: {exc}", objective=result.rnorm)
-    hmax = float(np.max(np.abs(h)))
-    # a non-finite refinement leaves hmax nan, which fails this test
-    if hmax > 0:
-        h = h / hmax
-        margin = float(np.min(h @ m))
-        if margin >= TOL_MARGIN:
-            return Certificate(h=h, margin=margin)
+    if margin >= TOL_MARGIN:
+        return Certificate(h=h, margin=margin)
 
     return Indeterminate(
         f"projection residual {result.rnorm:.3e}: no witness within {TOL_WITNESS:.1e} "
@@ -147,14 +152,15 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
 
 
 def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, float]:
-    """Recompute h'M from a freshly built system; valid when the minimum
-    column value is no less than the declared margin (within 1e-12)."""
+    """Judge a certificate from elsewhere by `nns_exists`'s rule on the
+    system rebuilt from (alpha, n), whatever the scale of h; the margin must
+    also reach the declared one (within 1e-12).  Returns (verdict, margin)."""
     h = np.asarray(cert.h, dtype=float)
     m = realize(alpha, n)
     if h.shape != (m.shape[0],):
         return False, 0.0
-    margin = float(np.min(h @ m))
-    return margin >= cert.margin - 1e-12 and margin > 0, margin
+    _, margin = _separation(h, m)
+    return margin >= TOL_MARGIN and margin >= cert.margin - 1e-12, margin
 
 
 @dataclass(frozen=True)
@@ -227,13 +233,13 @@ def necessity_grid(n: int, points: int) -> np.ndarray:
 
 
 def necessity_point(alpha: float, n: int) -> dict:
-    """One grid point of the necessity scan: expects a verified certificate;
-    a witness or an indeterminate outcome is flagged as an anomaly."""
+    """One grid point of the necessity scan: a certificate is `verified` by
+    the judgment `nns_exists` made on the system it built, without a second
+    build; a witness or an indeterminate outcome is flagged as an anomaly."""
     outcome = nns_exists(alpha, n)
     row: dict = {"alpha": float(alpha), "n": n, "outcome": outcome.kind}
     if isinstance(outcome, Certificate):
-        ok, margin = verify_certificate(outcome, alpha, n)
-        row.update(margin=margin, verified=ok, anomaly=not ok)
+        row.update(margin=outcome.margin, verified=True, anomaly=False)
     elif isinstance(outcome, Witness):
         row.update(residual=outcome.residual, anomaly=True)
     else:

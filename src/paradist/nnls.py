@@ -6,7 +6,7 @@ original data (so roundoff cannot accumulate across iterations), and the
 walk terminates finitely.  Each subproblem is one Householder QR of the
 passive columns with b appended, then a triangular solve, as in Lawson and
 Hanson's own NNLS (Solving Least Squares Problems, 1974, ch. 23); a solve
-that fails or comes out non-finite ends the walk with LinAlgError.
+that fails or comes out non-finite raises LinAlgError, in the walk or not.
 
 The residual r = b - A y at the solution is the key object for
 infeasibility certificates: the KKT conditions give A'r <= 0 columnwise
@@ -58,13 +58,16 @@ def _qr_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Householder QR of [a | b]: the last column of its R is Q'b, so x solves
     the triangle R[:k, :k] x = (Q'b)[:k].  LAPACK hands back R as the upper
     triangle of the transposed reflector array.  Raises LinAlgError when
-    the triangle is singular, or when a has more columns than rows."""
+    the triangle is singular, x is not finite or a has more columns than rows."""
     k = a.shape[1]
     h, _ = np.linalg.qr(np.column_stack([a, b]), mode="raw")
     r = h.T[:k]
     if len(r) < k:
         raise np.linalg.LinAlgError(f"{k} columns but only {len(r)} rows")
-    return np.linalg.solve(np.where(_upper(k), r[:, :k], 0.0), r[:, k])
+    x = np.linalg.solve(np.where(_upper(k), r[:, :k], 0.0), r[:, k])
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("passive-set solve is not finite")
+    return x
 
 
 def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResult:
@@ -113,8 +116,6 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
 
         for _ in range(cap_inner):
             sol = _qr_solve(a[:, passive], b)
-            if not np.isfinite(sol).all():
-                raise np.linalg.LinAlgError("passive-set solve is not finite")
             if sol.min() > 0.0:
                 y[passive] = sol
                 y[~passive] = 0.0

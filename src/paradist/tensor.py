@@ -88,10 +88,7 @@ def build_Q(n: int) -> np.ndarray:
     """Orbit selector: 3**n x p_n 0/1 matrix with a single 1 per row,
     marking which multiset orbit each ternary label belongs to."""
     check_order(n)
-    p = p_count(n)
-    if 3**n * p > ENTRY_BUDGET:
-        raise SizeExceeded(f"selector for order {n} exceeds budget of {ENTRY_BUDGET} entries")
-    q = np.zeros((3**n, p))
+    q = np.zeros((3**n, p_count(n)))
     q[np.arange(3**n), column_positions(n)] = 1.0
     return q
 

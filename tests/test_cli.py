@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import paradist.cli as cli
 import paradist.feasibility as feasibility
 from paradist import __version__
 from paradist.catalog import conjectured_threshold
@@ -99,6 +101,40 @@ def test_necessity_report(capsys):
     payload = json.loads(out)
     assert payload["anomalies"] == 0
     assert len(payload["rows"]) == 10
+
+
+def test_necessity_report_bytes(capsys):
+    code, out, _ = run_cli(capsys, "necessity", "--n", "4", "--points", "12")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "28633bf2d2b50459bbe1d5cd7676670b6eca8c1d89ab88a713d3ca3c0da4cf31")
+
+
+@pytest.mark.parametrize("args", [
+    ("feasibility", "--n", "4", "--pi-frac", "5/8"),
+    ("sweep", "--n", "4", "--points", "5"),
+    ("necessity", "--n", "4", "--points", "3"),
+    ("threshold", "--n", "3"),
+], ids=lambda args: args[0])
+def test_every_command_builds_once_per_decision(capsys, monkeypatch, args):
+    calls = {"build_C": 0, "nns_exists": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return original(*a, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(feasibility, "build_C"), (feasibility, "nns_exists"),
+                         (cli, "nns_exists")]:
+        counted(module, name)
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert calls["nns_exists"] > 0
+    assert calls["build_C"] == calls["nns_exists"]
 
 
 def test_realize_random_requires_seed(capsys):

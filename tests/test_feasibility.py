@@ -8,6 +8,7 @@ import paradist.feasibility as feasibility
 import paradist.nnls
 from paradist.catalog import alpha_interval, conjectured_threshold, explicit_nns, interval_samples
 from paradist.feasibility import (
+    TOL_MARGIN,
     TOL_WITNESS,
     Certificate,
     Indeterminate,
@@ -86,6 +87,42 @@ def test_certificate_rejections():
     assert not ok_shift
     # nor against a system of another order
     assert verify_certificate(cert, alpha, 3) == (False, 0.0)
+
+
+def test_certificate_rule_is_scale_free():
+    alpha = conjectured_threshold(4) - 0.05
+    cert = nns_exists(alpha, 4)
+    assert isinstance(cert, Certificate)
+    scaled = Certificate(h=cert.h * 1e6, margin=cert.margin)
+    ok, margin = verify_certificate(scaled, alpha, 4)
+    assert ok
+    assert margin == pytest.approx(cert.margin, rel=1e-14)
+
+
+def test_certificate_below_margin_bar_is_rejected():
+    # push h against the first column of M until it still separates, but
+    # by less than TOL_MARGIN: nns_exists would call that indeterminate
+    alpha = conjectured_threshold(4) - 0.05
+    cert = nns_exists(alpha, 4)
+    m = realize(alpha, 4)
+
+    def pushed(t):
+        h = cert.h - t * m[:, 0]
+        h = h / np.max(np.abs(h))
+        return h, float(np.min(h @ m))
+
+    lo, hi = 0.0, 1.0
+    assert pushed(lo)[1] >= TOL_MARGIN and pushed(hi)[1] < 0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        h, margin = pushed(mid)
+        if 0 < margin < TOL_MARGIN:
+            break
+        lo, hi = (mid, hi) if margin >= TOL_MARGIN else (lo, mid)
+    assert 0 < margin < TOL_MARGIN
+    ok, checked = verify_certificate(Certificate(h=h, margin=margin), alpha, 4)
+    assert not ok
+    assert checked == margin
 
 
 def test_alpha_range_enforced():
@@ -204,6 +241,12 @@ def test_necessity_scan_small():
         assert row["margin"] >= 1e-8
 
 
+def test_necessity_scan_builds_once_per_point(build_calls):
+    rows = necessity_scan(4, 3)
+    assert len(build_calls) == 3
+    assert [row["verified"] for row in rows] == [True] * 3
+
+
 def test_necessity_scan_empty():
     assert necessity_scan(3, 0) == []
 
@@ -230,44 +273,70 @@ def test_cut_off_projection_is_indeterminate(monkeypatch):
                             "exceeded 3 active-set iterations")
 
 
-def _nan_solve(a, b):
-    return np.full(a.shape[1], np.nan)
+def _nan_triangle_solve(a, b):
+    return np.full(b.shape, np.nan)
 
 
 def _singular_solve(a, b):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-@pytest.mark.parametrize("solve, detail", [
-    (_nan_solve, "passive-set solve is not finite"),
-    (_singular_solve, "Singular matrix"),
+# the NaN comes from below `_qr_solve` (the triangle solve as `nnls` sees
+# it), so it passes through the one finite check every solve shares
+_BREAKS = {
+    "nan": (paradist.nnls.np.linalg, "solve", _nan_triangle_solve),
+    "raises": (paradist.nnls, "_qr_solve", _singular_solve),
+}
+
+
+@pytest.mark.parametrize("fault, detail", [
+    ("nan", "passive-set solve is not finite"),
+    ("raises", "Singular matrix"),
 ], ids=["nan", "raises"])
 @pytest.mark.parametrize("alpha", [math.pi, conjectured_threshold(3) - 0.05],
                          ids=["feasible", "infeasible"])
-def test_failed_solve_ends_walk_as_indeterminate(monkeypatch, solve, detail, alpha):
+def test_failed_solve_ends_walk_as_indeterminate(monkeypatch, fault, detail, alpha):
     # a passive-set solve that fails or is not finite judges nothing, on
     # either side of the threshold
-    monkeypatch.setattr(paradist.nnls, "_qr_solve", solve)
+    monkeypatch.setattr(*_BREAKS[fault])
     outcome = nns_exists(alpha, 3)
     assert isinstance(outcome, Indeterminate)
     assert outcome.objective is None
     assert str(outcome) == f"projection did not terminate cleanly: {detail}"
 
 
-@pytest.mark.parametrize("solve", [_nan_solve, _singular_solve], ids=["nan", "raises"])
-def test_failed_refinement_is_indeterminate(monkeypatch, solve):
-    # the walk itself ends cleanly, so the outcome keeps its objective
+def _break_refinement(monkeypatch, fault):
+    """Run the walk intact, then break every later solve; returns the list
+    that receives the walk's result."""
     walk = paradist.nnls.nnls
+    walks = []
 
     def walk_then_break(a, b):
-        result = walk(a, b)
-        monkeypatch.setattr(paradist.nnls, "_qr_solve", solve)
-        return result
+        walks.append(walk(a, b))
+        monkeypatch.setattr(*_BREAKS[fault])
+        return walks[-1]
 
     monkeypatch.setattr(feasibility, "nnls", walk_then_break)
+    return walks
+
+
+@pytest.mark.parametrize("fault", ["nan", "raises"])
+def test_failed_refinement_is_indeterminate(monkeypatch, fault):
+    # the walk itself ends cleanly, so the outcome keeps its objective
+    _break_refinement(monkeypatch, fault)
     outcome = nns_exists(conjectured_threshold(3) - 0.05, 3)
     assert isinstance(outcome, Indeterminate)
     assert outcome.objective > TOL_WITNESS
+
+
+def test_nan_refinement_says_so(monkeypatch):
+    # a non-finite refinement is named as such, not as a missing margin,
+    # and keeps the walk's rnorm as its objective
+    walks = _break_refinement(monkeypatch, "nan")
+    outcome = nns_exists(conjectured_threshold(3) - 0.05, 3)
+    assert isinstance(outcome, Indeterminate)
+    assert str(outcome) == "residual refinement failed: passive-set solve is not finite"
+    assert outcome.objective == walks[0].rnorm
 
 
 def test_necessity_point_flags_witness(substitute):
