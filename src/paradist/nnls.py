@@ -7,6 +7,10 @@ walk terminates finitely.  Each subproblem is one Householder QR of the
 passive columns with b appended, then a triangular solve, as in Lawson and
 Hanson's own NNLS (Solving Least Squares Problems, 1974, ch. 23); a solve
 that fails or comes out non-finite raises LinAlgError, in the walk or not.
+Both steps call numpy's LAPACK gufuncs directly (`qr_r_raw`, then `solve1`),
+the routines `np.linalg.qr(mode="raw")` and `np.linalg.solve` wrap, on the
+same inputs; only the wrappers' argument handling is skipped, so the bits
+are those of the public composition (`tests/test_nnls.py` compares them).
 
 The residual r = b - A y at the solution is the key object for
 infeasibility certificates: the KKT conditions give A'r <= 0 columnwise
@@ -31,6 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import qr_r_raw, solve1
 
 
 class IterationLimitReached(RuntimeError):
@@ -53,20 +59,32 @@ def _upper(k: int) -> np.ndarray:
     return mask
 
 
-def _qr_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x minimizing ||a x - b||_2 for a of full column rank k, by one
-    Householder QR of [a | b]: the last column of its R is Q'b, so x solves
-    the triangle R[:k, :k] x = (Q'b)[:k].  LAPACK hands back R as the upper
-    triangle of the transposed reflector array.  Raises LinAlgError when
-    the triangle is singular, x is not finite or a has more columns than rows."""
-    k = a.shape[1]
-    h, _ = np.linalg.qr(np.column_stack([a, b]), mode="raw")
-    r = h.T[:k]
-    if len(r) < k:
-        raise np.linalg.LinAlgError(f"{k} columns but only {len(r)} rows")
-    x = np.linalg.solve(np.where(_upper(k), r[:, :k], 0.0), r[:, k])
+def _raise_singular(err: str, flag: int) -> None:
+    raise LinAlgError("Singular matrix")
+
+
+def _qr_solve(ab: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """x minimizing ||a x - b||_2, where ab[:, cols] = [a | b] picks k columns
+    of full column rank and, last, the right-hand side.  One Householder QR
+    of that fresh gather, in place: the last column of its R is Q'b, so x
+    solves the triangle R[:k, :k] x = (Q'b)[:k].  The QR and the triangle
+    solve are the LAPACK gufuncs behind `np.linalg.qr(mode="raw")` and
+    `np.linalg.solve`, called directly on the inputs those wrappers would
+    pass them.  Raises LinAlgError when the triangle is singular, x is not
+    finite or a has more columns than rows."""
+    h = ab[:, cols]
+    rows, k = h.shape[0], h.shape[1] - 1
+    if rows < k:
+        raise LinAlgError(f"{k} columns but only {rows} rows")
+    qr_r_raw(h, signature="d->d")
+    # geqrf reports only illegal arguments, which these shapes never are;
+    # getrf reports a zero pivot through the invalid flag, raised here as
+    # `np.linalg.solve` raises it
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = solve1(np.where(_upper(k), h[:k, :k], 0.0), h[:k, k], signature="dd->d")
     if not np.isfinite(x).all():
-        raise np.linalg.LinAlgError("passive-set solve is not finite")
+        raise LinAlgError("passive-set solve is not finite")
     return x
 
 
@@ -86,7 +104,12 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
     abs_a = np.abs(a)
     bnorm = math.sqrt(b @ b)
     y = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    # every solve gathers the passive columns and b out of [A | b]: passive
+    # is a view of the gather mask, whose last entry always selects b
+    ab = np.column_stack([a, b])
+    cols = np.zeros(n + 1, dtype=bool)
+    cols[n] = True
+    passive = cols[:n]
     blocked = np.zeros(n, dtype=bool)
     residual = b.copy()
     rnorm = bnorm
@@ -115,10 +138,9 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
         passive[enter] = True
 
         for _ in range(cap_inner):
-            sol = _qr_solve(a[:, passive], b)
+            sol = _qr_solve(ab, cols)
             if sol.min() > 0.0:
                 y[passive] = sol
-                y[~passive] = 0.0
                 break
             current = y[passive]
             shrink = sol <= 0.0
@@ -170,9 +192,13 @@ def refined_residual(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     support = y > 0
     if not np.any(support):
         return (b_hi - a_hi @ y_hi).astype(float)
+    # [A | r]: each step rounds its residual into the last column
+    ar = np.column_stack([a, b])
+    cols = np.append(support, True)
     for _ in range(2):
         r = b_hi - a_hi @ y_hi
-        correction = _qr_solve(a[:, support], r.astype(float))
+        ar[:, -1] = r
+        correction = _qr_solve(ar, cols)
         y_hi[support] += correction
         y_hi = np.maximum(y_hi, 0.0)
     return (b_hi - a_hi @ y_hi).astype(float)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -273,7 +274,7 @@ def test_cut_off_projection_is_indeterminate(monkeypatch):
                             "exceeded 3 active-set iterations")
 
 
-def _nan_triangle_solve(a, b):
+def _nan_triangle_solve(a, b, signature):
     return np.full(b.shape, np.nan)
 
 
@@ -281,10 +282,10 @@ def _singular_solve(a, b):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-# the NaN comes from below `_qr_solve` (the triangle solve as `nnls` sees
-# it), so it passes through the one finite check every solve shares
+# the NaN comes from below `_qr_solve` (the triangle-solve gufunc as `nnls`
+# binds it), so it passes through the one finite check every solve shares
 _BREAKS = {
-    "nan": (paradist.nnls.np.linalg, "solve", _nan_triangle_solve),
+    "nan": (paradist.nnls, "solve1", _nan_triangle_solve),
     "raises": (paradist.nnls, "_qr_solve", _singular_solve),
 }
 
@@ -407,3 +408,27 @@ def test_nns_exists_returns_every_outcome(substitute, monkeypatch):
     assert outcome.to_dict() == {"kind": "indeterminate", "detail": str(outcome)}
     assert math.isnan(outcome.metric)
 
+
+
+# One sha256 over every decision of a fixed grid (kind, metric as a hex
+# float, the bytes of y or h) and over the thresholds for n = 1..10 as hex
+# floats.  A rewrite of how the engine's operations are dispatched must
+# change none of these bits; recorded before the passive-set solves called
+# numpy's LAPACK gufuncs directly, and unchanged by that rewrite.
+DECISIONS_SHA = "bd022d62f64045a72ebb5a41c142a405893d79a4ef833a2a25caa281a5108655"
+
+
+def test_decision_bits_are_pinned():
+    digest = hashlib.sha256()
+    for n in (4, 10, 12):
+        conj = conjectured_threshold(n)
+        for alpha in [*np.linspace(math.pi / 2, math.pi, 24), conj - 1e-3, conj + 1e-3]:
+            outcome = nns_exists(float(alpha), n)
+            digest.update(outcome.kind.encode())
+            digest.update(float(outcome.metric).hex().encode())
+            vector = getattr(outcome, "y", getattr(outcome, "h", None))
+            if vector is not None:
+                digest.update(vector.tobytes())
+    for n in range(1, 11):
+        digest.update(threshold_bisect(n).alpha_star.hex().encode())
+    assert digest.hexdigest() == DECISIONS_SHA

@@ -19,6 +19,21 @@ def projection_problem(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def qr_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_qr_solve` on [a | b] with every column selected."""
+    ab = np.column_stack([a, b])
+    return _qr_solve(ab, np.ones(ab.shape[1], dtype=bool))
+
+
+def public_qr_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The composition `_qr_solve` stands for, through numpy's public
+    wrappers: the raw QR of [a | b], then a solve on its masked triangle."""
+    k = a.shape[1]
+    h, _ = np.linalg.qr(np.column_stack([a, b]), mode="raw")
+    r = h.T[:k]
+    return np.linalg.solve(np.triu(r[:, :k]), r[:, k])
+
+
 def test_kkt_on_random_problems(rng):
     for _ in range(40):
         rows, cols = rng.integers(2, 9, size=2)
@@ -67,16 +82,34 @@ def test_qr_solve_matches_svd_least_squares(rng):
         a = rng.standard_normal((rows, int(rng.integers(1, rows + 1))))
         b = rng.standard_normal(rows)
         ref, *_ = np.linalg.lstsq(a, b, rcond=None)
-        assert_allclose(_qr_solve(a, b), ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+        assert_allclose(qr_solve(a, b), ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+
+def test_qr_solve_is_the_public_composition_bit_for_bit(rng):
+    # `_qr_solve` calls the gufuncs behind np.linalg.qr and np.linalg.solve
+    # itself; the wrappers stay here as the oracle, so a numpy release whose
+    # gufuncs stop matching them fails here rather than in a scan.  The
+    # columns are gathered out of a wider [A | b], as the walk gathers them
+    for _ in range(2000):
+        rows = int(rng.integers(1, 28))
+        k = int(rng.integers(1, rows + 1))
+        a = rng.standard_normal((rows, k + int(rng.integers(0, 8))))
+        b = rng.standard_normal(rows)
+        cols = np.zeros(a.shape[1] + 1, dtype=bool)
+        cols[rng.choice(a.shape[1], size=k, replace=False)] = True
+        cols[-1] = True
+        x = _qr_solve(np.column_stack([a, b]), cols)
+        oracle = public_qr_solve(a[:, cols[:-1]], b)
+        assert np.array_equal(x.view(np.int64), oracle.view(np.int64))
 
 
 def test_qr_solve_refuses_rank_deficient_systems(rng):
     with pytest.raises(np.linalg.LinAlgError, match="3 columns but only 2 rows"):
-        _qr_solve(rng.standard_normal((2, 3)), rng.standard_normal(2))
+        qr_solve(rng.standard_normal((2, 3)), rng.standard_normal(2))
     a = rng.standard_normal((5, 3))
     a[:, 1] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        _qr_solve(a, rng.standard_normal(5))
+        qr_solve(a, rng.standard_normal(5))
 
 
 def test_refined_residual_with_empty_support(rng):

@@ -57,6 +57,14 @@ def test_one_least_squares_routine():
         assert "lstsq" not in names, path.name
 
 
+def test_private_numpy_only_in_the_engine():
+    # the engine calls numpy's LAPACK gufuncs through the private
+    # `numpy.linalg._umath_linalg`; that surface stays in one audited module
+    users = {path.name for path in Path(paradist.__file__).parent.glob("*.py")
+             if "_umath_linalg" in path.read_text(encoding="utf-8")}
+    assert users == {"nnls.py"}
+
+
 def test_benchmark_tracer_targets_resolve():
     # the benchmark's tracer wraps these functions by name; a rename or a
     # deletion must fail here rather than in a traced benchmark run
