@@ -28,6 +28,7 @@ from .feasibility import (
     FeasibilityOutcome,
     Indeterminate,
     NonMonotonePredicate,
+    Step,
     ThresholdEstimate,
     Witness,
     necessity_scan,

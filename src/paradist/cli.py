@@ -256,7 +256,9 @@ def _cmd_necessity(args) -> int:
         "rows": rows,
     }
     _emit(_json(payload), args.output)
-    return EXIT_OK if anomalies == 0 else EXIT_VERIFICATION
+    if any(row["outcome"] == "witness" for row in rows):
+        return EXIT_VERIFICATION
+    return EXIT_INDETERMINATE if anomalies else EXIT_OK
 
 
 def _cmd_realize(args) -> int:

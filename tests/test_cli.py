@@ -27,6 +27,21 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def undecidable_below_threshold(monkeypatch):
+    """Below the threshold, decide one complex row of 1e-7 entries at a
+    1e-6 margin bar: no witness within 1e-8, and a margin of about 2e-7 in
+    the row chain and in the projection alike, so the outcome is
+    indeterminate.  Above the threshold the true system stays."""
+    def system(alpha, n):
+        if alpha > conjectured_threshold(n):
+            return build_C(alpha, n)
+        return np.full((1, 3), 1e-7 + 1e-7j)
+
+    monkeypatch.setattr(feasibility, "build_C", system)
+    monkeypatch.setattr(feasibility, "TOL_MARGIN", 1e-6)
+
+
 def test_build_emits_reduced_system(capsys):
     code, out, _ = run_cli(capsys, "build", "--n", "2", "--pi-frac", "3/4", "--emit", "C")
     assert code == 0
@@ -103,11 +118,37 @@ def test_necessity_report(capsys):
     assert len(payload["rows"]) == 10
 
 
+def test_necessity_at_order_twelve_is_decided(capsys):
+    # every grid point below the threshold is certified by its row chain
+    code, out, _ = run_cli(capsys, "necessity", "--n", "12", "--points", "30")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["outcome"] for row in rows] == ["certificate"] * 30
+    assert all([step["row"] for step in row["steps"]] == list(range(13)) for row in rows)
+
+
+def test_necessity_exits_indeterminate(capsys, undecidable_below_threshold):
+    code, out, _ = run_cli(capsys, "necessity", "--n", "3", "--points", "2")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["anomalies"] == 2
+    assert [row["outcome"] for row in payload["rows"]] == ["indeterminate"] * 2
+
+
+def test_necessity_witness_is_a_verification_failure(capsys, monkeypatch):
+    # the feasible system at pi stands in for the one at every grid angle
+    monkeypatch.setattr(feasibility, "build_C", lambda alpha, n: build_C(math.pi, n))
+    code, out, _ = run_cli(capsys, "necessity", "--n", "3", "--points", "2")
+    assert code == 1
+    assert [row["outcome"] for row in json.loads(out)["rows"]] == ["witness"] * 2
+
+
+# re-recorded when certificates became row chains: each row lists its links
 def test_necessity_report_bytes(capsys):
     code, out, _ = run_cli(capsys, "necessity", "--n", "4", "--points", "12")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "28633bf2d2b50459bbe1d5cd7676670b6eca8c1d89ab88a713d3ca3c0da4cf31")
+        "5d05d5e204f6ff60dfc84881e01643d3c3c96939ee33c167722384f217fe1619")
 
 
 @pytest.mark.parametrize("args", [
@@ -300,7 +341,7 @@ def test_realize_rejects_malformed_input(tmp_path, capsys, doc):
     assert err.count("\n") == 1 and err.startswith("paradist: error: ")
 
 
-def test_sweep_exits_indeterminate(capsys):
+def test_sweep_exits_indeterminate(capsys, undecidable_below_threshold):
     code, out, _ = run_cli(capsys, "sweep", "--n", "7", "--points", "2",
                            "--alpha-min", _BELOW_N7, "--alpha-max", repr(math.pi))
     assert code == 2
@@ -357,31 +398,36 @@ def schema_validators():
 
 
 
-@pytest.mark.parametrize("schema_id, expected_code, kind, args", [
+@pytest.mark.parametrize("schema_id, expected_code, kind, args, undecidable", [
     pytest.param("build-report", 0, None,
-                 ("build", "--n", "2", "--pi-frac", "3/4", "--emit", "C"), id="build"),
-    pytest.param("build-report", 0, None, (*_BUILD, "A"), id="build-A"),
-    pytest.param("build-report", 0, None, (*_BUILD, "A", "--form", "original"),
+                 ("build", "--n", "2", "--pi-frac", "3/4", "--emit", "C"), False, id="build"),
+    pytest.param("build-report", 0, None, (*_BUILD, "A"), False, id="build-A"),
+    pytest.param("build-report", 0, None, (*_BUILD, "A", "--form", "original"), False,
                  id="build-A-original"),
-    pytest.param("build-report", 0, None, (*_BUILD, "Q"), id="build-Q"),
-    pytest.param("build-report", 0, None, (*_BUILD, "B"), id="build-B"),
-    pytest.param("build-report", 0, None, (*_BUILD, "Cblock"), id="build-Cblock"),
+    pytest.param("build-report", 0, None, (*_BUILD, "Q"), False, id="build-Q"),
+    pytest.param("build-report", 0, None, (*_BUILD, "B"), False, id="build-B"),
+    pytest.param("build-report", 0, None, (*_BUILD, "Cblock"), False, id="build-Cblock"),
     pytest.param("feasibility-outcome", 0, "witness",
-                 ("feasibility", "--n", "2", "--pi-frac", "7/8"), id="feasibility-witness"),
+                 ("feasibility", "--n", "2", "--pi-frac", "7/8"), False,
+                 id="feasibility-witness"),
     pytest.param("feasibility-outcome", 0, "certificate",
-                 ("feasibility", "--n", "3", "--pi-frac", "9/16"), id="feasibility-certificate"),
+                 ("feasibility", "--n", "3", "--pi-frac", "9/16"), False,
+                 id="feasibility-certificate"),
     pytest.param("feasibility-outcome", 2, "indeterminate",
-                 ("feasibility", "--n", "7", "--alpha", _BELOW_N7), id="feasibility-indeterminate"),
-    pytest.param("threshold-estimate", 0, None, ("threshold", "--n", "3"), id="threshold"),
+                 ("feasibility", "--n", "7", "--alpha", _BELOW_N7), True,
+                 id="feasibility-indeterminate"),
+    pytest.param("threshold-estimate", 0, None, ("threshold", "--n", "3"), False, id="threshold"),
     pytest.param("necessity-report", 0, None,
-                 ("necessity", "--n", "3", "--points", "4"), id="necessity"),
+                 ("necessity", "--n", "3", "--points", "4"), False, id="necessity"),
     pytest.param("verify-catalog-report", 0, None,
-                 ("verify-catalog", "--n", "3", "--samples", "3"), id="verify-catalog"),
+                 ("verify-catalog", "--n", "3", "--samples", "3"), False, id="verify-catalog"),
     pytest.param("realize-report", 0, None,
-                 ("realize", "--random-dim", "3", "--seed", "7"), id="realize"),
+                 ("realize", "--random-dim", "3", "--seed", "7"), False, id="realize"),
 ])
-def test_json_output_matches_schema(capsys, schema_validators, schema_id, expected_code,
-                                    kind, args):
+def test_json_output_matches_schema(capsys, request, schema_validators, schema_id, expected_code,
+                                    kind, args, undecidable):
+    if undecidable:
+        request.getfixturevalue("undecidable_below_threshold")
     code, out, _ = run_cli(capsys, *args)
     assert code == expected_code
     payload = json.loads(out)
@@ -390,3 +436,9 @@ def test_json_output_matches_schema(capsys, schema_validators, schema_id, expect
     assert errors == []
     if kind is not None:
         assert payload["kind"] == kind
+    # a certificate is a row chain, one link per row of C (n = 3 here)
+    if kind == "certificate":
+        assert [step["row"] for step in payload["steps"]] == [0, 1, 2, 3]
+    if schema_id == "necessity-report":
+        assert all([step["row"] for step in row["steps"]] == [0, 1, 2, 3]
+                   for row in payload["rows"])

@@ -14,6 +14,7 @@ from paradist.feasibility import (
     Certificate,
     Indeterminate,
     NonMonotonePredicate,
+    Step,
     Witness,
     necessity_grid,
     necessity_point,
@@ -71,48 +72,112 @@ def test_certificates_below_threshold():
         alpha = conjectured_threshold(n) - 0.01
         outcome = nns_exists(alpha, n)
         assert isinstance(outcome, Certificate), n
+        # one link per row of C, in order, as in the paper's proof
+        assert [step.row for step in outcome.steps] == list(range(n + 1))
         assert outcome.margin >= 1e-8
         ok, margin = verify_certificate(outcome, alpha, n)
         assert ok and margin > 0
 
 
-def test_certificate_rejections():
-    alpha = conjectured_threshold(4) - 0.05
-    cert = nns_exists(alpha, 4)
-    assert isinstance(cert, Certificate)
-    zero = Certificate(h=np.zeros(10), margin=0.0)
+_ALPHA4 = conjectured_threshold(4) - 0.05
+
+
+@pytest.fixture(scope="module")
+def chain4():
+    cert = nns_exists(_ALPHA4, 4)
+    assert isinstance(cert, Certificate) and len(cert.steps) == 5
+    return cert
+
+
+def _in_play(cert, m):
+    """The columns still in play before each link: those no earlier link
+    gives h'M > 0."""
+    alive = np.ones(m.shape[1], dtype=bool)
+    for step in cert.steps:
+        yield alive
+        alive = alive & ~(step.h @ m > 0)
+
+
+def _replaced(cert, i, h, margin):
+    steps = list(cert.steps)
+    steps[i] = Step(row=steps[i].row, h=h, margin=margin)
+    return Certificate(steps=tuple(steps))
+
+
+def test_certificate_rejections(chain4):
+    alpha = _ALPHA4
+    zero = Certificate(steps=(Step(row=None, h=np.zeros(10), margin=0.0),))
     ok, margin = verify_certificate(zero, alpha, 4)
     assert not ok and margin == 0.0
+    assert verify_certificate(Certificate(steps=()), alpha, 4) == (False, 0.0)
     # the same certificate cannot verify where witnesses exist
-    ok_shift, _ = verify_certificate(cert, alpha + 0.3, 4)
+    ok_shift, _ = verify_certificate(chain4, alpha + 0.3, 4)
     assert not ok_shift
     # nor against a system of another order
-    assert verify_certificate(cert, alpha, 3) == (False, 0.0)
+    assert verify_certificate(chain4, alpha, 3) == (False, 0.0)
 
 
-def test_certificate_rule_is_scale_free():
-    alpha = conjectured_threshold(4) - 0.05
-    cert = nns_exists(alpha, 4)
-    assert isinstance(cert, Certificate)
-    scaled = Certificate(h=cert.h * 1e6, margin=cert.margin)
-    ok, margin = verify_certificate(scaled, alpha, 4)
+def test_chain_that_leaves_a_column_is_rejected(chain4):
+    # every link still holds, but without the last one a column survives
+    short = Certificate(steps=chain4.steps[:-1])
+    ok, margin = verify_certificate(short, _ALPHA4, 4)
+    assert not ok
+    assert margin == short.margin >= TOL_MARGIN
+
+
+def test_link_negative_on_a_column_in_play_is_rejected(chain4):
+    # the first link, tilted onto row 1 of C: the columns that row 1 removes
+    # next are still in play, and some of them now have h'M < 0
+    m = realize(_ALPHA4, 4)
+    h = chain4.steps[0].h.copy()
+    h[1] = -0.5
+    assert np.min(h @ m) < 0
+    ok, margin = verify_certificate(_replaced(chain4, 0, h, chain4.steps[0].margin), _ALPHA4, 4)
+    assert not ok and margin < 0
+
+
+def test_link_declaring_more_than_it_reaches_is_rejected(chain4):
+    step = chain4.steps[2]
+    inflated = _replaced(chain4, 2, step.h, step.margin + 1e-9)
+    assert verify_certificate(inflated, _ALPHA4, 4) == (False, chain4.margin)
+
+
+def test_row_link_must_remove_all_its_columns(substitute):
+    # the arc from phase 0 to pi - 1e-15 fits in an open half-plane, but
+    # under its bisector the tiny entry's h'M rounds to exactly 0: the link
+    # leaves a column it would claim, so it cannot count that column as
+    # removed, and no certificate may come out that fails verification
+    phi = math.pi - 1e-15
+    substitute(lambda alpha, n: np.array([[1e-309, 1e9 * complex(math.cos(phi), math.sin(phi))]]))
+    outcome = nns_exists(2.0, 1)
+    assert not isinstance(outcome, Certificate) or verify_certificate(outcome, 2.0, 1)[0]
+
+
+def test_certificate_rule_is_scale_free(chain4):
+    scaled = Certificate(steps=tuple(Step(row=step.row, h=step.h * 10.0 ** (6 - i),
+                                          margin=step.margin)
+                                     for i, step in enumerate(chain4.steps)))
+    ok, margin = verify_certificate(scaled, _ALPHA4, 4)
     assert ok
-    assert margin == pytest.approx(cert.margin, rel=1e-14)
+    assert margin == pytest.approx(chain4.margin, rel=1e-14)
 
 
-def test_certificate_below_margin_bar_is_rejected():
-    # push h against the first column of M until it still separates, but
-    # by less than TOL_MARGIN: nns_exists would call that indeterminate
-    alpha = conjectured_threshold(4) - 0.05
-    cert = nns_exists(alpha, 4)
-    m = realize(alpha, 4)
+def _pushed_below_bar(cert, i, m):
+    """Link i turned within its two rows of M until it still separates the
+    columns it removes, but by less than TOL_MARGIN; (h, margin)."""
+    step = cert.steps[i]
+    alive = list(_in_play(cert, m))[i]
+    rows = m.shape[0] // 2
+    psi = math.atan2(step.h[rows + step.row], step.h[step.row])
 
     def pushed(t):
-        h = cert.h - t * m[:, 0]
+        h = np.zeros_like(step.h)
+        h[step.row], h[rows + step.row] = math.cos(psi + t), math.sin(psi + t)
         h = h / np.max(np.abs(h))
-        return h, float(np.min(h @ m))
+        values = (h @ m)[alive]
+        return h, float(values.min()) if values.min() < 0 else float(values[values > 0].min())
 
-    lo, hi = 0.0, 1.0
+    lo, hi = 0.0, math.pi
     assert pushed(lo)[1] >= TOL_MARGIN and pushed(hi)[1] < 0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
@@ -120,10 +185,18 @@ def test_certificate_below_margin_bar_is_rejected():
         if 0 < margin < TOL_MARGIN:
             break
         lo, hi = (mid, hi) if margin >= TOL_MARGIN else (lo, mid)
-    assert 0 < margin < TOL_MARGIN
-    ok, checked = verify_certificate(Certificate(h=h, margin=margin), alpha, 4)
-    assert not ok
-    assert checked == margin
+    return h, margin
+
+
+def test_certificate_below_margin_bar_is_rejected(chain4):
+    # each link in turn, pushed below the bar: nns_exists would not take it
+    m = realize(_ALPHA4, 4)
+    for i in range(len(chain4.steps)):
+        h, margin = _pushed_below_bar(chain4, i, m)
+        assert 0 < margin < TOL_MARGIN
+        ok, checked = verify_certificate(_replaced(chain4, i, h, margin), _ALPHA4, 4)
+        assert not ok
+        assert checked == margin
 
 
 def test_alpha_range_enforced():
@@ -153,8 +226,24 @@ def substitute(monkeypatch):
 
 def _tiny_system(alpha, n):
     # one complex row at roundoff scale: its real embedding is a 2 x 3
-    # block of 1e-14, infeasible but far below the margin bar
+    # block of 1e-14, infeasible but far below the margin bar, for the row
+    # chain and the projection alike
     return np.full((1, 3), 1e-14 + 1e-14j)
+
+
+def _crossed_system(alpha, n):
+    # infeasible (h = (1, 2, 5, 0)/5 separates by 0.6), but each row holds
+    # two opposite entries, so no row fits in an open half-plane and only
+    # the projection decides it
+    return np.array([[1, -1, 1j], [1, 2, -1]], dtype=complex)
+
+
+def test_crossed_system_reaches_the_projection(substitute):
+    substitute(_crossed_system)
+    cert = nns_exists(math.pi, 3)
+    assert isinstance(cert, Certificate)
+    assert [(step.row, step.margin) for step in cert.steps] == [(None, pytest.approx(0.6))]
+    assert verify_certificate(cert, math.pi, 3) == (True, cert.margin)
 
 
 def test_duplicate_rows_give_same_outcome_class(substitute):
@@ -188,7 +277,7 @@ def test_threshold_bisect_validation():
 
 @pytest.mark.parametrize("outcome, message", [
     (Witness(y=np.ones(3) / 3, residual=0.0), "infeasibility near pi/2"),
-    (Certificate(h=np.ones(4), margin=1.0), "feasibility at pi"),
+    (Certificate(steps=(Step(row=None, h=np.ones(4), margin=1.0),)), "feasibility at pi"),
 ], ids=["witness-at-left", "certificate-at-right"])
 def test_threshold_bisect_checks_endpoints(monkeypatch, outcome, message):
     monkeypatch.setattr(feasibility, "nns_exists", lambda alpha, n: outcome)
@@ -210,12 +299,98 @@ def test_threshold_bisect_raises_unresolved_probe(monkeypatch, objective):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_no_witness_below_threshold(n):
     # the paper proves C(alpha) y = 0 has no nonzero y >= 0 below
-    # pi/2 + pi/(2n); twelve distances per decade from 1e-2 down to 1e-7
-    # reach the band where a near-null vector passes the witness bar
+    # pi/2 + pi/(2n); about twelve distances per decade from 1e-2 down to
+    # 2e-8 reach the band where a near-null vector passes the witness bar
     conj = conjectured_threshold(n)
-    witnesses = [d for d in np.logspace(-2, -7, 61).tolist()
+    witnesses = [d for d in np.geomspace(1e-2, 2e-8, 70).tolist()
                  if isinstance(nns_exists(conj - d, n), Witness)]
     assert witnesses == []
+
+
+def _reference_chain(c):
+    """The row chain as the proof reads, one row at a time: rows in order,
+    in passes until a pass makes no progress; each row whose nonzero entries
+    on the surviving columns fit in an open half-plane (largest gap between
+    their sorted phases above pi) gives the link cos(psi), sin(psi) at its
+    two rows of M, psi the bisector of their arc, taken when it removes
+    them by TOL_MARGIN and is >= 0 on the rest.  [(row, margin)], or None
+    when columns survive."""
+    m = np.vstack([c.real, c.imag])
+    rows, p = c.shape
+    alive = np.ones(p, dtype=bool)
+    links = []
+    progress = True
+    while progress and alive.any():
+        progress = False
+        for j in range(rows):
+            cols = alive & (c[j] != 0)
+            if not cols.any():
+                continue
+            phases = np.sort(np.angle(c[j, cols]))
+            gaps = np.diff(np.append(phases, phases[0] + 2 * math.pi))
+            widest = int(gaps.argmax())
+            if gaps[widest] <= math.pi:
+                continue
+            psi = phases[widest] + gaps[widest] / 2 + math.pi
+            h = np.zeros(2 * rows)
+            h[j], h[rows + j] = math.cos(psi), math.sin(psi)
+            values = (h / np.max(np.abs(h))) @ m
+            if values[cols].min() >= TOL_MARGIN and (values[alive & ~cols] >= 0).all():
+                links.append((j, float(values[cols].min())))
+                alive &= ~cols
+                progress = True
+    return None if alive.any() else links
+
+
+@pytest.mark.parametrize("rearrange", [
+    lambda c: c,
+    lambda c: c[::-1],
+    lambda c: c[[i for i in range(len(c)) for _ in range(2)]],
+    lambda c: c[:, np.random.default_rng(len(c)).permutation(c.shape[1])],
+], ids=["C", "rows-reversed", "rows-doubled", "columns-permuted"])
+def test_row_chain_matches_the_row_by_row_reference(substitute, rearrange):
+    # reversed rows take one pass per row; doubled rows give empty copies
+    substitute(lambda alpha, n: rearrange(build_C(alpha, n)))
+    for n in (1, 2, 5, 10, 12):
+        conj = conjectured_threshold(n)
+        for alpha in [math.pi / 2, (math.pi / 2 + conj) / 2, conj - 1e-6, min(conj + 1e-3, math.pi)]:
+            c = rearrange(build_C(alpha, n))
+            expected = _reference_chain(c)
+            outcome = nns_exists(alpha, n)
+            if expected is None:
+                assert not isinstance(outcome, Certificate) or outcome.steps[0].row is None
+                continue
+            assert isinstance(outcome, Certificate), (n, alpha)
+            assert [step.row for step in outcome.steps] == [row for row, _ in expected]
+            # the two bisectors differ by a few ulps of pi, a margin by as much
+            assert_allclose([step.margin for step in outcome.steps],
+                            [margin for _, margin in expected], rtol=1e-12, atol=1e-14)
+            assert verify_certificate(outcome, alpha, n) == (True, outcome.margin)
+
+
+def _corpus(n):
+    """A grid over [pi/2, pi], a window from conj - 2e-3 to conj + 1e-3 and
+    conj +- 1e-5, 1e-6, 1e-7, where they lie in [pi/2, pi]."""
+    conj = conjectured_threshold(n)
+    angles = [*np.linspace(math.pi / 2, math.pi, 61).tolist(),
+              *np.linspace(conj - 2e-3, conj + 1e-3, 25).tolist(),
+              *[conj + s * d for s in (-1, 1) for d in (1e-5, 1e-6, 1e-7)]]
+    return [alpha for alpha in angles if alpha <= math.pi]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_chain_decides_exactly_the_infeasible_side(n):
+    # every angle below the threshold by n*delta >= 2e-8 gets a chain that
+    # verifies, and no angle above the threshold gets any certificate
+    conj = conjectured_threshold(n)
+    for alpha in _corpus(n):
+        outcome = nns_exists(alpha, n)
+        if alpha > conj:
+            assert not isinstance(outcome, Certificate), alpha
+        elif n * (conj - alpha) >= 2e-8:
+            assert isinstance(outcome, Certificate), alpha
+            assert outcome.steps[0].row is not None
+            assert verify_certificate(outcome, alpha, n) == (True, outcome.margin)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -294,13 +469,13 @@ _BREAKS = {
     ("nan", "passive-set solve is not finite"),
     ("raises", "Singular matrix"),
 ], ids=["nan", "raises"])
-@pytest.mark.parametrize("alpha", [math.pi, conjectured_threshold(3) - 0.05],
-                         ids=["feasible", "infeasible"])
-def test_failed_solve_ends_walk_as_indeterminate(monkeypatch, fault, detail, alpha):
+@pytest.mark.parametrize("system", [build_C, _crossed_system], ids=["feasible", "infeasible"])
+def test_failed_solve_ends_walk_as_indeterminate(substitute, monkeypatch, fault, detail, system):
     # a passive-set solve that fails or is not finite judges nothing, on
-    # either side of the threshold
+    # either side: the system at pi, and one that no single row decides
+    substitute(system)
     monkeypatch.setattr(*_BREAKS[fault])
-    outcome = nns_exists(alpha, 3)
+    outcome = nns_exists(math.pi, 3)
     assert isinstance(outcome, Indeterminate)
     assert outcome.objective is None
     assert str(outcome) == f"projection did not terminate cleanly: {detail}"
@@ -322,19 +497,21 @@ def _break_refinement(monkeypatch, fault):
 
 
 @pytest.mark.parametrize("fault", ["nan", "raises"])
-def test_failed_refinement_is_indeterminate(monkeypatch, fault):
+def test_failed_refinement_is_indeterminate(substitute, monkeypatch, fault):
     # the walk itself ends cleanly, so the outcome keeps its objective
+    substitute(_crossed_system)
     _break_refinement(monkeypatch, fault)
-    outcome = nns_exists(conjectured_threshold(3) - 0.05, 3)
+    outcome = nns_exists(math.pi, 3)
     assert isinstance(outcome, Indeterminate)
     assert outcome.objective > TOL_WITNESS
 
 
-def test_nan_refinement_says_so(monkeypatch):
+def test_nan_refinement_says_so(substitute, monkeypatch):
     # a non-finite refinement is named as such, not as a missing margin,
     # and keeps the walk's rnorm as its objective
+    substitute(_crossed_system)
     walks = _break_refinement(monkeypatch, "nan")
-    outcome = nns_exists(conjectured_threshold(3) - 0.05, 3)
+    outcome = nns_exists(math.pi, 3)
     assert isinstance(outcome, Indeterminate)
     assert str(outcome) == "residual refinement failed: passive-set solve is not finite"
     assert outcome.objective == walks[0].rnorm
@@ -361,6 +538,14 @@ def test_necessity_point_flags_indeterminate(substitute, monkeypatch):
     assert "no separation margin above 1.0e-06" in row["detail"]
 
 
+def test_necessity_point_lists_the_chain():
+    alpha = float(necessity_grid(3, 1)[0])
+    row = necessity_point(alpha, 3)
+    assert row.keys() == {"alpha", "n", "outcome", "margin", "steps", "verified", "anomaly"}
+    assert [step["row"] for step in row["steps"]] == [0, 1, 2, 3]
+    assert row["margin"] == min(step["margin"] for step in row["steps"]) >= TOL_MARGIN
+
+
 @pytest.fixture
 def build_calls(substitute):
     """Every array `feasibility` obtains from build_C, in call order."""
@@ -378,15 +563,20 @@ def test_one_build_per_decision(build_calls, alpha, expected):
 
 
 def test_passed_in_system_is_judged_against_its_own_matrix(substitute):
-    # the system substituted for C is the one projected and the one judged
+    # the system substituted for C is the one reduced and the one judged:
+    # B repeats rows of C, so its chain takes the first copy of each
     calls = substitute(build_B)
     alpha = conjectured_threshold(3) - 0.02
     cert = nns_exists(alpha, 3)
     assert isinstance(cert, Certificate)
     assert len(calls) == 1
     m = np.vstack([calls[0].real, calls[0].imag])
-    assert cert.h.shape == (m.shape[0],) == (16,)
-    assert_allclose(cert.margin, np.min(cert.h @ m), rtol=0, atol=0)
+    assert [step.row for step in cert.steps] == [0, 1, 3, 7]
+    for step, alive in zip(cert.steps, _in_play(cert, m)):
+        assert step.h.shape == (m.shape[0],) == (16,)
+        values = (step.h @ m)[alive]
+        assert values.min() >= 0
+        assert_allclose(step.margin, values[values > 0].min(), rtol=0, atol=0)
     assert verify_certificate(cert, alpha, 3) == (True, cert.margin)
 
 
@@ -411,11 +601,14 @@ def test_nns_exists_returns_every_outcome(substitute, monkeypatch):
 
 
 # One sha256 over every decision of a fixed grid (kind, metric as a hex
-# float, the bytes of y or h) and over the thresholds for n = 1..10 as hex
-# floats.  A rewrite of how the engine's operations are dispatched must
-# change none of these bits; recorded before the passive-set solves called
-# numpy's LAPACK gufuncs directly, and unchanged by that rewrite.
-DECISIONS_SHA = "bd022d62f64045a72ebb5a41c142a405893d79a4ef833a2a25caa281a5108655"
+# float, the bytes of y, or the row and the bytes of h of every link) and
+# over the thresholds for n = 1..10 as hex floats.  A rewrite of how the
+# engine's operations are dispatched must change none of these bits.
+# Re-recorded when the row chain came in front of the projection: its
+# certificates replace the projection's below the threshold (and n = 12 at
+# conj - 1e-3 turns from indeterminate to certificate), while every witness
+# and every threshold keeps its bits.
+DECISIONS_SHA = "5ed4db8edda8da62d56054755ac8eb40dfe813dcb3afd6894559acbfe3fe9be3"
 
 
 def test_decision_bits_are_pinned():
@@ -426,9 +619,11 @@ def test_decision_bits_are_pinned():
             outcome = nns_exists(float(alpha), n)
             digest.update(outcome.kind.encode())
             digest.update(float(outcome.metric).hex().encode())
-            vector = getattr(outcome, "y", getattr(outcome, "h", None))
-            if vector is not None:
-                digest.update(vector.tobytes())
+            if isinstance(outcome, Witness):
+                digest.update(outcome.y.tobytes())
+            for step in getattr(outcome, "steps", ()):
+                digest.update(repr(step.row).encode())
+                digest.update(step.h.tobytes())
     for n in range(1, 11):
         digest.update(threshold_bisect(n).alpha_star.hex().encode())
     assert digest.hexdigest() == DECISIONS_SHA
