@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .labels import p_count
-from .symmetry import expand, reduce, symmetrize_permutation
+from .labels import column_order, order_from_p, p_count
 from .tensor import build_C
 
 CATALOG_MAX_ORDER = 10
@@ -237,15 +237,26 @@ def verify_catalog_entry(n: int, alpha: float) -> VerificationReport:
     return verify_vector(explicit_nns(n, alpha), alpha, n)
 
 
-def pad_solution(y: np.ndarray) -> np.ndarray:
-    """Lift a reduced solution at order n to order n+1.
+@lru_cache(maxsize=None)
+def _pad_map(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per order-n label (n0, n1, n2): the position of (n0 + 1, n1, n2) at
+    order n+1, moved on by one per earlier group (n1 of them), and (n0 + 1)/(n + 1)."""
+    labels = np.array(column_order(n))
+    return np.arange(len(labels)) + labels[:, 1], (labels[:, 0] + 1) / (n + 1)
 
-    Tensors the expanded vector with (1, 0, 0) and re-symmetrizes; the
-    result solves the order-(n+1) system whenever the input solves the
-    order-n system, and stays nonnegative.
-    """
-    full = np.kron(expand(np.asarray(y, dtype=float)), [1.0, 0.0, 0.0])
-    return reduce(symmetrize_permutation(full))
+
+def pad_solution(y: np.ndarray) -> np.ndarray:
+    """Lift a reduced solution at order n to order n+1: the reduced form of
+    its expanded vector tensored with (1, 0, 0) and permutation-averaged,
+    y'(m0, m1, m2) = y(m0 - 1, m1, m2) m0/(n+1) (the share of the label's
+    strings that end in the 0), and 0 where m0 = 0.  It solves the
+    order-(n+1) system whenever y solves the order-n one, and stays >= 0."""
+    y = np.asarray(y, dtype=float)
+    n = order_from_p(len(y))
+    dst, factor = _pad_map(n)
+    out = np.zeros(p_count(n + 1))
+    out[dst] = y * factor
+    return out
 
 
 def check_catalog_order(n: int) -> None:

@@ -28,9 +28,11 @@ projection's optimality conditions, a separating vector: h = -r restricted
 to the M rows gives h'M > 0 on every column, a one-link chain.  Each
 decision builds C once, read-only, and judges every outcome on that system
 alone.  `nns_exists` turns (alpha, n) into one of three outcomes,
-indeterminate included; every report is rendered from it.  The witness and
-margin bars that decide what an outcome means are module constants, read at
-call time; only the threshold's bracket width is a per-call parameter.
+indeterminate included; every report is rendered from it (a threshold
+probe, which prints no vector, first tries the paper's explicit solution by
+the same witness rule).  The witness and margin bars that decide what an
+outcome means are module constants, read at call time; only the threshold's
+bracket width is a per-call parameter.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import check_catalog_order, conjectured_threshold
+from .catalog import (check_catalog_order, conjectured_threshold, explicit_nns, in_interval,
+                      pad_solution)
 from .labels import check_order
 from .nnls import IterationLimitReached, nnls, refined_residual
 from .tensor import build_C
@@ -222,16 +225,31 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     First the row-by-row facial reduction (`_row_chain`); a chain that
     removes every column is the Certificate.  Otherwise projects onto the
     cone of the normalized system { y >= 0, M y = 0, sum(y) = 1 } and
-    returns a Witness, a one-link Certificate (by `_separation`), or an
-    Indeterminate when neither side meets its bar (TOL_WITNESS, TOL_MARGIN),
-    which next to the feasibility boundary is unavoidable: every margin
-    decays to zero there.  A walk cut off by its caps or by a failed solve
-    has no objective; a failed refinement keeps the walk's rnorm.  Raises
-    only ValueError, for alpha outside [pi/2, pi].
+    returns a Witness (by `_witness`), a one-link Certificate (by
+    `_separation`), or an Indeterminate when neither side meets its bar
+    (TOL_WITNESS, TOL_MARGIN), which next to the feasibility boundary is
+    unavoidable: every margin decays to zero there.  A walk cut off by its
+    caps or by a failed solve has no objective; a failed refinement keeps
+    the walk's rnorm.  Raises only ValueError, for alpha outside [pi/2, pi].
     """
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
-    c, m = _build(alpha, n)
+    return _decide(*_build(alpha, n))
+
+
+def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
+    """One witness rule: y fits c's columns, y >= 0, sum(y) > 0, max|C y/sum(y)| <= TOL_WITNESS."""
+    total = float(y.sum())
+    if total > 0 and y.shape == c.shape[1:] and y.min() >= 0:
+        y = y / total
+        residual = float(np.abs(c @ y).max())
+        if residual <= TOL_WITNESS:
+            return Witness(y=y, residual=residual)
+    return None
+
+
+def _decide(c: np.ndarray, m: np.ndarray) -> FeasibilityOutcome:
+    """`nns_exists` on a built system: the row chain, then the projection."""
     chain = _row_chain(c, m)
     if chain is not None:
         return chain
@@ -244,15 +262,10 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     except (IterationLimitReached, np.linalg.LinAlgError) as exc:
         return Indeterminate(f"projection did not terminate cleanly: {exc}")
 
-    # the projection only proposes candidates: a witness is judged on C,
-    # a certificate on M, both built once for this decision; nnls keeps
-    # y >= 0 (never -0.0), so only the residual decides a witness
-    total = float(result.y.sum())
-    if total > 0:
-        y = result.y / total
-        residual = float(np.abs(c @ y).max())
-        if residual <= TOL_WITNESS:
-            return Witness(y=y, residual=residual)
+    # the projection only proposes candidates, judged on the one build
+    witness = _witness(c, result.y)
+    if witness is not None:
+        return witness
 
     try:
         h, margin, left = _separation(-refined_residual(a, b, result.y)[:rows], m,
@@ -267,6 +280,18 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
         f"and no separation margin above {TOL_MARGIN:.1e}",
         objective=result.rnorm,
     )
+
+
+def _closed_form(c: np.ndarray, alpha: float, n: int) -> Witness | None:
+    """The paper's explicit solution for the catalog interval (order k <= n)
+    holding alpha, padded to order n, if it passes `_witness` on c."""
+    for k in range(1, n + 1):
+        if in_interval(k, alpha):
+            y = explicit_nns(k, alpha)
+            for _ in range(k, n):
+                y = pad_solution(y)
+            return _witness(c, y)
+    return None
 
 
 def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, float]:
@@ -313,15 +338,18 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
 
     Starts from the known-feasible right endpoint pi and a point just above
     pi/2 that is known infeasible for every order.  Probes are classified by
-    whether a witness emerges.  Below the boundary the row-by-row chain
-    decides a probe as soon as n times its distance to the boundary is a few
-    multiples of TOL_MARGIN; closer in, the projection is the fallback, and
-    a probe whose certificate misses the margin bar but whose projection
-    residual is clearly positive still counts as the infeasible side for
-    bracketing (there every margin decays below any fixed bar).  The two
-    endpoints must come out infeasible and feasible, otherwise
-    NonMonotonePredicate is raised; every later probe lies strictly inside
-    the bracket, so bisection keeps each infeasible probe below each
+    whether a witness emerges.  Each probe builds its system once.  Above the
+    boundary the paper's explicit solution (`_closed_form`) decides it, with
+    `nns_exists`'s decision (`_decide`) as fallback at a catalog endpoint,
+    where one entry rounds below 0.  Below the
+    boundary the row-by-row chain decides a probe as soon as n times its
+    distance to the boundary is a few multiples of TOL_MARGIN; closer in, the
+    projection is the fallback, and a probe whose certificate misses the
+    margin bar but whose projection residual is clearly positive still counts
+    as the infeasible side for bracketing (there every margin decays below
+    any fixed bar).  The two endpoints must come out infeasible and feasible,
+    otherwise NonMonotonePredicate is raised; every later probe lies strictly
+    inside the bracket, so bisection keeps each infeasible probe below each
     feasible one by construction.
     """
     check_catalog_order(n)
@@ -331,7 +359,8 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     hi = math.pi
 
     def feasible(alpha: float) -> bool:
-        outcome = nns_exists(alpha, n)
+        c, m = _build(alpha, n)
+        outcome = _closed_form(c, alpha, n) or _decide(c, m)
         if isinstance(outcome, Indeterminate) and (
                 outcome.objective is None or outcome.objective <= TOL_WITNESS):
             raise outcome

@@ -17,7 +17,7 @@ from paradist.catalog import (
     verify_vector,
 )
 from paradist.labels import p_count
-from paradist.symmetry import palindrome_check
+from paradist.symmetry import expand, palindrome_check, reduce, symmetrize_permutation
 from paradist.tensor import build_C
 
 
@@ -150,3 +150,32 @@ def test_pad_chain_across_orders():
         padded = pad_solution(y)
         report = verify_vector(padded, alpha, n + 1)
         assert report.passed, (n, alpha, report)
+
+
+def _pad_by_full_vector(y, times=1):
+    """Padding by its definition: the expanded vector tensored with
+    (1, 0, 0) once per added order, averaged over digit permutations and
+    reduced."""
+    full = expand(np.asarray(y, dtype=float))
+    for _ in range(times):
+        full = np.kron(full, [1.0, 0.0, 0.0])
+    return reduce(symmetrize_permutation(full))
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_pad_matches_the_full_vector_oracle(k, rng):
+    alpha = math.pi if k == 1 else float(interval_samples(k, 5)[2])
+    for y in (explicit_nns(k, alpha), rng.uniform(0, 1, p_count(k))):
+        expected = _pad_by_full_vector(y)
+        assert_allclose(pad_solution(y), expected, rtol=0,
+                        atol=1e-14 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("k, n", [(1, 4), (2, 7), (3, 10), (6, 10), (9, 10)])
+def test_padding_several_orders_is_padding_once_per_order(k, n, rng):
+    y = rng.uniform(0, 1, p_count(k))
+    padded = y
+    for _ in range(k, n):
+        padded = pad_solution(padded)
+    expected = _pad_by_full_vector(y, times=n - k)
+    assert_allclose(padded, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))

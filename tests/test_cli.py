@@ -174,8 +174,20 @@ def test_every_command_builds_once_per_decision(capsys, monkeypatch, args):
         counted(module, name)
     code, _, _ = run_cli(capsys, *args)
     assert code == 0
-    assert calls["nns_exists"] > 0
-    assert calls["build_C"] == calls["nns_exists"]
+    # a threshold probe builds its system without calling nns_exists
+    decisions = _bisection_probes(feasibility.TOL_ALPHA) if args[0] == "threshold" \
+        else calls["nns_exists"]
+    assert decisions > 0
+    assert calls["build_C"] == decisions
+
+
+def _bisection_probes(tol):
+    """Probes of a threshold search: both endpoints, then one per halving
+    of [pi/2 + 1e-4, pi] down to tol."""
+    probes, width = 2, math.pi / 2 - 1e-4
+    while width > tol:
+        probes, width = probes + 1, width / 2
+    return probes
 
 
 def test_realize_random_requires_seed(capsys):
@@ -355,9 +367,10 @@ def test_sweep_exits_indeterminate(capsys, undecidable_below_threshold):
     (Indeterminate("stuck", objective=0.0), 2, "paradist: indeterminate: "),
 ], ids=["non-monotone", "indeterminate"])
 def test_threshold_failures_set_exit_code(capsys, monkeypatch, outcome, expected_code, prefix):
-    # every probe gets the same outcome: all witnesses contradict the
-    # infeasible left endpoint, an indeterminate probe cannot be bracketed
-    monkeypatch.setattr(feasibility, "nns_exists", lambda alpha, n: outcome)
+    # every probe the closed form leaves open, the left endpoint first, gets
+    # the same outcome: a witness contradicts the infeasible left endpoint,
+    # an indeterminate probe cannot be bracketed
+    monkeypatch.setattr(feasibility, "_decide", lambda c, m: outcome)
     code, out, err = run_cli(capsys, "threshold", "--n", "3")
     assert (code, out) == (expected_code, "")
     assert err.count("\n") == 1 and err.startswith(prefix)

@@ -24,6 +24,7 @@ from paradist.feasibility import (
     threshold_bisect,
     verify_certificate,
 )
+from paradist.labels import p_count
 from paradist.nnls import IterationLimitReached
 from paradist.tensor import build_B, build_C
 
@@ -275,12 +276,18 @@ def test_threshold_bisect_validation():
             threshold_bisect(3, tol_alpha=tol)
 
 
-@pytest.mark.parametrize("outcome, message", [
-    (Witness(y=np.ones(3) / 3, residual=0.0), "infeasibility near pi/2"),
-    (Certificate(steps=(Step(row=None, h=np.ones(4), margin=1.0),)), "feasibility at pi"),
+@pytest.mark.parametrize("outcome, message, system", [
+    (Witness(y=np.ones(3) / 3, residual=0.0), "infeasibility near pi/2", None),
+    (Certificate(steps=(Step(row=None, h=np.ones(4), margin=1.0),)), "feasibility at pi",
+     lambda alpha, n: build_C(math.pi / 2 + 1e-4, n)),
 ], ids=["witness-at-left", "certificate-at-right"])
-def test_threshold_bisect_checks_endpoints(monkeypatch, outcome, message):
-    monkeypatch.setattr(feasibility, "nns_exists", lambda alpha, n: outcome)
+def test_threshold_bisect_checks_endpoints(monkeypatch, substitute, outcome, message, system):
+    # a probe falls back to `_decide` when the closed form is no witness: at
+    # the left endpoint there is none; at pi the closed form is judged on a
+    # substituted system of the left endpoint, on which it misses the bar
+    if system is not None:
+        substitute(system)
+    monkeypatch.setattr(feasibility, "_decide", lambda c, m: outcome)
     with pytest.raises(NonMonotonePredicate, match=message):
         threshold_bisect(3)
 
@@ -290,7 +297,7 @@ def test_threshold_bisect_raises_unresolved_probe(monkeypatch, objective):
     # an indeterminate probe counts as infeasible only when its projection
     # residual is clearly positive; otherwise it stops the bisection
     probe = Indeterminate("stuck", objective=objective)
-    monkeypatch.setattr(feasibility, "nns_exists", lambda alpha, n: probe)
+    monkeypatch.setattr(feasibility, "_decide", lambda c, m: probe)
     with pytest.raises(Indeterminate) as raised:
         threshold_bisect(3)
     assert raised.value is probe
@@ -544,6 +551,94 @@ def test_necessity_point_lists_the_chain():
     assert row.keys() == {"alpha", "n", "outcome", "margin", "steps", "verified", "anomaly"}
     assert [step["row"] for step in row["steps"]] == [0, 1, 2, 3]
     assert row["margin"] == min(step["margin"] for step in row["steps"]) >= TOL_MARGIN
+
+
+def _closed_form_witness(alpha, n):
+    return feasibility._closed_form(feasibility._build(alpha, n)[0], alpha, n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_closed_form_agrees_with_nns_exists(n):
+    # a grid over [pi/2, pi] and conj +- 1e-12 ... 1e-2; the catalog's
+    # endpoints are the conjectured thresholds of the orders 2..n (order 1
+    # is the single angle pi, inside the grid), and at each of them one
+    # entry of the closed form rounds below 0
+    conj = conjectured_threshold(n)
+    offsets = [sign * 10.0 ** -e for e in range(2, 13) for sign in (-1, 1)]
+    grid = [*np.linspace(math.pi / 2, math.pi, 41).tolist(),
+            *(conj + d for d in offsets if conj + d <= math.pi)]
+    ends = [conjectured_threshold(k) for k in range(2, n + 1)]
+    above = 0
+    for alpha in grid:
+        witness = _closed_form_witness(alpha, n)
+        if witness is not None:
+            assert isinstance(nns_exists(alpha, n), Witness), alpha
+        if alpha < conj:
+            assert witness is None, alpha
+        elif all(abs(alpha - end) > 1e-12 for end in ends):
+            assert witness is not None, alpha
+            above += 1
+    assert above >= (1 if n == 1 else 20)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_witness_rule_refuses_a_negative_entry(n):
+    # at its own left endpoint each catalog vector has one entry that
+    # rounds below 0; only that entry keeps it from being a witness
+    alpha = conjectured_threshold(n)
+    c = feasibility._build(alpha, n)[0]
+    y = explicit_nns(n, alpha)
+    assert y.min() < 0
+    assert feasibility._witness(c, y) is None
+    assert feasibility._closed_form(c, alpha, n) is None
+    assert isinstance(feasibility._witness(c, np.maximum(y, 0)), Witness)
+
+
+def test_witness_rule_refuses_a_vector_that_does_not_fit():
+    alpha = conjectured_threshold(3) + 0.01
+    c = feasibility._build(alpha, 3)[0]
+    assert feasibility._witness(c, np.zeros(p_count(3))) is None
+    assert feasibility._witness(c[:, :-1], explicit_nns(3, alpha)) is None
+    assert feasibility._witness(c, explicit_nns(3, alpha)).y.sum() == pytest.approx(1.0)
+
+
+@pytest.fixture
+def nnls_calls(monkeypatch):
+    """Every system `feasibility` hands to the projection, in call order."""
+    calls = []
+    original = feasibility.nnls
+
+    def counted(a, b, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(feasibility, "nnls", counted)
+    return calls
+
+
+def test_threshold_search_runs_no_projection(nnls_calls):
+    # every feasible probe rests on a closed form and every infeasible one
+    # on a row chain, for each order the catalog covers
+    for n in range(1, 11):
+        threshold_bisect(n)
+    assert nnls_calls == []
+
+
+def _reversed_columns(alpha, n):
+    # the same system with its columns in reverse order: the closed form, in
+    # column order, misses the bar on it; the row chain and the projection
+    # know no column order
+    return build_C(alpha, n)[:, ::-1]
+
+
+def test_probe_falls_back_to_the_projection(substitute, nnls_calls):
+    expected = threshold_bisect(3)
+    assert nnls_calls == []
+    substitute(_reversed_columns)
+    # each feasible probe now rests on the projection, the infeasible ones
+    # on the row chain as before, and every probe decides as before
+    assert threshold_bisect(3) == expected
+    assert len(nnls_calls) >= 10
 
 
 @pytest.fixture
