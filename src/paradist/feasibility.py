@@ -7,9 +7,9 @@ h with h'M >= 0 on the columns still in play: every y >= 0 with M y = 0
 that lives on those columns has sum_k (h'M)_k y_k = h'M y = 0, so y
 vanishes on each column where h'M > 0.
 
-Infeasibility is decided first by facial reduction, row by row, as the
-paper proves it.  Let theta = 2 alpha - pi.  Row j of C vanishes on the
-columns with n1 > j, and on those with n1 = j its entries are
+Infeasibility is decided by facial reduction, row by row, as the paper
+proves it.  Let theta = 2 alpha - pi.  Row j of C vanishes on the columns
+with n1 > j, and on those with n1 = j its entries are
 binom(n-j, n2) e^{i n2 theta}, n2 = 0..n-j.  Below alpha = pi/2 + pi/(2n),
 that is n theta < pi, they lie in an open half-plane, so row 0 forces y = 0
 on the columns with n1 = 0, row 1 then on n1 = 1, and so on up to row n.
@@ -18,21 +18,21 @@ row's nonzero entries on the surviving columns fit in an open half-plane it
 proposes h = cos(psi) at that row of M and sin(psi) at its imaginary row,
 psi the bisector of the arc holding them.  A chain whose links each pass
 `_separation` at TOL_MARGIN and together remove every column is a
-certificate (Borwein and Wolkowicz's facial reduction, 1981).
+certificate (Borwein and Wolkowicz's facial reduction, 1981); it is the
+only kind there is.
 
-Everything else goes to the projection: the point b = (0, ..., 0, 1) is
-projected onto the cone spanned by the columns of [M; 1'] with an
-active-set nonnegative least squares solve.  A near-zero projection
-residual hands back a witness in the cone; a nonzero residual r is, by the
-projection's optimality conditions, a separating vector: h = -r restricted
-to the M rows gives h'M > 0 on every column, a one-link chain.  Each
-decision builds C once, read-only, and judges every outcome on that system
-alone.  `nns_exists` turns (alpha, n) into one of three outcomes,
-indeterminate included; every report is rendered from it (a threshold
-probe, which prints no vector, first tries the paper's explicit solution by
-the same witness rule).  The witness and margin bars that decide what an
-outcome means are module constants, read at call time; only the threshold's
-bracket width is a per-call parameter.
+Everything else goes to the projection, which only proposes a witness: the
+point b = (0, ..., 0, 1) is projected onto the cone spanned by the columns
+of [M; 1'] with an active-set nonnegative least squares solve, and its y is
+a witness if it passes `_witness`.  Each decision builds C once, read-only,
+and judges every outcome on that system alone.  `nns_exists` turns
+(alpha, n) into one of three outcomes, indeterminate included; every report
+is rendered from it.  The paper's explicit solution (`_closed_form`), judged
+by the same witness rule, decides a threshold probe, which prints no
+vector, before the projection, and an angle the projection leaves open
+after it.  The witness and margin bars that decide what an outcome means
+are module constants, read at call time; only the threshold's bracket width
+is a per-call parameter.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (check_catalog_order, conjectured_threshold, explicit_nns, in_interval,
-                      pad_solution)
+from .catalog import (CATALOG_MAX_ORDER, check_catalog_order, conjectured_threshold,
+                      explicit_nns, in_interval, pad_solution)
 from .labels import check_order
-from .nnls import IterationLimitReached, nnls, refined_residual
+from .nnls import IterationLimitReached, nnls
 from .tensor import build_C
 
 TOL_WITNESS = 1e-8
@@ -55,15 +55,11 @@ TOL_ALPHA = 1e-6
 
 class Indeterminate(RuntimeError):
     """Neither a witness nor a certificate met its bar: the third outcome
-    `nns_exists` returns.  `threshold_bisect` raises one for a probe it
-    cannot bracket."""
+    `nns_exists` returns.  `threshold_bisect` raises one for any probe that
+    comes out so."""
 
     kind = "indeterminate"
     metric = math.nan
-
-    def __init__(self, message: str, objective: float | None = None):
-        super().__init__(message)
-        self.objective = objective
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "detail": str(self)}
@@ -88,10 +84,9 @@ class Witness:
 class Step:
     """One link of a certificate chain: h, scaled to max|h| = 1, removes the
     columns still in play where h'M > 0, by at least `margin`, and is >= 0 on
-    the rest.  `row` is the row of C it was built from; None for the
-    projection's h, which removes every column at once."""
+    the rest.  `row` is the row of C it was built from."""
 
-    row: int | None
+    row: int
     h: np.ndarray
     margin: float
 
@@ -225,16 +220,20 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     First the row-by-row facial reduction (`_row_chain`); a chain that
     removes every column is the Certificate.  Otherwise projects onto the
     cone of the normalized system { y >= 0, M y = 0, sum(y) = 1 } and
-    returns a Witness (by `_witness`), a one-link Certificate (by
-    `_separation`), or an Indeterminate when neither side meets its bar
-    (TOL_WITNESS, TOL_MARGIN), which next to the feasibility boundary is
-    unavoidable: every margin decays to zero there.  A walk cut off by its
-    caps or by a failed solve has no objective; a failed refinement keeps
-    the walk's rnorm.  Raises only ValueError, for alpha outside [pi/2, pi].
+    returns a Witness when its y passes `_witness`, or else when the
+    paper's explicit solution for alpha does (`_closed_form`).  When
+    neither does, the outcome is an Indeterminate, which next to the
+    feasibility boundary is unavoidable: below it every chain's margin
+    decays under TOL_MARGIN.  Raises only ValueError, for alpha outside
+    [pi/2, pi].
     """
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
-    return _decide(*_build(alpha, n))
+    c, m = _build(alpha, n)
+    outcome = _decide(c, m)
+    if isinstance(outcome, Indeterminate):
+        return _closed_form(c, alpha, n) or outcome
+    return outcome
 
 
 def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
@@ -249,7 +248,9 @@ def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
 
 
 def _decide(c: np.ndarray, m: np.ndarray) -> FeasibilityOutcome:
-    """`nns_exists` on a built system: the row chain, then the projection."""
+    """The row chain, then the projection, whose y is a witness candidate
+    judged on the one build: the Certificate, the Witness, or an
+    Indeterminate."""
     chain = _row_chain(c, m)
     if chain is not None:
         return chain
@@ -261,31 +262,16 @@ def _decide(c: np.ndarray, m: np.ndarray) -> FeasibilityOutcome:
         result = nnls(a, b)
     except (IterationLimitReached, np.linalg.LinAlgError) as exc:
         return Indeterminate(f"projection did not terminate cleanly: {exc}")
-
-    # the projection only proposes candidates, judged on the one build
-    witness = _witness(c, result.y)
-    if witness is not None:
-        return witness
-
-    try:
-        h, margin, left = _separation(-refined_residual(a, b, result.y)[:rows], m,
-                                      np.ones(p, dtype=bool))
-    except np.linalg.LinAlgError as exc:
-        return Indeterminate(f"residual refinement failed: {exc}", objective=result.rnorm)
-    if margin >= TOL_MARGIN and not left.any():
-        return Certificate(steps=(Step(row=None, h=h, margin=float(margin)),))
-
-    return Indeterminate(
+    return _witness(c, result.y) or Indeterminate(
         f"projection residual {result.rnorm:.3e}: no witness within {TOL_WITNESS:.1e} "
-        f"and no separation margin above {TOL_MARGIN:.1e}",
-        objective=result.rnorm,
-    )
+        f"and no separation margin above {TOL_MARGIN:.1e}")
 
 
 def _closed_form(c: np.ndarray, alpha: float, n: int) -> Witness | None:
-    """The paper's explicit solution for the catalog interval (order k <= n)
-    holding alpha, padded to order n, if it passes `_witness` on c."""
-    for k in range(1, n + 1):
+    """The paper's explicit solution for the catalog interval (order
+    k <= min(n, CATALOG_MAX_ORDER)) holding alpha, padded to order n, if it
+    passes `_witness` on c."""
+    for k in range(1, min(n, CATALOG_MAX_ORDER) + 1):
         if in_interval(k, alpha):
             y = explicit_nns(k, alpha)
             for _ in range(k, n):
@@ -344,13 +330,11 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     where one entry rounds below 0.  Below the
     boundary the row-by-row chain decides a probe as soon as n times its
     distance to the boundary is a few multiples of TOL_MARGIN; closer in, the
-    projection is the fallback, and a probe whose certificate misses the
-    margin bar but whose projection residual is clearly positive still counts
-    as the infeasible side for bracketing (there every margin decays below
-    any fixed bar).  The two endpoints must come out infeasible and feasible,
-    otherwise NonMonotonePredicate is raised; every later probe lies strictly
-    inside the bracket, so bisection keeps each infeasible probe below each
-    feasible one by construction.
+    projection is the fallback.  A probe that comes out indeterminate is
+    raised: it cannot be bracketed.  The two endpoints must come out
+    infeasible and feasible, otherwise NonMonotonePredicate is raised; every
+    later probe lies strictly inside the bracket, so bisection keeps each
+    infeasible probe below each feasible one by construction.
     """
     check_catalog_order(n)
     if not (math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
@@ -361,8 +345,7 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     def feasible(alpha: float) -> bool:
         c, m = _build(alpha, n)
         outcome = _closed_form(c, alpha, n) or _decide(c, m)
-        if isinstance(outcome, Indeterminate) and (
-                outcome.objective is None or outcome.objective <= TOL_WITNESS):
+        if isinstance(outcome, Indeterminate):
             raise outcome
         return isinstance(outcome, Witness)
 

@@ -12,14 +12,15 @@ the routines `np.linalg.qr(mode="raw")` and `np.linalg.solve` wrap, on the
 same inputs; only the wrappers' argument handling is skipped, so the bits
 are those of the public composition (`tests/test_nnls.py` compares them).
 
-The residual r = b - A y at the solution is the key object for
-infeasibility certificates: the KKT conditions give A'r <= 0 columnwise
-(within the gradient tolerance) together with b'r = ||r||^2, so a nonzero
-residual is a separating (Farkas) vector for {y >= 0 : A y = b}.  The
-gradient tolerance is column-scaled and sits just above the roundoff of
-the dot products involved, which matters here: separation margins near a
-feasibility boundary are far below any fixed absolute tolerance, yet well
-above the noise of the products that realize them.
+The residual r = b - A y at the solution is what tells a usable y from an
+unusable one: the KKT conditions give A'r <= 0 columnwise (within the
+gradient tolerance) together with b'r = ||r||^2, so a residual that stays
+clearly nonzero means b lies outside the cone, and only a residual at
+roundoff level hands back a y that solves A y = b.  The gradient tolerance
+is column-scaled and sits just above the roundoff of the dot products
+involved, which matters here: near a feasibility boundary the gradients
+that still lead to such a y are far below any fixed absolute tolerance,
+yet well above the noise of the products that realize them.
 
 The loop's floating-point operations and their order are fixed, so a walk
 is reproducible bit for bit: the same data give the same iterates, residual,
@@ -184,7 +185,10 @@ def refined_residual(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     leaves too much slop in it when the residual is many orders below the
     data.  The gain relies on `np.longdouble` being the 80-bit x87 format;
     where it is plain float64 (MSVC builds on Windows, macOS on arm64) the
-    refinement adds no precision.
+    refinement adds no precision.  Nothing in the package calls it: no
+    decision takes a certificate from the projection's residual.  It is
+    kept because the benchmark's tracer (`perfbench/tracer.py`) wraps it by
+    name.
     """
     a_hi = a.astype(np.longdouble)
     b_hi = b.astype(np.longdouble)

@@ -30,8 +30,8 @@ def run_cli(capsys, *args):
 @pytest.fixture
 def undecidable_below_threshold(monkeypatch):
     """Below the threshold, decide one complex row of 1e-7 entries at a
-    1e-6 margin bar: no witness within 1e-8, and a margin of about 2e-7 in
-    the row chain and in the projection alike, so the outcome is
+    1e-6 margin bar: a row-chain margin of about 2e-7, and no witness within
+    1e-8 from the projection or the closed form, so the outcome is
     indeterminate.  Above the threshold the true system stays."""
     def system(alpha, n):
         if alpha > conjectured_threshold(n):
@@ -364,7 +364,7 @@ def test_sweep_exits_indeterminate(capsys, undecidable_below_threshold):
 
 @pytest.mark.parametrize("outcome, expected_code, prefix", [
     (Witness(y=np.ones(3) / 3, residual=0.0), 1, "paradist: verification failure: "),
-    (Indeterminate("stuck", objective=0.0), 2, "paradist: indeterminate: "),
+    (Indeterminate("stuck"), 2, "paradist: indeterminate: "),
 ], ids=["non-monotone", "indeterminate"])
 def test_threshold_failures_set_exit_code(capsys, monkeypatch, outcome, expected_code, prefix):
     # every probe the closed form leaves open, the left endpoint first, gets

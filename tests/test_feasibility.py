@@ -107,7 +107,7 @@ def _replaced(cert, i, h, margin):
 
 def test_certificate_rejections(chain4):
     alpha = _ALPHA4
-    zero = Certificate(steps=(Step(row=None, h=np.zeros(10), margin=0.0),))
+    zero = Certificate(steps=(Step(row=0, h=np.zeros(10), margin=0.0),))
     ok, margin = verify_certificate(zero, alpha, 4)
     assert not ok and margin == 0.0
     assert verify_certificate(Certificate(steps=()), alpha, 4) == (False, 0.0)
@@ -227,24 +227,27 @@ def substitute(monkeypatch):
 
 def _tiny_system(alpha, n):
     # one complex row at roundoff scale: its real embedding is a 2 x 3
-    # block of 1e-14, infeasible but far below the margin bar, for the row
-    # chain and the projection alike
+    # block of 1e-14, infeasible but far below the margin bar of the row
+    # chain
     return np.full((1, 3), 1e-14 + 1e-14j)
 
 
 def _crossed_system(alpha, n):
     # infeasible (h = (1, 2, 5, 0)/5 separates by 0.6), but each row holds
-    # two opposite entries, so no row fits in an open half-plane and only
-    # the projection decides it
+    # two opposite entries, so no row fits in an open half-plane and the row
+    # chain cannot certify it
     return np.array([[1, -1, 1j], [1, 2, -1]], dtype=complex)
 
 
-def test_crossed_system_reaches_the_projection(substitute):
+def test_crossed_system_reaches_the_projection(substitute, nnls_calls):
+    # the projection proposes no witness and certifies nothing: the outcome
+    # is indeterminate, its detail naming the projection residual
     substitute(_crossed_system)
-    cert = nns_exists(math.pi, 3)
-    assert isinstance(cert, Certificate)
-    assert [(step.row, step.margin) for step in cert.steps] == [(None, pytest.approx(0.6))]
-    assert verify_certificate(cert, math.pi, 3) == (True, cert.margin)
+    outcome = nns_exists(math.pi, 3)
+    assert nnls_calls == [(5, 3)]
+    assert isinstance(outcome, Indeterminate)
+    assert str(outcome) == ("projection residual 4.804e-01: no witness within 1.0e-08 "
+                            "and no separation margin above 1.0e-08")
 
 
 def test_duplicate_rows_give_same_outcome_class(substitute):
@@ -278,7 +281,7 @@ def test_threshold_bisect_validation():
 
 @pytest.mark.parametrize("outcome, message, system", [
     (Witness(y=np.ones(3) / 3, residual=0.0), "infeasibility near pi/2", None),
-    (Certificate(steps=(Step(row=None, h=np.ones(4), margin=1.0),)), "feasibility at pi",
+    (Certificate(steps=(Step(row=0, h=np.ones(4), margin=1.0),)), "feasibility at pi",
      lambda alpha, n: build_C(math.pi / 2 + 1e-4, n)),
 ], ids=["witness-at-left", "certificate-at-right"])
 def test_threshold_bisect_checks_endpoints(monkeypatch, substitute, outcome, message, system):
@@ -292,11 +295,9 @@ def test_threshold_bisect_checks_endpoints(monkeypatch, substitute, outcome, mes
         threshold_bisect(3)
 
 
-@pytest.mark.parametrize("objective", [None, TOL_WITNESS])
-def test_threshold_bisect_raises_unresolved_probe(monkeypatch, objective):
-    # an indeterminate probe counts as infeasible only when its projection
-    # residual is clearly positive; otherwise it stops the bisection
-    probe = Indeterminate("stuck", objective=objective)
+def test_threshold_bisect_raises_unresolved_probe(monkeypatch):
+    # an indeterminate probe cannot be bracketed: it stops the bisection
+    probe = Indeterminate("stuck")
     monkeypatch.setattr(feasibility, "_decide", lambda c, m: probe)
     with pytest.raises(Indeterminate) as raised:
         threshold_bisect(3)
@@ -365,7 +366,7 @@ def test_row_chain_matches_the_row_by_row_reference(substitute, rearrange):
             expected = _reference_chain(c)
             outcome = nns_exists(alpha, n)
             if expected is None:
-                assert not isinstance(outcome, Certificate) or outcome.steps[0].row is None
+                assert not isinstance(outcome, Certificate), (n, alpha)
                 continue
             assert isinstance(outcome, Certificate), (n, alpha)
             assert [step.row for step in outcome.steps] == [row for row, _ in expected]
@@ -396,7 +397,7 @@ def test_row_chain_decides_exactly_the_infeasible_side(n):
             assert not isinstance(outcome, Certificate), alpha
         elif n * (conj - alpha) >= 2e-8:
             assert isinstance(outcome, Certificate), alpha
-            assert outcome.steps[0].row is not None
+            assert all(type(step.row) is int for step in outcome.steps)
             assert verify_certificate(outcome, alpha, n) == (True, outcome.margin)
 
 
@@ -434,24 +435,23 @@ def test_necessity_scan_empty():
     assert necessity_scan(3, 0) == []
 
 
-def test_indeterminate_reports_objective(substitute, monkeypatch):
-    # a single row at roundoff scale cannot be certified either way
-    substitute(_tiny_system)
-    monkeypatch.setattr(feasibility, "TOL_WITNESS", 1e-30)
-    outcome = nns_exists(math.pi - 0.2, 1)
-    assert isinstance(outcome, Indeterminate)
-    assert outcome.objective > 0
+def _reversed_columns(alpha, n):
+    # the same system with its columns in reverse order: the closed form, in
+    # column order, misses the bar on it; the row chain and the projection
+    # know no column order
+    return build_C(alpha, n)[:, ::-1]
 
 
-def test_cut_off_projection_is_indeterminate(monkeypatch):
-    # a projection that stops early judges nothing, and has no objective
+def test_cut_off_projection_is_indeterminate(substitute, monkeypatch):
+    # a projection that stops early judges nothing, on a feasible system
+    # the closed form cannot rescue
     def cut_off(a, b):
         raise IterationLimitReached("exceeded 3 active-set iterations")
 
+    substitute(_reversed_columns)
     monkeypatch.setattr(feasibility, "nnls", cut_off)
     outcome = nns_exists(math.pi, 3)
     assert isinstance(outcome, Indeterminate)
-    assert outcome.objective is None
     assert str(outcome) == ("projection did not terminate cleanly: "
                             "exceeded 3 active-set iterations")
 
@@ -476,52 +476,17 @@ _BREAKS = {
     ("nan", "passive-set solve is not finite"),
     ("raises", "Singular matrix"),
 ], ids=["nan", "raises"])
-@pytest.mark.parametrize("system", [build_C, _crossed_system], ids=["feasible", "infeasible"])
+@pytest.mark.parametrize("system", [_reversed_columns, _crossed_system],
+                         ids=["feasible", "infeasible"])
 def test_failed_solve_ends_walk_as_indeterminate(substitute, monkeypatch, fault, detail, system):
     # a passive-set solve that fails or is not finite judges nothing, on
-    # either side: the system at pi, and one that no single row decides
+    # either side: the system at pi that the closed form misses, and one
+    # that no single row decides
     substitute(system)
     monkeypatch.setattr(*_BREAKS[fault])
     outcome = nns_exists(math.pi, 3)
     assert isinstance(outcome, Indeterminate)
-    assert outcome.objective is None
     assert str(outcome) == f"projection did not terminate cleanly: {detail}"
-
-
-def _break_refinement(monkeypatch, fault):
-    """Run the walk intact, then break every later solve; returns the list
-    that receives the walk's result."""
-    walk = paradist.nnls.nnls
-    walks = []
-
-    def walk_then_break(a, b):
-        walks.append(walk(a, b))
-        monkeypatch.setattr(*_BREAKS[fault])
-        return walks[-1]
-
-    monkeypatch.setattr(feasibility, "nnls", walk_then_break)
-    return walks
-
-
-@pytest.mark.parametrize("fault", ["nan", "raises"])
-def test_failed_refinement_is_indeterminate(substitute, monkeypatch, fault):
-    # the walk itself ends cleanly, so the outcome keeps its objective
-    substitute(_crossed_system)
-    _break_refinement(monkeypatch, fault)
-    outcome = nns_exists(math.pi, 3)
-    assert isinstance(outcome, Indeterminate)
-    assert outcome.objective > TOL_WITNESS
-
-
-def test_nan_refinement_says_so(substitute, monkeypatch):
-    # a non-finite refinement is named as such, not as a missing margin,
-    # and keeps the walk's rnorm as its objective
-    substitute(_crossed_system)
-    walks = _break_refinement(monkeypatch, "nan")
-    outcome = nns_exists(math.pi, 3)
-    assert isinstance(outcome, Indeterminate)
-    assert str(outcome) == "residual refinement failed: passive-set solve is not finite"
-    assert outcome.objective == walks[0].rnorm
 
 
 def test_necessity_point_flags_witness(substitute):
@@ -581,6 +546,24 @@ def test_closed_form_agrees_with_nns_exists(n):
     assert above >= (1 if n == 1 else 20)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_witness_just_below_pi(n):
+    # the projection's y can miss the witness bar here by its own roundoff;
+    # the paper's order-2 vector, padded, is a witness all the same
+    for d in (1e-8, 2e-8, 5e-8):
+        outcome = nns_exists(math.pi - d, n)
+        assert isinstance(outcome, Witness), d
+        assert outcome.residual <= TOL_WITNESS
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_closed_form_beyond_the_catalog(n):
+    # the catalog ends at order 10: between the thresholds of orders 11 and
+    # 10 no interval holds alpha, and above them the padded vectors serve
+    assert _closed_form_witness(conjectured_threshold(11) + 1e-3, n) is None
+    assert isinstance(_closed_form_witness(conjectured_threshold(10) + 1e-3, n), Witness)
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_witness_rule_refuses_a_negative_entry(n):
     # at its own left endpoint each catalog vector has one entry that
@@ -622,13 +605,6 @@ def test_threshold_search_runs_no_projection(nnls_calls):
     for n in range(1, 11):
         threshold_bisect(n)
     assert nnls_calls == []
-
-
-def _reversed_columns(alpha, n):
-    # the same system with its columns in reverse order: the closed form, in
-    # column order, misses the bar on it; the row chain and the projection
-    # know no column order
-    return build_C(alpha, n)[:, ::-1]
 
 
 def test_probe_falls_back_to_the_projection(substitute, nnls_calls):
@@ -689,7 +665,6 @@ def test_nns_exists_returns_every_outcome(substitute, monkeypatch):
     monkeypatch.setattr(feasibility, "TOL_WITNESS", 1e-30)
     outcome = nns_exists(math.pi - 0.2, 1)
     assert isinstance(outcome, Indeterminate)
-    assert outcome.objective is not None and outcome.objective > 0
     assert outcome.to_dict() == {"kind": "indeterminate", "detail": str(outcome)}
     assert math.isnan(outcome.metric)
 
