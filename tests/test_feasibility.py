@@ -295,12 +295,15 @@ def test_threshold_bisect_checks_endpoints(monkeypatch, substitute, outcome, mes
         threshold_bisect(3)
 
 
-def test_threshold_bisect_raises_unresolved_probe(monkeypatch):
-    # an indeterminate probe cannot be bracketed: it stops the bisection
+@pytest.mark.parametrize("tol_alpha", [None, 1e-8])
+def test_threshold_bisect_raises_unresolved_probe(monkeypatch, tol_alpha):
+    # an indeterminate probe cannot be bracketed: it stops the bisection at
+    # the default tolerance and at the finest one alike
     probe = Indeterminate("stuck")
     monkeypatch.setattr(feasibility, "_decide", lambda c, m: probe)
+    kwargs = {} if tol_alpha is None else {"tol_alpha": tol_alpha}
     with pytest.raises(Indeterminate) as raised:
-        threshold_bisect(3)
+        threshold_bisect(3, **kwargs)
     assert raised.value is probe
 
 
