@@ -28,23 +28,28 @@ a witness if it passes `_witness`.  Each decision builds C once, read-only,
 and judges every outcome on that system alone.  `nns_exists` turns
 (alpha, n) into one of three outcomes, indeterminate included; every report
 is rendered from it.  The paper's explicit solution (`_closed_form`), judged
-by the same witness rule, decides a threshold probe, which prints no
-vector, before the projection, and an angle the projection leaves open
-after it.  The witness and margin bars that decide what an outcome means
-are module constants, read at call time; only the threshold's bracket width
-is a per-call parameter.
+by the same witness rule, decides an angle the projection leaves open.
+A threshold probe prints neither a vector nor a chain, so it tries the
+paper's two explicit constructions first: the explicit solution, then the
+necessity proof's chain written out (`_explicit_chain`: link j is row j at
+psi = (n-j)(alpha - pi/2), on the columns with n1 >= j), judged by the same
+`_separation` rule.  Only when both miss does it take the full decision.
+The witness and margin bars that decide what an outcome means are module
+constants, read at call time; only the threshold's bracket width is a
+per-call parameter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .catalog import (CATALOG_MAX_ORDER, check_catalog_order, conjectured_threshold,
                       explicit_nns, in_interval, pad_solution)
-from .labels import check_order
+from .labels import check_order, column_order
 from .nnls import IterationLimitReached, nnls
 from .tensor import build_C
 
@@ -153,10 +158,12 @@ def _arcs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     shorter than pi, that is, in an open half-plane, and where they do, the
     bisector psi of the narrowest such arc (psi is None when no row fits).
     Their sum s is then nonzero and inside the arc, so each phase is read
-    from s, and a zero entry, at phase 0 from s, widens nothing."""
+    from s.  A zero entry is read at phase 0 from s and widens nothing: its
+    product with conj(s) can have real part -0.0 (s in the third quadrant),
+    which arctan2 would read as phase pi, so +0.0 is added to it first."""
     s = np.add.reduce(z, axis=-1)
     w = z * s.conj()[:, None]
-    rel = np.arctan2(w.imag, w.real)
+    rel = np.arctan2(w.imag, w.real + 0.0)
     hi, lo = np.maximum.reduce(rel, axis=-1), np.minimum.reduce(rel, axis=-1)
     fits = hi - lo < math.pi
     if fits.any():
@@ -212,6 +219,38 @@ def _row_chain(c: np.ndarray, m: np.ndarray) -> Certificate | None:
             return Certificate(steps=tuple(steps))
         rest = np.where(alive, c, 0)
         start += stop + 1
+
+
+@lru_cache(maxsize=None)
+def _chain_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n+1) x p_n masks of the proof's chain at order n: the
+    columns in play before link j (n1 >= j) and those it leaves (n1 > j)."""
+    n1 = np.array([label[1] for label in column_order(n)])
+    rows = np.arange(n + 1)[:, None]
+    masks = (n1 >= rows, n1 > rows)
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
+
+
+def _explicit_chain(m: np.ndarray, alpha: float, n: int) -> bool:
+    """Whether the necessity proof's chain separates m, the real embedding of
+    the order-n system: link j is cos(psi_j) at row j and sin(psi_j) at
+    imaginary row n+1+j, psi_j = (n-j)(alpha - pi/2), the bisector of row j's
+    phases on the columns with n1 = j.  All links are judged at once by
+    `_separation`, each on the columns with n1 >= j; the chain holds when
+    every margin reaches TOL_MARGIN and each link leaves exactly the next
+    link's columns, the last none.  A system of another shape never holds."""
+    before, after = _chain_columns(n)
+    if m.shape != (2 * (n + 1), before.shape[1]):
+        return False
+    j = np.arange(n + 1)
+    psi = (n - j) * (alpha - math.pi / 2)
+    h = np.zeros((n + 1, 2 * (n + 1)))
+    h[j, j] = np.cos(psi)
+    h[j, n + 1 + j] = np.sin(psi)
+    _, margin, left = _separation(h, m, before)
+    return bool((margin >= TOL_MARGIN).all() and np.array_equal(left, after))
 
 
 def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
@@ -325,16 +364,18 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     Starts from the known-feasible right endpoint pi and a point just above
     pi/2 that is known infeasible for every order.  Probes are classified by
     whether a witness emerges.  Each probe builds its system once.  Above the
-    boundary the paper's explicit solution (`_closed_form`) decides it, with
-    `nns_exists`'s decision (`_decide`) as fallback at a catalog endpoint,
-    where one entry rounds below 0.  Below the
-    boundary the row-by-row chain decides a probe as soon as n times its
-    distance to the boundary is a few multiples of TOL_MARGIN; closer in, the
-    projection is the fallback.  A probe that comes out indeterminate is
-    raised: it cannot be bracketed.  The two endpoints must come out
-    infeasible and feasible, otherwise NonMonotonePredicate is raised; every
-    later probe lies strictly inside the bracket, so bisection keeps each
-    infeasible probe below each feasible one by construction.
+    boundary the paper's explicit solution (`_closed_form`) decides it.
+    Below the boundary the necessity proof's chain (`_explicit_chain`)
+    decides it as soon as n times its distance to the boundary is a few
+    multiples of TOL_MARGIN.  Any other probe takes `nns_exists`'s decision
+    (`_decide`: the row chain, then the projection): a catalog endpoint,
+    where one entry of the explicit solution rounds below 0, and the band
+    just below the boundary where the chain's margins miss the bar.  A probe
+    that comes out indeterminate is raised: it cannot be bracketed.  The two
+    endpoints must come out infeasible and feasible, otherwise
+    NonMonotonePredicate is raised; every later probe lies strictly inside
+    the bracket, so bisection keeps each infeasible probe below each
+    feasible one by construction.
     """
     check_catalog_order(n)
     if not (math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
@@ -344,7 +385,11 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
 
     def feasible(alpha: float) -> bool:
         c, m = _build(alpha, n)
-        outcome = _closed_form(c, alpha, n) or _decide(c, m)
+        if _closed_form(c, alpha, n):
+            return True
+        if _explicit_chain(m, alpha, n):
+            return False
+        outcome = _decide(c, m)
         if isinstance(outcome, Indeterminate):
             raise outcome
         return isinstance(outcome, Witness)

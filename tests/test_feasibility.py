@@ -239,6 +239,13 @@ def _crossed_system(alpha, n):
     return np.array([[1, -1, 1j], [1, 2, -1]], dtype=complex)
 
 
+def _reversed_columns(alpha, n):
+    # the same system with its columns in reverse order: the closed form and
+    # the proof's explicit chain, both in column order, miss their bars on
+    # it; the row chain and the projection know no column order
+    return build_C(alpha, n)[:, ::-1]
+
+
 def test_crossed_system_reaches_the_projection(substitute, nnls_calls):
     # the projection proposes no witness and certifies nothing: the outcome
     # is indeterminate, its detail naming the projection residual
@@ -248,6 +255,17 @@ def test_crossed_system_reaches_the_projection(substitute, nnls_calls):
     assert isinstance(outcome, Indeterminate)
     assert str(outcome) == ("projection residual 4.804e-01: no witness within 1.0e-08 "
                             "and no separation margin above 1.0e-08")
+
+
+def test_arcs_reads_a_zero_entry_at_phase_zero():
+    # phases 0.1 apart around -2.0 sum into the third quadrant, where a zero
+    # entry times the conjugate sum has real part -0.0; the zero must widen
+    # nothing, so the row fits with or without it
+    row = np.exp(np.array([-2.0j, -1.9j]))
+    for z in (row, np.append(row, 0)):
+        fits, psi = feasibility._arcs(z[None, :])
+        assert fits.tolist() == [True]
+        assert psi[0] == pytest.approx(-1.95, abs=1e-12)
 
 
 def test_duplicate_rows_give_same_outcome_class(substitute):
@@ -280,25 +298,27 @@ def test_threshold_bisect_validation():
 
 
 @pytest.mark.parametrize("outcome, message, system", [
-    (Witness(y=np.ones(3) / 3, residual=0.0), "infeasibility near pi/2", None),
+    (Witness(y=np.ones(3) / 3, residual=0.0), "infeasibility near pi/2", _reversed_columns),
     (Certificate(steps=(Step(row=0, h=np.ones(4), margin=1.0),)), "feasibility at pi",
      lambda alpha, n: build_C(math.pi / 2 + 1e-4, n)),
 ], ids=["witness-at-left", "certificate-at-right"])
 def test_threshold_bisect_checks_endpoints(monkeypatch, substitute, outcome, message, system):
-    # a probe falls back to `_decide` when the closed form is no witness: at
-    # the left endpoint there is none; at pi the closed form is judged on a
-    # substituted system of the left endpoint, on which it misses the bar
-    if system is not None:
-        substitute(system)
+    # a probe falls back to `_decide` when the closed form is no witness and
+    # the proof's explicit chain does not hold: at the left endpoint there is
+    # no closed form, and the chain misses on the reversed columns; at pi both
+    # are judged on a substituted system of the left endpoint and both miss
+    substitute(system)
     monkeypatch.setattr(feasibility, "_decide", lambda c, m: outcome)
     with pytest.raises(NonMonotonePredicate, match=message):
         threshold_bisect(3)
 
 
 @pytest.mark.parametrize("tol_alpha", [None, 1e-8])
-def test_threshold_bisect_raises_unresolved_probe(monkeypatch, tol_alpha):
+def test_threshold_bisect_raises_unresolved_probe(monkeypatch, substitute, tol_alpha):
     # an indeterminate probe cannot be bracketed: it stops the bisection at
-    # the default tolerance and at the finest one alike
+    # the default tolerance and at the finest one alike (on the reversed
+    # columns, so that the explicit chain leaves the left endpoint to `_decide`)
+    substitute(_reversed_columns)
     probe = Indeterminate("stuck")
     monkeypatch.setattr(feasibility, "_decide", lambda c, m: probe)
     kwargs = {} if tol_alpha is None else {"tol_alpha": tol_alpha}
@@ -404,6 +424,49 @@ def test_row_chain_decides_exactly_the_infeasible_side(n):
             assert verify_certificate(outcome, alpha, n) == (True, outcome.margin)
 
 
+def _explicit_certificate(alpha, n):
+    """The proof's chain as a Certificate, each link declared at TOL_MARGIN:
+    link j is cos, sin of (n-j)(alpha - pi/2) at rows j and n+1+j of M."""
+    psi = (n - np.arange(n + 1)) * (alpha - math.pi / 2)
+    steps = []
+    for j, (cos, sin) in enumerate(zip(np.cos(psi), np.sin(psi))):
+        h = np.zeros(2 * (n + 1))
+        h[j], h[n + 1 + j] = cos, sin
+        steps.append(Step(row=j, h=h, margin=TOL_MARGIN))
+    return Certificate(steps=tuple(steps))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_explicit_chain_holds_exactly_where_the_row_chain_does(n):
+    # a 300-point grid over [pi/2, pi] and conj -+ 1e-12 ... 1e-1, on both
+    # sides of the band where the links' margins fall under TOL_MARGIN;
+    # wherever the proof's chain holds it is a certificate that verifies
+    conj = conjectured_threshold(n)
+    offsets = np.geomspace(1e-12, 1e-1, 60).tolist()
+    angles = [*np.linspace(math.pi / 2, math.pi, 300).tolist(),
+              *(conj + sign * d for sign in (-1, 1) for d in offsets)]
+    held = 0
+    for alpha in (a for a in angles if math.pi / 2 <= a <= math.pi):
+        c, m = feasibility._build(alpha, n)
+        holds = feasibility._explicit_chain(m, alpha, n)
+        assert holds == (feasibility._row_chain(c, m) is not None), alpha
+        if holds:
+            assert verify_certificate(_explicit_certificate(alpha, n), alpha, n)[0], alpha
+            held += 1
+    assert held >= 60
+
+
+def test_explicit_chain_must_remove_the_columns_of_each_link():
+    # a zero column is a nonnegative null vector: link 0 leaves it in play
+    # at h'M = 0, and no later link is judged on it, so the chain must not
+    # hold although every link reaches the margin bar
+    alpha, n = _ALPHA4, 4
+    c = build_C(alpha, n)
+    assert feasibility._explicit_chain(np.vstack([c.real, c.imag]), alpha, n)
+    c[:, 2] = 0  # the column (2, 0, 2), in play for link 0 only
+    assert not feasibility._explicit_chain(np.vstack([c.real, c.imag]), alpha, n)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_threshold_bracket_contains_boundary(n):
     estimate = threshold_bisect(n)
@@ -436,13 +499,6 @@ def test_necessity_scan_builds_once_per_point(build_calls):
 
 def test_necessity_scan_empty():
     assert necessity_scan(3, 0) == []
-
-
-def _reversed_columns(alpha, n):
-    # the same system with its columns in reverse order: the closed form, in
-    # column order, misses the bar on it; the row chain and the projection
-    # know no column order
-    return build_C(alpha, n)[:, ::-1]
 
 
 def test_cut_off_projection_is_indeterminate(substitute, monkeypatch):
@@ -602,12 +658,18 @@ def nnls_calls(monkeypatch):
     return calls
 
 
-def test_threshold_search_runs_no_projection(nnls_calls):
+def test_threshold_search_runs_no_projection(nnls_calls, monkeypatch):
     # every feasible probe rests on a closed form and every infeasible one
-    # on a row chain, for each order the catalog covers
+    # on the proof's explicit chain, for each order the catalog covers:
+    # no probe runs the generic row chain either
+    chains = []
+    row_chain = feasibility._row_chain
+    monkeypatch.setattr(feasibility, "_row_chain",
+                        lambda c, m: chains.append(c.shape) or row_chain(c, m))
     for n in range(1, 11):
         threshold_bisect(n)
     assert nnls_calls == []
+    assert chains == []
 
 
 def test_probe_falls_back_to_the_projection(substitute, nnls_calls):
@@ -618,6 +680,19 @@ def test_probe_falls_back_to_the_projection(substitute, nnls_calls):
     # on the row chain as before, and every probe decides as before
     assert threshold_bisect(3) == expected
     assert len(nnls_calls) >= 10
+
+
+def test_probe_of_another_shape_falls_back_to_decide(substitute, monkeypatch):
+    # B repeats the rows of C: the explicit chain, built for n+1 rows, is not
+    # tried on it, so every infeasible probe goes to `_decide`, whose row
+    # chain decides it as before, and nothing raises
+    expected = threshold_bisect(3)
+    substitute(build_B)
+    decided = []
+    decide = feasibility._decide
+    monkeypatch.setattr(feasibility, "_decide", lambda c, m: decided.append(c.shape) or decide(c, m))
+    assert threshold_bisect(3) == expected
+    assert len(decided) >= 10 and set(decided) == {(8, p_count(3))}
 
 
 @pytest.fixture
@@ -700,3 +775,44 @@ def test_decision_bits_are_pinned():
     for n in range(1, 11):
         digest.update(threshold_bisect(n).alpha_star.hex().encode())
     assert digest.hexdigest() == DECISIONS_SHA
+
+
+# alpha_star and bracket_width of threshold_bisect(n, tol_alpha) as hex
+# floats, n = 1..10, at two tolerances finer than the default (which
+# DECISIONS_SHA pins).  The 1e-8 entries for n = 1, 4, 5 and 8 pin brackets
+# that miss pi/2 + pi/(2n), the known misses of ROADMAP item 2: a probe just
+# below it gets a false projection witness.  That item re-records them on
+# purpose.
+THRESHOLD_BITS = {
+    1e-7: [
+        (1, "0x1.921fb4dfbc87ap+1", "0x1.9219278000000p-24"),
+        (2, "0x1.2d97c79c9e468p+1", "0x1.9219278000000p-24"),
+        (3, "0x1.0c1523b6f1e88p+1", "0x1.921927a000000p-24"),
+        (4, "0x1.f6a7a1f61e4bcp+0", "0x1.9219278000000p-24"),
+        (5, "0x1.e28c72d2b6e04p+0", "0x1.9219279000000p-24"),
+        (6, "0x1.d524fe1071edep+0", "0x1.9219279000000p-24"),
+        (7, "0x1.cb91f39561a8ep+0", "0x1.9219278000000p-24"),
+        (8, "0x1.c463ac1d9bbf0p+0", "0x1.9219279000000p-24"),
+        (9, "0x1.becde59bf6a24p+0", "0x1.9219279000000p-24"),
+        (10, "0x1.ba56148be8094p+0", "0x1.9219279000000p-24"),
+    ],
+    1e-8: [
+        (1, "0x1.921fb53169a3ap+1", "0x1.9219280000000p-28"),
+        (2, "0x1.2d97c7ee4b628p+1", "0x1.9219280000000p-28"),
+        (3, "0x1.0c15237e665f0p+1", "0x1.9219260000000p-28"),
+        (4, "0x1.f6a7a28056f16p+0", "0x1.9219270000000p-28"),
+        (5, "0x1.e28c73118ace6p+0", "0x1.9219270000000p-28"),
+        (6, "0x1.d524fe1d02b72p+0", "0x1.9219280000000p-28"),
+        (7, "0x1.cb91f3bb1404ap+0", "0x1.9219270000000p-28"),
+        (8, "0x1.c463abdec7d0ep+0", "0x1.9219270000000p-28"),
+        (9, "0x1.becde5daca906p+0", "0x1.9219270000000p-28"),
+        (10, "0x1.ba561433f288ap+0", "0x1.9219280000000p-28"),
+    ],
+}
+
+
+@pytest.mark.parametrize("tol_alpha", sorted(THRESHOLD_BITS))
+def test_fine_threshold_bits_are_pinned(tol_alpha):
+    for n, alpha_star, width in THRESHOLD_BITS[tol_alpha]:
+        estimate = threshold_bisect(n, tol_alpha)
+        assert (estimate.alpha_star.hex(), estimate.bracket_width.hex()) == (alpha_star, width), n
