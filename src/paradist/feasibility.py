@@ -7,19 +7,18 @@ h with h'M >= 0 on the columns still in play: every y >= 0 with M y = 0
 that lives on those columns has sum_k (h'M)_k y_k = h'M y = 0, so y
 vanishes on each column where h'M > 0.
 
-Infeasibility is decided by facial reduction, row by row, as the paper
-proves it.  Let theta = 2 alpha - pi.  Row j of C vanishes on the columns
-with n1 > j, and on those with n1 = j its entries are
-binom(n-j, n2) e^{i n2 theta}, n2 = 0..n-j.  Below alpha = pi/2 + pi/(2n),
-that is n theta < pi, they lie in an open half-plane, so row 0 forces y = 0
-on the columns with n1 = 0, row 1 then on n1 = 1, and so on up to row n.
-The pass knows none of this: it takes the rows in order, and whenever a
-row's nonzero entries on the surviving columns fit in an open half-plane it
-proposes h = cos(psi) at that row of M and sin(psi) at its imaginary row,
-psi the bisector of the arc holding them.  A chain whose links each pass
-`_separation` at TOL_MARGIN and together remove every column is a
-certificate (Borwein and Wolkowicz's facial reduction, 1981); it is the
-only kind there is.
+Infeasibility is decided by the paper's necessity proof, a facial reduction
+chain (Borwein and Wolkowicz, 1981) written out.  Let theta = 2 alpha - pi.
+Row j of C vanishes on the columns with n1 > j, and on those with n1 = j its
+entries are binom(n-j, n2) e^{i n2 theta}, n2 = 0..n-j.  Below
+alpha = pi/2 + pi/(2n), that is n theta < pi, they lie in an open
+half-plane bisected by psi_j = (n-j)(alpha - pi/2), so link j, cos(psi_j)
+at row j of M and sin(psi_j) at its imaginary row, forces y = 0 on the
+columns with n1 = j once the links before it have removed those with
+n1 < j (`_chain`).  The links, judged together by `_separation` at
+TOL_MARGIN, are a certificate when each removes exactly its own columns;
+it is the only kind there is, and `verify_certificate` judges it by the
+same rule whoever proposed it.
 
 Everything else goes to the projection, which only proposes a witness: the
 point b = (0, ..., 0, 1) is projected onto the cone spanned by the columns
@@ -30,10 +29,8 @@ and judges every outcome on that system alone.  `nns_exists` turns
 is rendered from it.  The paper's explicit solution (`_closed_form`), judged
 by the same witness rule, decides an angle the projection leaves open.
 A threshold probe prints neither a vector nor a chain, so it tries the
-paper's two explicit constructions first: the explicit solution, then the
-necessity proof's chain written out (`_explicit_chain`: link j is row j at
-psi = (n-j)(alpha - pi/2), on the columns with n1 >= j), judged by the same
-`_separation` rule.  Only when both miss does it take the full decision.
+paper's explicit solution first, then the chain, and takes the full
+decision only when both miss.
 The witness and margin bars that decide what an outcome means are module
 constants, read at call time; only the threshold's bracket width is a
 per-call parameter.
@@ -140,85 +137,19 @@ def _separation(h: np.ndarray, m: np.ndarray,
     removes the columns where h'M > 0; its margin is the least h'M over
     them, or the most negative h'M on a column it leaves, or 0.0 when it
     removes nothing.  It holds at margin >= TOL_MARGIN."""
-    scale = np.max(np.abs(h), axis=-1, keepdims=True)
-    h = h / np.where(scale > 0, scale, 1.0)
+    scale = np.maximum.reduce(abs(h), axis=-1, keepdims=True)
+    scale[~(scale > 0)] = 1.0
+    h = h / scale
     # one vector-matrix product per link, stacked or not, so a link's
     # values keep their bits whichever stack it is judged in
     values = (h[..., None, :] @ m)[..., 0, :]
-    removed = alive & (values > 0)
-    left = alive & ~removed
-    low = np.where(left, values, np.inf).min(axis=-1)
-    least = np.where(removed, values, np.inf).min(axis=-1)
-    margin = np.where(low >= 0, np.where(least < np.inf, least, 0.0), low)
-    return h, margin, left
-
-
-def _arcs(z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per row of z, whether the phases of its nonzero entries fit in an arc
-    shorter than pi, that is, in an open half-plane, and where they do, the
-    bisector psi of the narrowest such arc (psi is None when no row fits).
-    Their sum s is then nonzero and inside the arc, so each phase is read
-    from s.  A zero entry is read at phase 0 from s and widens nothing: its
-    product with conj(s) can have real part -0.0 (s in the third quadrant),
-    which arctan2 would read as phase pi, so +0.0 is added to it first."""
-    s = np.add.reduce(z, axis=-1)
-    w = z * s.conj()[:, None]
-    rel = np.arctan2(w.imag, w.real + 0.0)
-    hi, lo = np.maximum.reduce(rel, axis=-1), np.minimum.reduce(rel, axis=-1)
-    fits = hi - lo < math.pi
-    if fits.any():
-        fits &= s != 0  # a row that sums to zero, all-zero rows included, fits nowhere
-        if fits.any():
-            return fits, np.arctan2(s.imag, s.real) + (hi + lo) / 2
-    return fits, None
-
-
-def _row_chain(c: np.ndarray, m: np.ndarray) -> Certificate | None:
-    """Facial reduction by single rows of c, in order, in passes until a pass
-    makes no progress; the chain if it removes every column, else None."""
-    rows, p = c.shape
-    rest = c  # c with the columns out of play zeroed
-    steps: list[Step] = []
-    start, progress = 0, False
-    while True:
-        fits, psi = _arcs(rest[start:])
-        if psi is None:
-            if not progress:
-                return None
-            start, progress = 0, False
-            continue
-        if not steps:  # nothing removed yet: every column is in play
-            alive = np.ones(p, dtype=bool)
-        # judge the rows from the first that fits on as one run, each on
-        # the columns the rows before it in the run leave in play: up to the
-        # first row that fails, that is taking them one at a time
-        start += int(fits.argmax())
-        nonzero = rest[start:] != 0
-        cover = np.zeros((len(nonzero) + 1, p), dtype=bool)
-        np.logical_or.accumulate(nonzero, axis=0, out=cover[1:])
-        in_play = alive & ~cover
-        live = nonzero & in_play[:-1]
-        fits, psi = _arcs(np.where(live, rest[start:], 0))
-        k = np.arange(len(fits))
-        h = np.zeros((len(fits), 2 * rows))
-        h[k, start + k] = np.cos(psi)
-        h[k, rows + start + k] = np.sin(psi)
-        h, margin, left = _separation(h, m, in_play[:-1])
-        # a row with nothing in play removes nothing; the run stops at the
-        # first other row that does not fit, fails or leaves one of its own
-        # columns
-        nonempty = live.any(axis=-1)
-        holds = (fits & (margin >= TOL_MARGIN) & ~(left & live).any(axis=-1)) | ~nonempty
-        stop = len(fits) if holds.all() else int(holds.argmin())
-        margins = margin.tolist()
-        steps += [Step(row=start + i, h=h[i], margin=margins[i])
-                  for i in np.flatnonzero(nonempty[:stop]).tolist()]
-        progress = progress or stop > 0
-        alive = in_play[stop]
-        if not alive.any():
-            return Certificate(steps=tuple(steps))
-        rest = np.where(alive, c, 0)
-        start += stop + 1
+    left = alive & ~(values > 0)
+    # every value removed is above every value left below 0, so the least
+    # nonzero value in play is the margin; none in play means 0.0
+    margin = np.minimum.reduce(values, axis=-1, keepdims=True, where=alive & (values != 0),
+                               initial=np.inf)
+    margin[margin == np.inf] = 0.0
+    return h, margin[..., 0], left
 
 
 @lru_cache(maxsize=None)
@@ -233,43 +164,45 @@ def _chain_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
     return masks
 
 
-def _explicit_chain(m: np.ndarray, alpha: float, n: int) -> bool:
-    """Whether the necessity proof's chain separates m, the real embedding of
-    the order-n system: link j is cos(psi_j) at row j and sin(psi_j) at
-    imaginary row n+1+j, psi_j = (n-j)(alpha - pi/2), the bisector of row j's
-    phases on the columns with n1 = j.  All links are judged at once by
-    `_separation`, each on the columns with n1 >= j; the chain holds when
-    every margin reaches TOL_MARGIN and each link leaves exactly the next
-    link's columns, the last none.  A system of another shape never holds."""
+def _chain(m: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The necessity proof's chain on m, the real embedding of the order-n
+    system, as its stacked (h, margin) when it holds, else None: link j is
+    cos(psi_j) at row j and sin(psi_j) at imaginary row n+1+j,
+    psi_j = (n-j)(alpha - pi/2), the bisector of row j's phases on the
+    columns with n1 = j.  All links are judged at once by `_separation`, each
+    on the columns with n1 >= j; the chain holds when every margin reaches
+    TOL_MARGIN and each link leaves exactly the next link's columns, the last
+    none.  A system of another shape never holds."""
     before, after = _chain_columns(n)
     if m.shape != (2 * (n + 1), before.shape[1]):
-        return False
+        return None
     j = np.arange(n + 1)
     psi = (n - j) * (alpha - math.pi / 2)
     h = np.zeros((n + 1, 2 * (n + 1)))
     h[j, j] = np.cos(psi)
     h[j, n + 1 + j] = np.sin(psi)
-    _, margin, left = _separation(h, m, before)
-    return bool((margin >= TOL_MARGIN).all() and np.array_equal(left, after))
+    h, margin, left = _separation(h, m, before)
+    if (margin >= TOL_MARGIN).all() and np.array_equal(left, after):
+        return h, margin
+    return None
 
 
 def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     """Decide whether a nontrivial nonnegative null vector exists.
 
-    First the row-by-row facial reduction (`_row_chain`); a chain that
-    removes every column is the Certificate.  Otherwise projects onto the
-    cone of the normalized system { y >= 0, M y = 0, sum(y) = 1 } and
-    returns a Witness when its y passes `_witness`, or else when the
-    paper's explicit solution for alpha does (`_closed_form`).  When
-    neither does, the outcome is an Indeterminate, which next to the
-    feasibility boundary is unavoidable: below it every chain's margin
-    decays under TOL_MARGIN.  Raises only ValueError, for alpha outside
-    [pi/2, pi].
+    First the necessity proof's chain (`_chain`); when it holds it is the
+    Certificate.  Otherwise projects onto the cone of the normalized system
+    { y >= 0, M y = 0, sum(y) = 1 } and returns a Witness when its y passes
+    `_witness`, or else when the paper's explicit solution for alpha does
+    (`_closed_form`).  When neither does, the outcome is an Indeterminate,
+    which next to the feasibility boundary is unavoidable: below it the
+    chain's margins decay under TOL_MARGIN.  Raises only ValueError, for
+    alpha outside [pi/2, pi].
     """
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
     c, m = _build(alpha, n)
-    outcome = _decide(c, m)
+    outcome = _decide(c, m, alpha, n)
     if isinstance(outcome, Indeterminate):
         return _closed_form(c, alpha, n) or outcome
     return outcome
@@ -286,13 +219,15 @@ def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
     return None
 
 
-def _decide(c: np.ndarray, m: np.ndarray) -> FeasibilityOutcome:
-    """The row chain, then the projection, whose y is a witness candidate
-    judged on the one build: the Certificate, the Witness, or an
-    Indeterminate."""
-    chain = _row_chain(c, m)
+def _decide(c: np.ndarray, m: np.ndarray, alpha: float, n: int) -> FeasibilityOutcome:
+    """The proof's chain, as a Certificate of one Step per row of C, then
+    the projection, whose y is a witness candidate judged on the one build:
+    the Certificate, the Witness, or an Indeterminate."""
+    chain = _chain(m, alpha, n)
     if chain is not None:
-        return chain
+        h, margin = chain
+        return Certificate(steps=tuple(Step(row=j, h=h[j], margin=link)
+                                       for j, link in enumerate(margin.tolist())))
     rows, p = m.shape
     a = np.concatenate((m, np.ones((1, p))))
     b = np.zeros(rows + 1)
@@ -302,8 +237,8 @@ def _decide(c: np.ndarray, m: np.ndarray) -> FeasibilityOutcome:
     except (IterationLimitReached, np.linalg.LinAlgError) as exc:
         return Indeterminate(f"projection did not terminate cleanly: {exc}")
     return _witness(c, result.y) or Indeterminate(
-        f"projection residual {result.rnorm:.3e}: no witness within {TOL_WITNESS:.1e} "
-        f"and no separation margin above {TOL_MARGIN:.1e}")
+        f"projection residual {result.rnorm:.3e}: no witness within {TOL_WITNESS:.1e}, "
+        f"and the necessity proof's chain does not hold at margin {TOL_MARGIN:.1e}")
 
 
 def _closed_form(c: np.ndarray, alpha: float, n: int) -> Witness | None:
@@ -365,17 +300,17 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     pi/2 that is known infeasible for every order.  Probes are classified by
     whether a witness emerges.  Each probe builds its system once.  Above the
     boundary the paper's explicit solution (`_closed_form`) decides it.
-    Below the boundary the necessity proof's chain (`_explicit_chain`)
-    decides it as soon as n times its distance to the boundary is a few
-    multiples of TOL_MARGIN.  Any other probe takes `nns_exists`'s decision
-    (`_decide`: the row chain, then the projection): a catalog endpoint,
-    where one entry of the explicit solution rounds below 0, and the band
-    just below the boundary where the chain's margins miss the bar.  A probe
-    that comes out indeterminate is raised: it cannot be bracketed.  The two
-    endpoints must come out infeasible and feasible, otherwise
-    NonMonotonePredicate is raised; every later probe lies strictly inside
-    the bracket, so bisection keeps each infeasible probe below each
-    feasible one by construction.
+    Below the boundary the necessity proof's chain (`_chain`) decides it as
+    soon as n times its distance to the boundary is a few multiples of
+    TOL_MARGIN; a probe builds no Step for it, since it prints no chain.
+    Any other probe takes `nns_exists`'s decision (`_decide`: the chain
+    again, then the projection): a catalog endpoint, where one entry of the
+    explicit solution rounds below 0, and the band just below the boundary
+    where the chain's margins miss the bar.  A probe that comes out
+    indeterminate is raised: it cannot be bracketed.  The two endpoints must
+    come out infeasible and feasible, otherwise NonMonotonePredicate is
+    raised; every later probe lies strictly inside the bracket, so bisection
+    keeps each infeasible probe below each feasible one by construction.
     """
     check_catalog_order(n)
     if not (math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
@@ -387,9 +322,9 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
         c, m = _build(alpha, n)
         if _closed_form(c, alpha, n):
             return True
-        if _explicit_chain(m, alpha, n):
+        if _chain(m, alpha, n) is not None:
             return False
-        outcome = _decide(c, m)
+        outcome = _decide(c, m, alpha, n)
         if isinstance(outcome, Indeterminate):
             raise outcome
         return isinstance(outcome, Witness)

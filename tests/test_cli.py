@@ -143,12 +143,14 @@ def test_necessity_witness_is_a_verification_failure(capsys, monkeypatch):
     assert [row["outcome"] for row in json.loads(out)["rows"]] == ["witness"] * 2
 
 
-# re-recorded when certificates became row chains: each row lists its links
+# re-recorded when certificates became row chains: each row lists its links;
+# and when the proof's chain replaced the generic row pass, which moved link
+# margins in their last digits (rows and kinds unchanged)
 def test_necessity_report_bytes(capsys):
     code, out, _ = run_cli(capsys, "necessity", "--n", "4", "--points", "12")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5d05d5e204f6ff60dfc84881e01643d3c3c96939ee33c167722384f217fe1619")
+        "1ccd4c99d9e944f09f902b6904c74a6a65ff218f52c483874b738408083ada3a")
 
 
 @pytest.mark.parametrize("args", [
@@ -367,12 +369,12 @@ def test_sweep_exits_indeterminate(capsys, undecidable_below_threshold):
     (Indeterminate("stuck"), 2, "paradist: indeterminate: "),
 ], ids=["non-monotone", "indeterminate"])
 def test_threshold_failures_set_exit_code(capsys, monkeypatch, outcome, expected_code, prefix):
-    # every probe the closed form and the explicit chain leave open, the left
+    # every probe the closed form and the proof's chain leave open, the left
     # endpoint first, gets the same outcome: a witness contradicts the
     # infeasible left endpoint, an indeterminate probe cannot be bracketed.
     # The chain, in column order, misses on the reversed columns.
     monkeypatch.setattr(feasibility, "build_C", lambda alpha, n: build_C(alpha, n)[:, ::-1])
-    monkeypatch.setattr(feasibility, "_decide", lambda c, m: outcome)
+    monkeypatch.setattr(feasibility, "_decide", lambda c, m, alpha, n: outcome)
     code, out, err = run_cli(capsys, "threshold", "--n", "3")
     assert (code, out) == (expected_code, "")
     assert err.count("\n") == 1 and err.startswith(prefix)

@@ -144,14 +144,18 @@ def test_link_declaring_more_than_it_reaches_is_rejected(chain4):
 
 
 def test_row_link_must_remove_all_its_columns(substitute):
-    # the arc from phase 0 to pi - 1e-15 fits in an open half-plane, but
-    # under its bisector the tiny entry's h'M rounds to exactly 0: the link
-    # leaves a column it would claim, so it cannot count that column as
-    # removed, and no certificate may come out that fails verification
-    phi = math.pi - 1e-15
-    substitute(lambda alpha, n: np.array([[1e-309, 1e9 * complex(math.cos(phi), math.sin(phi))]]))
-    outcome = nns_exists(2.0, 1)
-    assert not isinstance(outcome, Certificate) or verify_certificate(outcome, 2.0, 1)[0]
+    # at pi/2 link 0 is h = e_0, and an entry i in row 0 on the column
+    # (1, 0, 1), which has n1 = 0, gives h'M = 0 there: the link leaves a
+    # column of its own row, no later link is judged on it, so the chain
+    # cannot count it as removed and no certificate may come out
+    def tilted(alpha, n):
+        c = build_C(alpha, n)
+        c[0, 1] = 1j
+        return c
+
+    substitute(tilted)
+    assert feasibility._chain(realize(math.pi / 2, 2), math.pi / 2, 2) is None
+    assert not isinstance(nns_exists(math.pi / 2, 2), Certificate)
 
 
 def test_certificate_rule_is_scale_free(chain4):
@@ -233,47 +237,38 @@ def _tiny_system(alpha, n):
 
 
 def _crossed_system(alpha, n):
-    # infeasible (h = (1, 2, 5, 0)/5 separates by 0.6), but each row holds
-    # two opposite entries, so no row fits in an open half-plane and the row
-    # chain cannot certify it
+    # infeasible (h = (1, 2, 5, 0)/5 separates by 0.6), but not of the shape
+    # of an order-3 system, so the proof's chain is not tried on it
     return np.array([[1, -1, 1j], [1, 2, -1]], dtype=complex)
 
 
 def _reversed_columns(alpha, n):
     # the same system with its columns in reverse order: the closed form and
-    # the proof's explicit chain, both in column order, miss their bars on
-    # it; the row chain and the projection know no column order
+    # the proof's chain, both in column order, miss their bars on it; the
+    # projection knows no column order
     return build_C(alpha, n)[:, ::-1]
 
 
 def test_crossed_system_reaches_the_projection(substitute, nnls_calls):
     # the projection proposes no witness and certifies nothing: the outcome
-    # is indeterminate, its detail naming the projection residual
+    # is indeterminate, its detail naming the projection residual and the
+    # chain that does not hold
     substitute(_crossed_system)
     outcome = nns_exists(math.pi, 3)
     assert nnls_calls == [(5, 3)]
     assert isinstance(outcome, Indeterminate)
-    assert str(outcome) == ("projection residual 4.804e-01: no witness within 1.0e-08 "
-                            "and no separation margin above 1.0e-08")
-
-
-def test_arcs_reads_a_zero_entry_at_phase_zero():
-    # phases 0.1 apart around -2.0 sum into the third quadrant, where a zero
-    # entry times the conjugate sum has real part -0.0; the zero must widen
-    # nothing, so the row fits with or without it
-    row = np.exp(np.array([-2.0j, -1.9j]))
-    for z in (row, np.append(row, 0)):
-        fits, psi = feasibility._arcs(z[None, :])
-        assert fits.tolist() == [True]
-        assert psi[0] == pytest.approx(-1.95, abs=1e-12)
+    assert str(outcome) == ("projection residual 4.804e-01: no witness within 1.0e-08, "
+                            "and the necessity proof's chain does not hold at margin 1.0e-08")
 
 
 def test_duplicate_rows_give_same_outcome_class(substitute):
+    # the witness side: the proof's chain is written for the rows of C, so
+    # B certifies nothing from order 2 on
     cases = []
     for n in range(1, 6):
-        cases += [(n, math.pi / 2 + 0.05), (n, math.pi - 0.01)]
+        cases.append((n, math.pi - 0.01))
         if n >= 2:
-            cases.append((n, conjectured_threshold(n) - 0.02))
+            cases.append((n, conjectured_threshold(n) + 0.02))
     base = [type(nns_exists(alpha, n)) for n, alpha in cases]
     # the orbit-summed system B repeats each row of C once per binary label
     substitute(build_B)
@@ -304,11 +299,11 @@ def test_threshold_bisect_validation():
 ], ids=["witness-at-left", "certificate-at-right"])
 def test_threshold_bisect_checks_endpoints(monkeypatch, substitute, outcome, message, system):
     # a probe falls back to `_decide` when the closed form is no witness and
-    # the proof's explicit chain does not hold: at the left endpoint there is
-    # no closed form, and the chain misses on the reversed columns; at pi both
+    # the proof's chain does not hold: at the left endpoint there is no
+    # closed form, and the chain misses on the reversed columns; at pi both
     # are judged on a substituted system of the left endpoint and both miss
     substitute(system)
-    monkeypatch.setattr(feasibility, "_decide", lambda c, m: outcome)
+    monkeypatch.setattr(feasibility, "_decide", lambda c, m, alpha, n: outcome)
     with pytest.raises(NonMonotonePredicate, match=message):
         threshold_bisect(3)
 
@@ -317,10 +312,10 @@ def test_threshold_bisect_checks_endpoints(monkeypatch, substitute, outcome, mes
 def test_threshold_bisect_raises_unresolved_probe(monkeypatch, substitute, tol_alpha):
     # an indeterminate probe cannot be bracketed: it stops the bisection at
     # the default tolerance and at the finest one alike (on the reversed
-    # columns, so that the explicit chain leaves the left endpoint to `_decide`)
+    # columns, so that the chain leaves the left endpoint to `_decide`)
     substitute(_reversed_columns)
     probe = Indeterminate("stuck")
-    monkeypatch.setattr(feasibility, "_decide", lambda c, m: probe)
+    monkeypatch.setattr(feasibility, "_decide", lambda c, m, alpha, n: probe)
     kwargs = {} if tol_alpha is None else {"tol_alpha": tol_alpha}
     with pytest.raises(Indeterminate) as raised:
         threshold_bisect(3, **kwargs)
@@ -373,30 +368,30 @@ def _reference_chain(c):
     return None if alive.any() else links
 
 
-@pytest.mark.parametrize("rearrange", [
-    lambda c: c,
-    lambda c: c[::-1],
-    lambda c: c[[i for i in range(len(c)) for _ in range(2)]],
-    lambda c: c[:, np.random.default_rng(len(c)).permutation(c.shape[1])],
-], ids=["C", "rows-reversed", "rows-doubled", "columns-permuted"])
-def test_row_chain_matches_the_row_by_row_reference(substitute, rearrange):
-    # reversed rows take one pass per row; doubled rows give empty copies
-    substitute(lambda alpha, n: rearrange(build_C(alpha, n)))
-    for n in (1, 2, 5, 10, 12):
-        conj = conjectured_threshold(n)
-        for alpha in [math.pi / 2, (math.pi / 2 + conj) / 2, conj - 1e-6, min(conj + 1e-3, math.pi)]:
-            c = rearrange(build_C(alpha, n))
-            expected = _reference_chain(c)
-            outcome = nns_exists(alpha, n)
-            if expected is None:
-                assert not isinstance(outcome, Certificate), (n, alpha)
-                continue
-            assert isinstance(outcome, Certificate), (n, alpha)
-            assert [step.row for step in outcome.steps] == [row for row, _ in expected]
-            # the two bisectors differ by a few ulps of pi, a margin by as much
-            assert_allclose([step.margin for step in outcome.steps],
-                            [margin for _, margin in expected], rtol=1e-12, atol=1e-14)
-            assert verify_certificate(outcome, alpha, n) == (True, outcome.margin)
+def _assert_matches_reference(c, alpha, n):
+    """`nns_exists` is a Certificate exactly where `_reference_chain` finds
+    links on c, the order-n system at alpha, with the same rows and margins,
+    and it verifies; returns whether it is one."""
+    expected = _reference_chain(c)
+    outcome = nns_exists(alpha, n)
+    assert isinstance(outcome, Certificate) == (expected is not None), (n, alpha)
+    if expected is None:
+        return False
+    assert [step.row for step in outcome.steps] == [row for row, _ in expected]
+    # the two bisectors differ by a few ulps of pi, a margin by as much
+    assert_allclose([step.margin for step in outcome.steps],
+                    [margin for _, margin in expected], rtol=1e-12, atol=1e-14)
+    assert verify_certificate(outcome, alpha, n) == (True, outcome.margin)
+    return True
+
+
+@pytest.mark.parametrize("system", [build_C], ids=["C"])
+def test_row_chain_matches_the_row_by_row_reference(system):
+    # on the corpus of every order; the proof's chain is written for the
+    # rows and columns of C in their own order, so it is C that is compared
+    for n in range(1, 13):
+        for alpha in _corpus(n):
+            _assert_matches_reference(system(alpha, n), alpha, n)
 
 
 def _corpus(n):
@@ -424,35 +419,16 @@ def test_row_chain_decides_exactly_the_infeasible_side(n):
             assert verify_certificate(outcome, alpha, n) == (True, outcome.margin)
 
 
-def _explicit_certificate(alpha, n):
-    """The proof's chain as a Certificate, each link declared at TOL_MARGIN:
-    link j is cos, sin of (n-j)(alpha - pi/2) at rows j and n+1+j of M."""
-    psi = (n - np.arange(n + 1)) * (alpha - math.pi / 2)
-    steps = []
-    for j, (cos, sin) in enumerate(zip(np.cos(psi), np.sin(psi))):
-        h = np.zeros(2 * (n + 1))
-        h[j], h[n + 1 + j] = cos, sin
-        steps.append(Step(row=j, h=h, margin=TOL_MARGIN))
-    return Certificate(steps=tuple(steps))
-
-
 @pytest.mark.parametrize("n", range(1, 13))
 def test_explicit_chain_holds_exactly_where_the_row_chain_does(n):
     # a 300-point grid over [pi/2, pi] and conj -+ 1e-12 ... 1e-1, on both
-    # sides of the band where the links' margins fall under TOL_MARGIN;
-    # wherever the proof's chain holds it is a certificate that verifies
+    # sides of the band where the links' margins fall under TOL_MARGIN
     conj = conjectured_threshold(n)
     offsets = np.geomspace(1e-12, 1e-1, 60).tolist()
     angles = [*np.linspace(math.pi / 2, math.pi, 300).tolist(),
               *(conj + sign * d for sign in (-1, 1) for d in offsets)]
-    held = 0
-    for alpha in (a for a in angles if math.pi / 2 <= a <= math.pi):
-        c, m = feasibility._build(alpha, n)
-        holds = feasibility._explicit_chain(m, alpha, n)
-        assert holds == (feasibility._row_chain(c, m) is not None), alpha
-        if holds:
-            assert verify_certificate(_explicit_certificate(alpha, n), alpha, n)[0], alpha
-            held += 1
+    held = sum(_assert_matches_reference(build_C(alpha, n), alpha, n)
+               for alpha in angles if math.pi / 2 <= alpha <= math.pi)
     assert held >= 60
 
 
@@ -462,9 +438,9 @@ def test_explicit_chain_must_remove_the_columns_of_each_link():
     # hold although every link reaches the margin bar
     alpha, n = _ALPHA4, 4
     c = build_C(alpha, n)
-    assert feasibility._explicit_chain(np.vstack([c.real, c.imag]), alpha, n)
+    assert feasibility._chain(np.vstack([c.real, c.imag]), alpha, n) is not None
     c[:, 2] = 0  # the column (2, 0, 2), in play for link 0 only
-    assert not feasibility._explicit_chain(np.vstack([c.real, c.imag]), alpha, n)
+    assert feasibility._chain(np.vstack([c.real, c.imag]), alpha, n) is None
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -559,14 +535,14 @@ def test_necessity_point_flags_witness(substitute):
 
 
 def test_necessity_point_flags_indeterminate(substitute, monkeypatch):
-    # one complex row of 1e-7: no witness within 1e-8, and a margin of
-    # about 2e-7, below a 1e-6 bar
+    # one complex row of 1e-7: no witness within 1e-8, and no chain, whose
+    # bar the detail names as it is read at call time
     substitute(lambda alpha, n: np.full((1, 3), 1e-7 + 1e-7j))
     monkeypatch.setattr(feasibility, "TOL_MARGIN", 1e-6)
     row = necessity_point(2.0, 1)
     assert row.keys() == {"alpha", "n", "outcome", "detail", "anomaly"}
     assert (row["outcome"], row["anomaly"]) == ("indeterminate", True)
-    assert "no separation margin above 1.0e-06" in row["detail"]
+    assert row["detail"].endswith("the necessity proof's chain does not hold at margin 1.0e-06")
 
 
 def test_necessity_point_lists_the_chain():
@@ -660,39 +636,42 @@ def nnls_calls(monkeypatch):
 
 def test_threshold_search_runs_no_projection(nnls_calls, monkeypatch):
     # every feasible probe rests on a closed form and every infeasible one
-    # on the proof's explicit chain, for each order the catalog covers:
-    # no probe runs the generic row chain either
-    chains = []
-    row_chain = feasibility._row_chain
-    monkeypatch.setattr(feasibility, "_row_chain",
-                        lambda c, m: chains.append(c.shape) or row_chain(c, m))
+    # on the proof's chain, for each order the catalog covers: no probe
+    # takes the full decision, so none builds a Certificate either
+    decided = []
+    decide = feasibility._decide
+    monkeypatch.setattr(feasibility, "_decide",
+                        lambda c, m, alpha, n: decided.append(alpha) or decide(c, m, alpha, n))
     for n in range(1, 11):
         threshold_bisect(n)
     assert nnls_calls == []
-    assert chains == []
+    assert decided == []
 
 
 def test_probe_falls_back_to_the_projection(substitute, nnls_calls):
     expected = threshold_bisect(3)
     assert nnls_calls == []
-    substitute(_reversed_columns)
-    # each feasible probe now rests on the projection, the infeasible ones
-    # on the row chain as before, and every probe decides as before
+    conj = conjectured_threshold(3)
+    substitute(lambda alpha, n: _reversed_columns(alpha, n) if alpha > conj else build_C(alpha, n))
+    # above the threshold the columns are reversed, so each feasible probe
+    # now rests on the projection; the infeasible ones rest on the chain as
+    # before, and every probe decides as before
     assert threshold_bisect(3) == expected
     assert len(nnls_calls) >= 10
 
 
 def test_probe_of_another_shape_falls_back_to_decide(substitute, monkeypatch):
-    # B repeats the rows of C: the explicit chain, built for n+1 rows, is not
-    # tried on it, so every infeasible probe goes to `_decide`, whose row
-    # chain decides it as before, and nothing raises
-    expected = threshold_bisect(3)
+    # B repeats the rows of C: the chain, built for n+1 rows, does not hold
+    # on it, so the left endpoint goes to `_decide`, whose projection finds
+    # no witness there either, and the probe that cannot be bracketed raises
     substitute(build_B)
     decided = []
     decide = feasibility._decide
-    monkeypatch.setattr(feasibility, "_decide", lambda c, m: decided.append(c.shape) or decide(c, m))
-    assert threshold_bisect(3) == expected
-    assert len(decided) >= 10 and set(decided) == {(8, p_count(3))}
+    monkeypatch.setattr(feasibility, "_decide",
+                        lambda c, m, alpha, n: decided.append(c.shape) or decide(c, m, alpha, n))
+    with pytest.raises(Indeterminate, match="chain does not hold"):
+        threshold_bisect(3)
+    assert decided == [(8, p_count(3))]
 
 
 @pytest.fixture
@@ -712,21 +691,13 @@ def test_one_build_per_decision(build_calls, alpha, expected):
 
 
 def test_passed_in_system_is_judged_against_its_own_matrix(substitute):
-    # the system substituted for C is the one reduced and the one judged:
-    # B repeats rows of C, so its chain takes the first copy of each
+    # the system substituted for C is the one projected and the one judged:
+    # the witness's residual is that of B, which repeats rows of C
     calls = substitute(build_B)
-    alpha = conjectured_threshold(3) - 0.02
-    cert = nns_exists(alpha, 3)
-    assert isinstance(cert, Certificate)
-    assert len(calls) == 1
-    m = np.vstack([calls[0].real, calls[0].imag])
-    assert [step.row for step in cert.steps] == [0, 1, 3, 7]
-    for step, alive in zip(cert.steps, _in_play(cert, m)):
-        assert step.h.shape == (m.shape[0],) == (16,)
-        values = (step.h @ m)[alive]
-        assert values.min() >= 0
-        assert_allclose(step.margin, values[values > 0].min(), rtol=0, atol=0)
-    assert verify_certificate(cert, alpha, 3) == (True, cert.margin)
+    witness = nns_exists(conjectured_threshold(3) + 0.02, 3)
+    assert isinstance(witness, Witness)
+    assert len(calls) == 1 and calls[0].shape == (8, p_count(3))
+    assert witness.residual == float(np.abs(calls[0] @ witness.y).max())
 
 
 def test_realized_system_is_read_only():
@@ -755,8 +726,12 @@ def test_nns_exists_returns_every_outcome(substitute, monkeypatch):
 # Re-recorded when the row chain came in front of the projection: its
 # certificates replace the projection's below the threshold (and n = 12 at
 # conj - 1e-3 turns from indeterminate to certificate), while every witness
-# and every threshold keeps its bits.
-DECISIONS_SHA = "5ed4db8edda8da62d56054755ac8eb40dfe813dcb3afd6894559acbfe3fe9be3"
+# and every threshold keeps its bits.  Re-recorded again when the proof's
+# chain, psi_j = (n-j)(alpha - pi/2), replaced the generic row pass, which
+# read each bisector off the phases of the row's entries: link h and
+# margins moved by at most 1.6e-15, while every kind, link row, witness and
+# threshold keeps its bits.
+DECISIONS_SHA = "103337d2353bee5e297d1d1c1fc43e7bcbf4ce08ebcbf323922131fadd90c945"
 
 
 def test_decision_bits_are_pinned():

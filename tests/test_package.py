@@ -57,6 +57,26 @@ def test_one_least_squares_routine():
         assert "lstsq" not in names, path.name
 
 
+def _callers(name):
+    """module.function (or module.<module>) for every top-level definition in
+    the package that calls `name`, bare or as an attribute."""
+    callers = set()
+    for path in sorted(Path(paradist.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                      for node in ast.walk(top) if isinstance(node, ast.Call)}
+            if name in called:
+                callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return callers
+
+
+def test_one_certificate_construction():
+    # certificates come from the necessity proof's chain alone, wrapped in
+    # one place, and one rule judges every link, proposed or handed in
+    assert _callers("Certificate") == {"feasibility._decide"}
+    assert _callers("_separation") == {"feasibility._chain", "feasibility.verify_certificate"}
+
+
 def test_private_numpy_only_in_the_engine():
     # the engine calls numpy's LAPACK gufuncs through the private
     # `numpy.linalg._umath_linalg`; that surface stays in one audited module
