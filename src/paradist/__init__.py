@@ -28,7 +28,6 @@ from .feasibility import (
     FeasibilityOutcome,
     Indeterminate,
     NonMonotonePredicate,
-    Step,
     ThresholdEstimate,
     Witness,
     necessity_scan,

@@ -7,33 +7,32 @@ h with h'M >= 0 on the columns still in play: every y >= 0 with M y = 0
 that lives on those columns has sum_k (h'M)_k y_k = h'M y = 0, so y
 vanishes on each column where h'M > 0.
 
-Infeasibility is decided by the paper's necessity proof, a facial reduction
-chain (Borwein and Wolkowicz, 1981) written out.  Let theta = 2 alpha - pi.
-Row j of C vanishes on the columns with n1 > j, and on those with n1 = j its
-entries are binom(n-j, n2) e^{i n2 theta}, n2 = 0..n-j.  Below
-alpha = pi/2 + pi/(2n), that is n theta < pi, they lie in an open
-half-plane bisected by psi_j = (n-j)(alpha - pi/2), so link j, cos(psi_j)
-at row j of M and sin(psi_j) at its imaginary row, forces y = 0 on the
-columns with n1 = j once the links before it have removed those with
-n1 < j (`_chain`).  The links, judged together by `_separation` at
+`nns_exists` is the one decision: it builds C once, read-only, judges
+every outcome on that system alone and tries, in this order, the paper's
+two constructions and then the projection.  First the paper's explicit
+solution for the catalog interval holding alpha (`_closed_form`), a
+witness if it passes `_witness`.  Then the paper's necessity proof, a
+facial reduction chain (Borwein and Wolkowicz, 1981) written out.  Let
+theta = 2 alpha - pi.  Row j of C vanishes on the columns with n1 > j, and
+on those with n1 = j its entries are binom(n-j, n2) e^{i n2 theta},
+n2 = 0..n-j.  Below alpha = pi/2 + pi/(2n), that is n theta < pi, they lie
+in an open half-plane bisected by psi_j = (n-j)(alpha - pi/2), so link j,
+cos(psi_j) at row j of M and sin(psi_j) at its imaginary row, forces y = 0
+on the columns with n1 = j once the links before it have removed those
+with n1 < j (`_chain`).  The links, judged together by `_separation` at
 TOL_MARGIN, are a certificate when each removes exactly its own columns;
-it is the only kind there is, and `verify_certificate` judges it by the
-same rule whoever proposed it.
+it is the only kind there is, held as the chain's arrays (h, margins), and
+`verify_certificate` judges it by the same rule whoever proposed it.
 
-Everything else goes to the projection, which only proposes a witness: the
-point b = (0, ..., 0, 1) is projected onto the cone spanned by the columns
-of [M; 1'] with an active-set nonnegative least squares solve, and its y is
-a witness if it passes `_witness`.  Each decision builds C once, read-only,
-and judges every outcome on that system alone.  `nns_exists` turns
-(alpha, n) into one of three outcomes, indeterminate included; every report
-is rendered from it.  The paper's explicit solution (`_closed_form`), judged
-by the same witness rule, decides an angle the projection leaves open.
-A threshold probe prints neither a vector nor a chain, so it tries the
-paper's explicit solution first, then the chain, and takes the full
-decision only when both miss.
-The witness and margin bars that decide what an outcome means are module
-constants, read at call time; only the threshold's bracket width is a
-per-call parameter.
+Where both miss (a catalog endpoint, orders 11 and 12 below the order-10
+threshold, the band just below the boundary), the projection proposes a
+witness: the point b = (0, ..., 0, 1) is projected onto the cone spanned
+by the columns of [M; 1'] with an active-set nonnegative least squares
+solve, and its y is a witness if it passes `_witness`.  Otherwise the
+outcome is indeterminate.  Every report and every threshold
+probe is rendered from this one decision.  The witness and margin bars
+that decide what an outcome means are module constants, read at call
+time; only the threshold's bracket width is a per-call parameter.
 """
 
 from __future__ import annotations
@@ -83,32 +82,23 @@ class Witness:
 
 
 @dataclass(frozen=True)
-class Step:
-    """One link of a certificate chain: h, scaled to max|h| = 1, removes the
-    columns still in play where h'M > 0, by at least `margin`, and is >= 0 on
-    the rest.  `row` is the row of C it was built from."""
-
-    row: int
-    h: np.ndarray
-    margin: float
-
-    def to_dict(self) -> dict:
-        return {"row": self.row, "h": self.h.tolist(), "margin": self.margin}
-
-
-@dataclass(frozen=True)
 class Certificate:
-    """A chain of links that together remove every column; its margin is the
-    smallest link margin."""
+    """A chain of links that together remove every column: row j of `h`
+    (links x 2(n+1)), scaled to max|h| = 1, is link j, built from row j of
+    C; it removes the columns still in play where h'M > 0, by at least
+    `margins[j]`, and is >= 0 on the rest.  Its margin is the smallest link
+    margin."""
 
-    steps: tuple[Step, ...]
+    h: np.ndarray
+    margins: np.ndarray
     kind = "certificate"
-    margin = property(lambda self: min((step.margin for step in self.steps), default=0.0))
+    margin = property(lambda self: min(self.margins.tolist(), default=0.0))
     metric = property(lambda self: self.margin)
 
     def to_dict(self) -> dict:
+        links = enumerate(zip(self.h.tolist(), self.margins.tolist()))
         return {"kind": self.kind, "margin": self.margin,
-                "steps": [step.to_dict() for step in self.steps]}
+                "steps": [{"row": j, "h": h, "margin": margin} for j, (h, margin) in links]}
 
 
 FeasibilityOutcome = Witness | Certificate | Indeterminate
@@ -166,13 +156,13 @@ def _chain_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _chain(m: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The necessity proof's chain on m, the real embedding of the order-n
-    system, as its stacked (h, margin) when it holds, else None: link j is
-    cos(psi_j) at row j and sin(psi_j) at imaginary row n+1+j,
-    psi_j = (n-j)(alpha - pi/2), the bisector of row j's phases on the
-    columns with n1 = j.  All links are judged at once by `_separation`, each
-    on the columns with n1 >= j; the chain holds when every margin reaches
-    TOL_MARGIN and each link leaves exactly the next link's columns, the last
-    none.  A system of another shape never holds."""
+    system, as its stacked (h, margins), read-only, when it holds, else
+    None: link j is cos(psi_j) at row j and sin(psi_j) at imaginary row
+    n+1+j, psi_j = (n-j)(alpha - pi/2), the bisector of row j's phases on
+    the columns with n1 = j.  All links are judged at once by `_separation`,
+    each on the columns with n1 >= j; the chain holds when every margin
+    reaches TOL_MARGIN and each link leaves exactly the next link's columns,
+    the last none.  A system of another shape never holds."""
     before, after = _chain_columns(n)
     if m.shape != (2 * (n + 1), before.shape[1]):
         return None
@@ -183,6 +173,8 @@ def _chain(m: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]
     h[j, n + 1 + j] = np.sin(psi)
     h, margin, left = _separation(h, m, before)
     if (margin >= TOL_MARGIN).all() and np.array_equal(left, after):
+        h.setflags(write=False)
+        margin.setflags(write=False)
         return h, margin
     return None
 
@@ -190,44 +182,25 @@ def _chain(m: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]
 def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     """Decide whether a nontrivial nonnegative null vector exists.
 
-    First the necessity proof's chain (`_chain`); when it holds it is the
-    Certificate.  Otherwise projects onto the cone of the normalized system
-    { y >= 0, M y = 0, sum(y) = 1 } and returns a Witness when its y passes
-    `_witness`, or else when the paper's explicit solution for alpha does
-    (`_closed_form`).  When neither does, the outcome is an Indeterminate,
-    which next to the feasibility boundary is unavoidable: below it the
-    chain's margins decay under TOL_MARGIN.  Raises only ValueError, for
-    alpha outside [pi/2, pi].
+    Builds the system once and tries, in this order: the paper's explicit
+    solution for alpha (`_closed_form`), which is the Witness when it
+    passes `_witness`; the necessity proof's chain (`_chain`), which is the
+    Certificate when it holds; and the projection onto the cone of the
+    normalized system { y >= 0, M y = 0, sum(y) = 1 }, whose y is the
+    Witness when it passes `_witness`.  When none does, the outcome is an
+    Indeterminate, which next to the feasibility boundary is unavoidable:
+    below it the chain's margins decay under TOL_MARGIN.  Raises only
+    ValueError, for alpha outside [pi/2, pi].
     """
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
     c, m = _build(alpha, n)
-    outcome = _decide(c, m, alpha, n)
-    if isinstance(outcome, Indeterminate):
-        return _closed_form(c, alpha, n) or outcome
-    return outcome
-
-
-def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
-    """One witness rule: y fits c's columns, y >= 0, sum(y) > 0, max|C y/sum(y)| <= TOL_WITNESS."""
-    total = float(y.sum())
-    if total > 0 and y.shape == c.shape[1:] and y.min() >= 0:
-        y = y / total
-        residual = float(np.abs(c @ y).max())
-        if residual <= TOL_WITNESS:
-            return Witness(y=y, residual=residual)
-    return None
-
-
-def _decide(c: np.ndarray, m: np.ndarray, alpha: float, n: int) -> FeasibilityOutcome:
-    """The proof's chain, as a Certificate of one Step per row of C, then
-    the projection, whose y is a witness candidate judged on the one build:
-    the Certificate, the Witness, or an Indeterminate."""
+    witness = _closed_form(c, alpha, n)
+    if witness is not None:
+        return witness
     chain = _chain(m, alpha, n)
     if chain is not None:
-        h, margin = chain
-        return Certificate(steps=tuple(Step(row=j, h=h[j], margin=link)
-                                       for j, link in enumerate(margin.tolist())))
+        return Certificate(*chain)
     rows, p = m.shape
     a = np.concatenate((m, np.ones((1, p))))
     b = np.zeros(rows + 1)
@@ -241,11 +214,26 @@ def _decide(c: np.ndarray, m: np.ndarray, alpha: float, n: int) -> FeasibilityOu
         f"and the necessity proof's chain does not hold at margin {TOL_MARGIN:.1e}")
 
 
+def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
+    """One witness rule: y fits c's columns, y >= 0, sum(y) > 0, max|C y/sum(y)| <= TOL_WITNESS."""
+    total = float(y.sum())
+    if total > 0 and y.shape == c.shape[1:] and y.min() >= 0:
+        y = y / total
+        residual = float(np.abs(c @ y).max())
+        if residual <= TOL_WITNESS:
+            return Witness(y=y, residual=residual)
+    return None
+
+
 def _closed_form(c: np.ndarray, alpha: float, n: int) -> Witness | None:
     """The paper's explicit solution for the catalog interval (order
     k <= min(n, CATALOG_MAX_ORDER)) holding alpha, padded to order n, if it
-    passes `_witness` on c."""
-    for k in range(1, min(n, CATALOG_MAX_ORDER) + 1):
+    passes `_witness` on c.  Below the threshold of the highest such order
+    no interval holds alpha (order 1 is the single angle pi)."""
+    top = min(n, CATALOG_MAX_ORDER)
+    if top >= 2 and alpha < conjectured_threshold(top):
+        return None
+    for k in range(1, top + 1):
         if in_interval(k, alpha):
             y = explicit_nns(k, alpha)
             for _ in range(k, n):
@@ -256,22 +244,23 @@ def _closed_form(c: np.ndarray, alpha: float, n: int) -> Witness | None:
 
 def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, float]:
     """Judge a certificate from elsewhere by `nns_exists`'s rule on the
-    system rebuilt from (alpha, n): each link, whatever the scale of its h,
-    is judged by `_separation` on the columns the links before it leave in
-    play, must hold and reach its declared margin (within 1e-12), and the
-    links together must remove every column.  Returns (verdict, least link
-    margin); a chain with no links, or one whose h has the wrong shape,
-    gives (False, 0.0)."""
+    system rebuilt from (alpha, n): each link (row of h), whatever its
+    scale, is judged by `_separation` on the columns the links before it
+    leave in play, must hold and reach its declared margin (within 1e-12),
+    and the links together must remove every column.  Returns (verdict,
+    least link margin); a chain with no links, an h that is not links x
+    2(n+1), or margins of another length gives (False, 0.0)."""
     m = realize(alpha, n)
+    h = np.asarray(cert.h, dtype=float)
+    declared = np.asarray(cert.margins, dtype=float)
+    if h.ndim != 2 or h.shape[1] != m.shape[0] or declared.shape != h.shape[:1]:
+        return False, 0.0
     alive = np.ones(m.shape[1], dtype=bool)
     ok, margins = True, []
-    for step in cert.steps:
-        h = np.asarray(step.h, dtype=float)
-        if h.shape != (m.shape[0],):
-            return False, 0.0
-        _, margin, alive = _separation(h, m, alive)
+    for link, bar in zip(h, declared.tolist()):
+        _, margin, alive = _separation(link, m, alive)
         margins.append(float(margin))
-        ok = ok and margins[-1] >= TOL_MARGIN and margins[-1] >= step.margin - 1e-12
+        ok = ok and margins[-1] >= TOL_MARGIN and margins[-1] >= bar - 1e-12
     if not margins:
         return False, 0.0
     return ok and not alive.any(), min(margins)
@@ -297,20 +286,18 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     """Bisect the phase angle over [pi/2, pi] for the feasibility boundary.
 
     Starts from the known-feasible right endpoint pi and a point just above
-    pi/2 that is known infeasible for every order.  Probes are classified by
-    whether a witness emerges.  Each probe builds its system once.  Above the
-    boundary the paper's explicit solution (`_closed_form`) decides it.
-    Below the boundary the necessity proof's chain (`_chain`) decides it as
-    soon as n times its distance to the boundary is a few multiples of
-    TOL_MARGIN; a probe builds no Step for it, since it prints no chain.
-    Any other probe takes `nns_exists`'s decision (`_decide`: the chain
-    again, then the projection): a catalog endpoint, where one entry of the
-    explicit solution rounds below 0, and the band just below the boundary
-    where the chain's margins miss the bar.  A probe that comes out
-    indeterminate is raised: it cannot be bracketed.  The two endpoints must
-    come out infeasible and feasible, otherwise NonMonotonePredicate is
-    raised; every later probe lies strictly inside the bracket, so bisection
-    keeps each infeasible probe below each feasible one by construction.
+    pi/2 that is known infeasible for every order.  Each probe is one
+    `nns_exists` decision, classified by whether it is a Witness: above the
+    boundary the paper's explicit solution decides it, below it the
+    necessity proof's chain as soon as n times its distance to the boundary
+    is a few multiples of TOL_MARGIN, and the projection only where both
+    miss (a catalog endpoint, where one entry of the explicit solution
+    rounds below 0, and the band just below the boundary).  A probe that
+    comes out indeterminate is raised: it cannot be bracketed.  The two
+    endpoints must come out infeasible and feasible, otherwise
+    NonMonotonePredicate is raised; every later probe lies strictly inside
+    the bracket, so bisection keeps each infeasible probe below each
+    feasible one by construction.
     """
     check_catalog_order(n)
     if not (math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
@@ -319,12 +306,7 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     hi = math.pi
 
     def feasible(alpha: float) -> bool:
-        c, m = _build(alpha, n)
-        if _closed_form(c, alpha, n):
-            return True
-        if _chain(m, alpha, n) is not None:
-            return False
-        outcome = _decide(c, m, alpha, n)
+        outcome = nns_exists(alpha, n)
         if isinstance(outcome, Indeterminate):
             raise outcome
         return isinstance(outcome, Witness)
@@ -363,7 +345,7 @@ def necessity_point(alpha: float, n: int) -> dict:
     outcome = nns_exists(alpha, n)
     row: dict = {"alpha": float(alpha), "n": n, "outcome": outcome.kind}
     if isinstance(outcome, Certificate):
-        steps = [{"row": step.row, "margin": step.margin} for step in outcome.steps]
+        steps = [{"row": j, "margin": margin} for j, margin in enumerate(outcome.margins.tolist())]
         row.update(margin=outcome.margin, steps=steps, verified=True, anomaly=False)
     elif isinstance(outcome, Witness):
         row.update(residual=outcome.residual, anomaly=True)

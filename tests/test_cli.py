@@ -369,12 +369,10 @@ def test_sweep_exits_indeterminate(capsys, undecidable_below_threshold):
     (Indeterminate("stuck"), 2, "paradist: indeterminate: "),
 ], ids=["non-monotone", "indeterminate"])
 def test_threshold_failures_set_exit_code(capsys, monkeypatch, outcome, expected_code, prefix):
-    # every probe the closed form and the proof's chain leave open, the left
-    # endpoint first, gets the same outcome: a witness contradicts the
-    # infeasible left endpoint, an indeterminate probe cannot be bracketed.
-    # The chain, in column order, misses on the reversed columns.
-    monkeypatch.setattr(feasibility, "build_C", lambda alpha, n: build_C(alpha, n)[:, ::-1])
-    monkeypatch.setattr(feasibility, "_decide", lambda c, m, alpha, n: outcome)
+    # every probe, the left endpoint first, is one `nns_exists` decision and
+    # gets the same outcome: a witness contradicts the infeasible left
+    # endpoint, an indeterminate probe cannot be bracketed
+    monkeypatch.setattr(feasibility, "nns_exists", lambda alpha, n: outcome)
     code, out, err = run_cli(capsys, "threshold", "--n", "3")
     assert (code, out) == (expected_code, "")
     assert err.count("\n") == 1 and err.startswith(prefix)

@@ -14,7 +14,6 @@ from paradist.feasibility import (
     Certificate,
     Indeterminate,
     NonMonotonePredicate,
-    Step,
     Witness,
     necessity_grid,
     necessity_point,
@@ -73,8 +72,13 @@ def test_certificates_below_threshold():
         alpha = conjectured_threshold(n) - 0.01
         outcome = nns_exists(alpha, n)
         assert isinstance(outcome, Certificate), n
-        # one link per row of C, in order, as in the paper's proof
-        assert [step.row for step in outcome.steps] == list(range(n + 1))
+        # one link per row of C, in order, as in the paper's proof: link j
+        # lives on row j of M and its imaginary row
+        assert [link["row"] for link in outcome.to_dict()["steps"]] == list(range(n + 1))
+        own = np.zeros(outcome.h.shape, dtype=bool)
+        links = np.arange(n + 1)
+        own[links, links] = own[links, n + 1 + links] = True
+        assert outcome.h.shape == (n + 1, 2 * (n + 1)) and not outcome.h[~own].any()
         assert outcome.margin >= 1e-8
         ok, margin = verify_certificate(outcome, alpha, n)
         assert ok and margin > 0
@@ -86,7 +90,8 @@ _ALPHA4 = conjectured_threshold(4) - 0.05
 @pytest.fixture(scope="module")
 def chain4():
     cert = nns_exists(_ALPHA4, 4)
-    assert isinstance(cert, Certificate) and len(cert.steps) == 5
+    assert isinstance(cert, Certificate)
+    assert cert.h.shape == (5, 10) and cert.margins.shape == (5,)
     return cert
 
 
@@ -94,33 +99,38 @@ def _in_play(cert, m):
     """The columns still in play before each link: those no earlier link
     gives h'M > 0."""
     alive = np.ones(m.shape[1], dtype=bool)
-    for step in cert.steps:
+    for h in cert.h:
         yield alive
-        alive = alive & ~(step.h @ m > 0)
+        alive = alive & ~(h @ m > 0)
 
 
 def _replaced(cert, i, h, margin):
-    steps = list(cert.steps)
-    steps[i] = Step(row=steps[i].row, h=h, margin=margin)
-    return Certificate(steps=tuple(steps))
+    links, margins = cert.h.copy(), cert.margins.copy()
+    links[i], margins[i] = h, margin
+    return Certificate(h=links, margins=margins)
 
 
 def test_certificate_rejections(chain4):
     alpha = _ALPHA4
-    zero = Certificate(steps=(Step(row=0, h=np.zeros(10), margin=0.0),))
+    zero = Certificate(h=np.zeros((1, 10)), margins=np.zeros(1))
     ok, margin = verify_certificate(zero, alpha, 4)
     assert not ok and margin == 0.0
-    assert verify_certificate(Certificate(steps=()), alpha, 4) == (False, 0.0)
+    assert verify_certificate(Certificate(h=np.zeros((0, 10)), margins=np.zeros(0)),
+                              alpha, 4) == (False, 0.0)
     # the same certificate cannot verify where witnesses exist
     ok_shift, _ = verify_certificate(chain4, alpha + 0.3, 4)
     assert not ok_shift
     # nor against a system of another order
     assert verify_certificate(chain4, alpha, 3) == (False, 0.0)
+    # nor unless h is links x 2(n+1) with one declared margin per link
+    for h, margins in [(chain4.h, chain4.margins[:-1]), (chain4.h[:-1], chain4.margins),
+                       (chain4.h[0], chain4.margins[:1]), (chain4.h, chain4.margins[:, None])]:
+        assert verify_certificate(Certificate(h=h, margins=margins), alpha, 4) == (False, 0.0)
 
 
 def test_chain_that_leaves_a_column_is_rejected(chain4):
     # every link still holds, but without the last one a column survives
-    short = Certificate(steps=chain4.steps[:-1])
+    short = Certificate(h=chain4.h[:-1], margins=chain4.margins[:-1])
     ok, margin = verify_certificate(short, _ALPHA4, 4)
     assert not ok
     assert margin == short.margin >= TOL_MARGIN
@@ -130,16 +140,15 @@ def test_link_negative_on_a_column_in_play_is_rejected(chain4):
     # the first link, tilted onto row 1 of C: the columns that row 1 removes
     # next are still in play, and some of them now have h'M < 0
     m = realize(_ALPHA4, 4)
-    h = chain4.steps[0].h.copy()
+    h = chain4.h[0].copy()
     h[1] = -0.5
     assert np.min(h @ m) < 0
-    ok, margin = verify_certificate(_replaced(chain4, 0, h, chain4.steps[0].margin), _ALPHA4, 4)
+    ok, margin = verify_certificate(_replaced(chain4, 0, h, chain4.margins[0]), _ALPHA4, 4)
     assert not ok and margin < 0
 
 
 def test_link_declaring_more_than_it_reaches_is_rejected(chain4):
-    step = chain4.steps[2]
-    inflated = _replaced(chain4, 2, step.h, step.margin + 1e-9)
+    inflated = _replaced(chain4, 2, chain4.h[2], chain4.margins[2] + 1e-9)
     assert verify_certificate(inflated, _ALPHA4, 4) == (False, chain4.margin)
 
 
@@ -159,9 +168,8 @@ def test_row_link_must_remove_all_its_columns(substitute):
 
 
 def test_certificate_rule_is_scale_free(chain4):
-    scaled = Certificate(steps=tuple(Step(row=step.row, h=step.h * 10.0 ** (6 - i),
-                                          margin=step.margin)
-                                     for i, step in enumerate(chain4.steps)))
+    scales = [[10.0 ** (6 - i)] for i in range(len(chain4.h))]
+    scaled = Certificate(h=chain4.h * scales, margins=chain4.margins)
     ok, margin = verify_certificate(scaled, _ALPHA4, 4)
     assert ok
     assert margin == pytest.approx(chain4.margin, rel=1e-14)
@@ -170,14 +178,14 @@ def test_certificate_rule_is_scale_free(chain4):
 def _pushed_below_bar(cert, i, m):
     """Link i turned within its two rows of M until it still separates the
     columns it removes, but by less than TOL_MARGIN; (h, margin)."""
-    step = cert.steps[i]
+    link = cert.h[i]
     alive = list(_in_play(cert, m))[i]
     rows = m.shape[0] // 2
-    psi = math.atan2(step.h[rows + step.row], step.h[step.row])
+    psi = math.atan2(link[rows + i], link[i])
 
     def pushed(t):
-        h = np.zeros_like(step.h)
-        h[step.row], h[rows + step.row] = math.cos(psi + t), math.sin(psi + t)
+        h = np.zeros_like(link)
+        h[i], h[rows + i] = math.cos(psi + t), math.sin(psi + t)
         h = h / np.max(np.abs(h))
         values = (h @ m)[alive]
         return h, float(values.min()) if values.min() < 0 else float(values[values > 0].min())
@@ -196,7 +204,7 @@ def _pushed_below_bar(cert, i, m):
 def test_certificate_below_margin_bar_is_rejected(chain4):
     # each link in turn, pushed below the bar: nns_exists would not take it
     m = realize(_ALPHA4, 4)
-    for i in range(len(chain4.steps)):
+    for i in range(len(chain4.h)):
         h, margin = _pushed_below_bar(chain4, i, m)
         assert 0 < margin < TOL_MARGIN
         ok, checked = verify_certificate(_replaced(chain4, i, h, margin), _ALPHA4, 4)
@@ -292,30 +300,28 @@ def test_threshold_bisect_validation():
             threshold_bisect(3, tol_alpha=tol)
 
 
-@pytest.mark.parametrize("outcome, message, system", [
-    (Witness(y=np.ones(3) / 3, residual=0.0), "infeasibility near pi/2", _reversed_columns),
-    (Certificate(steps=(Step(row=0, h=np.ones(4), margin=1.0),)), "feasibility at pi",
-     lambda alpha, n: build_C(math.pi / 2 + 1e-4, n)),
+@pytest.mark.parametrize("outcome, message, probed", [
+    (Witness(y=np.ones(3) / 3, residual=0.0), "infeasibility near pi/2", [math.pi / 2 + 1e-4]),
+    (Certificate(h=np.ones((1, 4)), margins=np.ones(1)), "feasibility at pi",
+     [math.pi / 2 + 1e-4, math.pi]),
 ], ids=["witness-at-left", "certificate-at-right"])
-def test_threshold_bisect_checks_endpoints(monkeypatch, substitute, outcome, message, system):
-    # a probe falls back to `_decide` when the closed form is no witness and
-    # the proof's chain does not hold: at the left endpoint there is no
-    # closed form, and the chain misses on the reversed columns; at pi both
-    # are judged on a substituted system of the left endpoint and both miss
-    substitute(system)
-    monkeypatch.setattr(feasibility, "_decide", lambda c, m, alpha, n: outcome)
+def test_threshold_bisect_checks_endpoints(monkeypatch, outcome, message, probed):
+    # every probe is one `nns_exists` decision: a witness at the left
+    # endpoint, or a certificate at pi, contradicts a single threshold
+    probes = []
+    monkeypatch.setattr(feasibility, "nns_exists",
+                        lambda alpha, n: probes.append(alpha) or outcome)
     with pytest.raises(NonMonotonePredicate, match=message):
         threshold_bisect(3)
+    assert probes == probed
 
 
 @pytest.mark.parametrize("tol_alpha", [None, 1e-8])
-def test_threshold_bisect_raises_unresolved_probe(monkeypatch, substitute, tol_alpha):
+def test_threshold_bisect_raises_unresolved_probe(monkeypatch, tol_alpha):
     # an indeterminate probe cannot be bracketed: it stops the bisection at
-    # the default tolerance and at the finest one alike (on the reversed
-    # columns, so that the chain leaves the left endpoint to `_decide`)
-    substitute(_reversed_columns)
+    # the default tolerance and at the finest one alike
     probe = Indeterminate("stuck")
-    monkeypatch.setattr(feasibility, "_decide", lambda c, m, alpha, n: probe)
+    monkeypatch.setattr(feasibility, "nns_exists", lambda alpha, n: probe)
     kwargs = {} if tol_alpha is None else {"tol_alpha": tol_alpha}
     with pytest.raises(Indeterminate) as raised:
         threshold_bisect(3, **kwargs)
@@ -377,9 +383,9 @@ def _assert_matches_reference(c, alpha, n):
     assert isinstance(outcome, Certificate) == (expected is not None), (n, alpha)
     if expected is None:
         return False
-    assert [step.row for step in outcome.steps] == [row for row, _ in expected]
+    assert list(range(len(outcome.margins))) == [row for row, _ in expected]
     # the two bisectors differ by a few ulps of pi, a margin by as much
-    assert_allclose([step.margin for step in outcome.steps],
+    assert_allclose(outcome.margins,
                     [margin for _, margin in expected], rtol=1e-12, atol=1e-14)
     assert verify_certificate(outcome, alpha, n) == (True, outcome.margin)
     return True
@@ -415,7 +421,7 @@ def test_row_chain_decides_exactly_the_infeasible_side(n):
             assert not isinstance(outcome, Certificate), alpha
         elif n * (conj - alpha) >= 2e-8:
             assert isinstance(outcome, Certificate), alpha
-            assert all(type(step.row) is int for step in outcome.steps)
+            assert all(type(link["row"]) is int for link in outcome.to_dict()["steps"])
             assert verify_certificate(outcome, alpha, n) == (True, outcome.margin)
 
 
@@ -558,11 +564,15 @@ def _closed_form_witness(alpha, n):
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_closed_form_agrees_with_nns_exists(n):
+def test_closed_form_agrees_with_nns_exists(n, nnls_calls):
     # a grid over [pi/2, pi] and conj +- 1e-12 ... 1e-2; the catalog's
     # endpoints are the conjectured thresholds of the orders 2..n (order 1
     # is the single angle pi, inside the grid), and at each of them one
-    # entry of the closed form rounds below 0
+    # entry of the closed form rounds below 0.  Wherever the closed form
+    # passes it is the witness, bit for bit; the projection runs only
+    # where both paper constructions miss: next to a catalog endpoint, or
+    # in the band just below conj where the chain's margins (about
+    # n (conj - alpha)) fall under TOL_MARGIN
     conj = conjectured_threshold(n)
     offsets = [sign * 10.0 ** -e for e in range(2, 13) for sign in (-1, 1)]
     grid = [*np.linspace(math.pi / 2, math.pi, 41).tolist(),
@@ -571,11 +581,18 @@ def test_closed_form_agrees_with_nns_exists(n):
     above = 0
     for alpha in grid:
         witness = _closed_form_witness(alpha, n)
+        projected = len(nnls_calls)
+        outcome = nns_exists(alpha, n)
         if witness is not None:
-            assert isinstance(nns_exists(alpha, n), Witness), alpha
+            assert isinstance(outcome, Witness), alpha
+            assert outcome.y.tobytes() == witness.y.tobytes(), alpha
+            assert outcome.residual == witness.residual, alpha
+        near_end = any(abs(alpha - end) <= 1e-12 for end in ends)
+        if len(nnls_calls) > projected:
+            assert near_end or 0 < n * (conj - alpha) < 2e-8, alpha
         if alpha < conj:
             assert witness is None, alpha
-        elif all(abs(alpha - end) > 1e-12 for end in ends):
+        elif not near_end:
             assert witness is not None, alpha
             above += 1
     assert above >= (1 if n == 1 else 20)
@@ -634,18 +651,15 @@ def nnls_calls(monkeypatch):
     return calls
 
 
-def test_threshold_search_runs_no_projection(nnls_calls, monkeypatch):
+def test_threshold_search_runs_no_projection(nnls_calls, build_calls):
     # every feasible probe rests on a closed form and every infeasible one
     # on the proof's chain, for each order the catalog covers: no probe
-    # takes the full decision, so none builds a Certificate either
-    decided = []
-    decide = feasibility._decide
-    monkeypatch.setattr(feasibility, "_decide",
-                        lambda c, m, alpha, n: decided.append(alpha) or decide(c, m, alpha, n))
+    # reaches the projection, and each of the 23 probes per order is one
+    # decision that builds its system once
     for n in range(1, 11):
         threshold_bisect(n)
     assert nnls_calls == []
-    assert decided == []
+    assert len(build_calls) == 230
 
 
 def test_probe_falls_back_to_the_projection(substitute, nnls_calls):
@@ -660,18 +674,16 @@ def test_probe_falls_back_to_the_projection(substitute, nnls_calls):
     assert len(nnls_calls) >= 10
 
 
-def test_probe_of_another_shape_falls_back_to_decide(substitute, monkeypatch):
+def test_probe_of_another_shape_reaches_the_projection(substitute, nnls_calls):
     # B repeats the rows of C: the chain, built for n+1 rows, does not hold
-    # on it, so the left endpoint goes to `_decide`, whose projection finds
-    # no witness there either, and the probe that cannot be bracketed raises
-    substitute(build_B)
-    decided = []
-    decide = feasibility._decide
-    monkeypatch.setattr(feasibility, "_decide",
-                        lambda c, m, alpha, n: decided.append(c.shape) or decide(c, m, alpha, n))
+    # on it, and the left endpoint has no closed form, so the probe goes to
+    # the projection, which finds no witness there either, and the probe
+    # that cannot be bracketed raises
+    calls = substitute(build_B)
     with pytest.raises(Indeterminate, match="chain does not hold"):
         threshold_bisect(3)
-    assert decided == [(8, p_count(3))]
+    assert [c.shape for c in calls] == [(8, p_count(3))]
+    assert nnls_calls == [(17, p_count(3))]
 
 
 @pytest.fixture
@@ -730,8 +742,13 @@ def test_nns_exists_returns_every_outcome(substitute, monkeypatch):
 # chain, psi_j = (n-j)(alpha - pi/2), replaced the generic row pass, which
 # read each bisector off the phases of the row's entries: link h and
 # margins moved by at most 1.6e-15, while every kind, link row, witness and
-# threshold keeps its bits.
-DECISIONS_SHA = "103337d2353bee5e297d1d1c1fc43e7bcbf4ce08ebcbf323922131fadd90c945"
+# threshold keeps its bits.  Re-recorded again when the paper's explicit
+# solution came first in the decision: a witness's y (and residual) now
+# comes from the closed form wherever that form passes, not from the
+# projection, while every kind, link row, certificate h and margin and
+# threshold keeps its bits (with the projection's witnesses put back, the
+# digest is the previous one).
+DECISIONS_SHA = "65efb13a2a7fb7e1a9cca4d2509cf85c777a624c28873b52989f4d03244f6994"
 
 
 def test_decision_bits_are_pinned():
@@ -744,9 +761,9 @@ def test_decision_bits_are_pinned():
             digest.update(float(outcome.metric).hex().encode())
             if isinstance(outcome, Witness):
                 digest.update(outcome.y.tobytes())
-            for step in getattr(outcome, "steps", ()):
-                digest.update(repr(step.row).encode())
-                digest.update(step.h.tobytes())
+            for row, h in enumerate(getattr(outcome, "h", ())):
+                digest.update(repr(row).encode())
+                digest.update(h.tobytes())
     for n in range(1, 11):
         digest.update(threshold_bisect(n).alpha_star.hex().encode())
     assert digest.hexdigest() == DECISIONS_SHA
@@ -755,7 +772,7 @@ def test_decision_bits_are_pinned():
 # alpha_star and bracket_width of threshold_bisect(n, tol_alpha) as hex
 # floats, n = 1..10, at two tolerances finer than the default (which
 # DECISIONS_SHA pins).  The 1e-8 entries for n = 1, 4, 5 and 8 pin brackets
-# that miss pi/2 + pi/(2n), the known misses of ROADMAP item 2: a probe just
+# that miss pi/2 + pi/(2n), the known misses of ROADMAP item 1: a probe just
 # below it gets a false projection witness.  That item re-records them on
 # purpose.
 THRESHOLD_BITS = {

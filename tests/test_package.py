@@ -73,8 +73,23 @@ def _callers(name):
 def test_one_certificate_construction():
     # certificates come from the necessity proof's chain alone, wrapped in
     # one place, and one rule judges every link, proposed or handed in
-    assert _callers("Certificate") == {"feasibility._decide"}
+    assert _callers("Certificate") == {"feasibility.nns_exists"}
     assert _callers("_separation") == {"feasibility._chain", "feasibility.verify_certificate"}
+
+
+def test_one_decision_order():
+    # one routine tries the closed form, the proof's chain and the
+    # projection, in that order, for every report and every threshold
+    # probe; a certificate is the chain's own arrays, with no link objects
+    for piece in ("_closed_form", "_chain", "Certificate", "nnls"):
+        assert _callers(piece) == {"feasibility.nns_exists"}, piece
+    assert "feasibility.threshold_bisect" in _callers("nns_exists")
+    for piece in ("_build", "build_C", "realize", "_separation", "_witness"):
+        assert "feasibility.threshold_bisect" not in _callers(piece), piece
+    assert "Step" not in paradist.__all__
+    assert not hasattr(paradist.feasibility, "Step")
+    assert "feasibility.nns_exists" not in KNOBS
+    assert sum(len(knobs) for knobs in KNOBS.values()) == 4
 
 
 def test_private_numpy_only_in_the_engine():
