@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -96,7 +97,10 @@ def _resolve_alpha(args) -> float:
     return float(alpha)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one `paradist` parser, built on first use and shared by every
+    in-process `main` call; parsing reads it and never changes it."""
     parser = _Parser(prog="paradist", description=__doc__)
     parser.add_argument("--version", action="version", version=f"paradist {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

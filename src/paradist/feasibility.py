@@ -9,10 +9,16 @@ vanishes on each column where h'M > 0.
 
 `nns_exists` is the one decision: it builds C once, read-only, judges
 every outcome on that system alone and tries, in this order, the paper's
-two constructions and then the projection.  First the paper's explicit
-solution for the catalog interval holding alpha (`_closed_form`), a
-witness if it passes `_witness`.  Then the paper's necessity proof, a
-facial reduction chain (Borwein and Wolkowicz, 1981) written out.  Let
+explicit solution, the support table, the paper's necessity proof and
+then the projection.  First the paper's explicit solution for the catalog
+interval holding alpha (`_closed_form`), a witness if it passes
+`_witness`.  For orders 11 and 12 no catalog interval holds the angles
+from their conjectured threshold up to order 10's; there the committed
+support table (`supports.SUPPORTS`, built by `tools/support_tables.py`)
+names a few column sets, and the null vector of M on the first of them
+whose row holds alpha and which passes `_witness` is the witness
+(`_support_witness`).  Then the paper's necessity proof, a facial
+reduction chain (Borwein and Wolkowicz, 1981) written out.  Let
 theta = 2 alpha - pi.  Row j of C vanishes on the columns with n1 > j, and
 on those with n1 = j its entries are binom(n-j, n2) e^{i n2 theta},
 n2 = 0..n-j.  Below alpha = pi/2 + pi/(2n), that is n theta < pi, they lie
@@ -24,15 +30,15 @@ TOL_MARGIN, are a certificate when each removes exactly its own columns;
 it is the only kind there is, held as the chain's arrays (h, margins), and
 `verify_certificate` judges it by the same rule whoever proposed it.
 
-Where both miss (a catalog endpoint, orders 11 and 12 below the order-10
-threshold, the band just below the boundary), the projection proposes a
-witness: the point b = (0, ..., 0, 1) is projected onto the cone spanned
-by the columns of [M; 1'] with an active-set nonnegative least squares
-solve, and its y is a witness if it passes `_witness`.  Otherwise the
-outcome is indeterminate.  Every report and every threshold
-probe is rendered from this one decision.  The witness and margin bars
-that decide what an outcome means are module constants, read at call
-time; only the threshold's bracket width is a per-call parameter.
+Where all three miss (a catalog endpoint, the band just below the
+boundary), the projection proposes a witness: the point b = (0, ..., 0, 1)
+is projected onto the cone spanned by the columns of [M; 1'] with an
+active-set nonnegative least squares solve, and its y is a witness if it
+passes `_witness`.  Otherwise the outcome is indeterminate.  Every report
+and every threshold probe is rendered from this one decision.  The witness
+and margin bars that decide what an outcome means are module constants,
+read at call time; only the threshold's bracket width is a per-call
+parameter.
 """
 
 from __future__ import annotations
@@ -45,8 +51,9 @@ import numpy as np
 
 from .catalog import (CATALOG_MAX_ORDER, check_catalog_order, conjectured_threshold,
                       explicit_nns, in_interval, pad_solution)
-from .labels import check_order, column_order
+from .labels import check_order, column_index, column_order
 from .nnls import IterationLimitReached, nnls
+from .supports import SUPPORTS
 from .tensor import build_C
 
 TOL_WITNESS = 1e-8
@@ -184,8 +191,10 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
 
     Builds the system once and tries, in this order: the paper's explicit
     solution for alpha (`_closed_form`), which is the Witness when it
-    passes `_witness`; the necessity proof's chain (`_chain`), which is the
-    Certificate when it holds; and the projection onto the cone of the
+    passes `_witness`; for orders 11 and 12 between their threshold and
+    order 10's, the support table's null vectors (`_support_witness`),
+    judged the same way; the necessity proof's chain (`_chain`), which is
+    the Certificate when it holds; and the projection onto the cone of the
     normalized system { y >= 0, M y = 0, sum(y) = 1 }, whose y is the
     Witness when it passes `_witness`.  When none does, the outcome is an
     Indeterminate, which next to the feasibility boundary is unavoidable:
@@ -195,7 +204,7 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
         raise ValueError("alpha must lie in [pi/2, pi]")
     c, m = _build(alpha, n)
-    witness = _closed_form(c, alpha, n)
+    witness = _closed_form(c, alpha, n) or _support_witness(c, m, alpha, n)
     if witness is not None:
         return witness
     chain = _chain(m, alpha, n)
@@ -239,6 +248,43 @@ def _closed_form(c: np.ndarray, alpha: float, n: int) -> Witness | None:
             for _ in range(k, n):
                 y = pad_solution(y)
             return _witness(c, y)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _support_columns(n: int) -> tuple[tuple[float, float, np.ndarray], ...]:
+    """Order n's support table as (lo, hi, column indices) rows, the
+    indices read-only."""
+    index = column_index(n)
+    rows = tuple((lo, hi, np.array([index[label] for label in labels]))
+                 for lo, hi, labels in SUPPORTS.get(n, ()))
+    for _, _, cols in rows:
+        cols.setflags(write=False)
+    return rows
+
+
+def _null_witness(c: np.ndarray, m: np.ndarray, cols: np.ndarray) -> Witness | None:
+    """The null vector of m's columns `cols` (the last right singular
+    vector, its sum made positive), spread onto every column, if it passes
+    `_witness` on c."""
+    v = np.linalg.svd(m[:, cols], full_matrices=False)[2][-1]
+    y = np.zeros(m.shape[1])
+    y[cols] = v if v.sum() > 0 else -v
+    return _witness(c, y)
+
+
+def _support_witness(c: np.ndarray, m: np.ndarray, alpha: float, n: int) -> Witness | None:
+    """The first support in order n's table (`supports.SUPPORTS`) whose row
+    holds alpha and whose null vector passes `_witness` on c.  The tables
+    cover [conj(n), conj(10)] for the orders above the catalog; a system of
+    another shape has no support."""
+    if m.shape[1] != len(column_order(n)):
+        return None
+    for lo, hi, cols in _support_columns(n):
+        if lo <= alpha <= hi:
+            witness = _null_witness(c, m, cols)
+            if witness is not None:
+                return witness
     return None
 
 
@@ -287,12 +333,14 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
 
     Starts from the known-feasible right endpoint pi and a point just above
     pi/2 that is known infeasible for every order.  Each probe is one
-    `nns_exists` decision, classified by whether it is a Witness: above the
-    boundary the paper's explicit solution decides it, below it the
-    necessity proof's chain as soon as n times its distance to the boundary
-    is a few multiples of TOL_MARGIN, and the projection only where both
-    miss (a catalog endpoint, where one entry of the explicit solution
-    rounds below 0, and the band just below the boundary).  A probe that
+    `nns_exists` decision (closed form, support table, chain, projection),
+    classified by whether it is a Witness.  The orders 1..10 accepted here
+    have no support table: above the boundary the paper's explicit
+    solution decides a probe, below it the necessity proof's chain as soon
+    as n times its distance to the boundary is a few multiples of
+    TOL_MARGIN, and the projection only where both miss (a catalog
+    endpoint, where one entry of the explicit solution rounds below 0, and
+    the band just below the boundary).  A probe that
     comes out indeterminate is raised: it cannot be bracketed.  The two
     endpoints must come out infeasible and feasible, otherwise
     NonMonotonePredicate is raised; every later probe lies strictly inside

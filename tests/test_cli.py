@@ -318,6 +318,21 @@ def test_cli_option_surface():
     assert tolerance_flags == [("threshold", "--tol")]
 
 
+def test_parser_is_built_once(capsys, monkeypatch):
+    # in-process calls share one parser, and parsing leaves it unchanged:
+    # each command prints and exits as it does with a parser of its own
+    commands = [("sweep", "--n", "12", "--points", "5"),
+                ("feasibility", "--n", "12", "--alpha", repr(conjectured_threshold(12) + 1e-3))]
+    parser = build_parser()
+    shared = [run_cli(capsys, *args)[:2] for args in commands]
+    assert build_parser() is parser
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [run_cli(capsys, *args)[:2] for args in commands]
+    assert cli.build_parser() is not parser
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0]
+
+
 def test_catalog_orders_share_one_message(capsys):
     # one owner of the 1..10 limit, one message on every command that has it
     for command in ("threshold", "verify-catalog"):

@@ -23,8 +23,9 @@ from paradist.feasibility import (
     threshold_bisect,
     verify_certificate,
 )
-from paradist.labels import p_count
+from paradist.labels import column_order, p_count
 from paradist.nnls import IterationLimitReached
+from paradist.supports import SUPPORTS
 from paradist.tensor import build_B, build_C
 
 
@@ -563,7 +564,7 @@ def _closed_form_witness(alpha, n):
     return feasibility._closed_form(feasibility._build(alpha, n)[0], alpha, n)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_closed_form_agrees_with_nns_exists(n, nnls_calls):
     # a grid over [pi/2, pi] and conj +- 1e-12 ... 1e-2; the catalog's
     # endpoints are the conjectured thresholds of the orders 2..n (order 1
@@ -572,12 +573,15 @@ def test_closed_form_agrees_with_nns_exists(n, nnls_calls):
     # passes it is the witness, bit for bit; the projection runs only
     # where both paper constructions miss: next to a catalog endpoint, or
     # in the band just below conj where the chain's margins (about
-    # n (conj - alpha)) fall under TOL_MARGIN
+    # n (conj - alpha)) fall under TOL_MARGIN.  Above the catalog, orders
+    # 11 and 12 have no closed form on [conj, conj(10)], order 10's own
+    # endpoint included, and the support table decides there instead
     conj = conjectured_threshold(n)
+    covered = conjectured_threshold(min(n, 10))
     offsets = [sign * 10.0 ** -e for e in range(2, 13) for sign in (-1, 1)]
     grid = [*np.linspace(math.pi / 2, math.pi, 41).tolist(),
             *(conj + d for d in offsets if conj + d <= math.pi)]
-    ends = [conjectured_threshold(k) for k in range(2, n + 1)]
+    ends = [conjectured_threshold(k) for k in range(2, n + 1 if n <= 10 else 10)]
     above = 0
     for alpha in grid:
         witness = _closed_form_witness(alpha, n)
@@ -592,10 +596,55 @@ def test_closed_form_agrees_with_nns_exists(n, nnls_calls):
             assert near_end or 0 < n * (conj - alpha) < 2e-8, alpha
         if alpha < conj:
             assert witness is None, alpha
+        elif alpha <= covered and n > 10:
+            assert witness is None, alpha
+            assert isinstance(outcome, Witness), alpha
         elif not near_end:
             assert witness is not None, alpha
             above += 1
     assert above >= (1 if n == 1 else 20)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_support_table_covers_the_gap(n, nnls_calls):
+    # on [conj(n), conj(10)] every angle is a witness from the table,
+    # down to the threshold itself and up to the catalog's order-10
+    # endpoint, where the order-10 closed form rounds below 0
+    conj = conjectured_threshold(n)
+    top = conjectured_threshold(10)
+    grid = [*np.linspace(conj, top, 2000).tolist(),
+            *(conj + d for d in [0.0, *(10.0 ** -e for e in range(3, 16))]), top]
+    for alpha in grid:
+        outcome = nns_exists(alpha, n)
+        assert isinstance(outcome, Witness), alpha
+        assert outcome.residual <= TOL_WITNESS, alpha
+    assert nnls_calls == []
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_support_table_proposes_nothing_below_threshold(n):
+    conj = conjectured_threshold(n)
+    for delta in (10.0 ** -e for e in range(2, 16)):
+        alpha = conj - delta
+        c, m = feasibility._build(alpha, n)
+        assert feasibility._support_witness(c, m, alpha, n) is None, delta
+
+
+def test_support_table_structure():
+    # rows sorted and overlapping, covering [conj(n), conj(10)] exactly,
+    # each naming distinct columns of its own order
+    assert sorted(SUPPORTS) == [11, 12]
+    for n, rows in SUPPORTS.items():
+        labels = column_order(n)
+        assert rows[0][0] == conjectured_threshold(n)
+        assert rows[-1][1] == conjectured_threshold(10)
+        assert list(rows) == sorted(rows)
+        for lo, hi, support in rows:
+            assert lo < hi
+            assert len(set(support)) == len(support) <= 2 * (n + 1)
+            assert all(label in labels for label in support), (n, lo)
+        for before, after in zip(rows, rows[1:]):
+            assert after[0] <= before[1], (n, after[0])
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -747,8 +796,13 @@ def test_nns_exists_returns_every_outcome(substitute, monkeypatch):
 # comes from the closed form wherever that form passes, not from the
 # projection, while every kind, link row, certificate h and margin and
 # threshold keeps its bits (with the projection's witnesses put back, the
+# digest is the previous one).  Re-recorded again when the support tables
+# for orders 11 and 12 came in front of the projection: the two n = 12
+# witnesses on [conj(12), conj(10)), at pi/2 + 2 (pi/2)/23 and conj + 1e-3,
+# are now a table support's null vector, while every kind, certificate h
+# and margin and threshold keeps its bits (with the table skipped, the
 # digest is the previous one).
-DECISIONS_SHA = "65efb13a2a7fb7e1a9cca4d2509cf85c777a624c28873b52989f4d03244f6994"
+DECISIONS_SHA = "0cc556636d451c5652032e28029df94dd7c4b65f5bb67fdb25cea78a0dcb9ecd"
 
 
 def test_decision_bits_are_pinned():

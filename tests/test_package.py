@@ -2,7 +2,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,10 +81,11 @@ def test_one_certificate_construction():
 
 
 def test_one_decision_order():
-    # one routine tries the closed form, the proof's chain and the
-    # projection, in that order, for every report and every threshold
-    # probe; a certificate is the chain's own arrays, with no link objects
-    for piece in ("_closed_form", "_chain", "Certificate", "nnls"):
+    # one routine tries the closed form, the support table, the proof's
+    # chain and the projection, in that order, for every report and every
+    # threshold probe; a certificate is the chain's own arrays, with no
+    # link objects
+    for piece in ("_closed_form", "_support_witness", "_chain", "Certificate", "nnls"):
         assert _callers(piece) == {"feasibility.nns_exists"}, piece
     assert "feasibility.threshold_bisect" in _callers("nns_exists")
     for piece in ("_build", "build_C", "realize", "_separation", "_witness"):
@@ -90,6 +94,13 @@ def test_one_decision_order():
     assert not hasattr(paradist.feasibility, "Step")
     assert "feasibility.nns_exists" not in KNOBS
     assert sum(len(knobs) for knobs in KNOBS.values()) == 4
+    # the support table is numpy alone: importing the package loads no scipy
+    src = str(Path(paradist.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import paradist, sys; print(sorted(m for m in sys.modules "
+         "if m.partition('.')[0] == 'scipy'))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_private_numpy_only_in_the_engine():
