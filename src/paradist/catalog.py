@@ -9,6 +9,7 @@ with no 1-digits, then one 1-digit, and so on.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,6 +48,23 @@ def in_interval(n: int, alpha: float) -> bool:
     if n == 1:
         return abs(alpha - math.pi) <= 1e-12
     return lo <= alpha < hi
+
+
+@lru_cache(maxsize=None)
+def _catalog_ends(top: int) -> tuple[float, ...]:
+    """fl(conj(k)) for k = top, ..., 1, ascending: the left endpoints of
+    the catalog intervals of the orders top..2, then pi."""
+    return tuple(conjectured_threshold(k) for k in range(top, 0, -1))
+
+
+def catalog_order(alpha: float, top: int) -> int | None:
+    """The first order k = 1..top (top <= CATALOG_MAX_ORDER) whose catalog
+    interval holds alpha (`in_interval`), or None: order 1's single angle pi
+    first, then a bisection over the cached left endpoints."""
+    if abs(alpha - math.pi) <= 1e-12:
+        return 1
+    i = bisect_right(_catalog_ends(top), alpha)
+    return top + 1 - i if 1 <= i < top else None
 
 
 def interval_samples(n: int, count: int) -> np.ndarray:
@@ -167,6 +185,28 @@ _BUILDERS = {
 }
 
 
+def catalog_solutions(alphas, n: int) -> tuple[list[int], np.ndarray | None]:
+    """The positions in `alphas` of the angles that a catalog interval of
+    order k <= min(n, CATALOG_MAX_ORDER) holds (`catalog_order`), grouped by
+    order, and their cataloged solutions padded to order n, one row each in
+    the same order (None when there is no such angle).  The solutions of
+    one order are padded together (`_padded`)."""
+    top = min(n, CATALOG_MAX_ORDER)
+    groups: dict[int, list[int]] = {}
+    for row, alpha in enumerate(alphas):
+        k = catalog_order(alpha, top)
+        if k is not None:
+            groups.setdefault(k, []).append(row)
+    rows, blocks = [], []
+    for k, members in groups.items():
+        ys = [_BUILDERS[k](float(alphas[row])) for row in members]
+        blocks.append(_padded(ys[0][None] if len(ys) == 1 else np.array(ys), k, n))
+        rows += members
+    if len(blocks) > 1:
+        return rows, np.concatenate(blocks)
+    return rows, blocks[0] if blocks else None
+
+
 def explicit_nns(n: int, alpha: float) -> np.ndarray:
     """The cataloged nonnegative solution at order n, evaluated at ``alpha``."""
     _check_in_interval(n, alpha)
@@ -243,6 +283,36 @@ def _pad_map(n: int) -> tuple[np.ndarray, np.ndarray]:
     order n+1, moved on by one per earlier group (n1 of them), and (n0 + 1)/(n + 1)."""
     labels = np.array(column_order(n))
     return np.arange(len(labels)) + labels[:, 1], (labels[:, 0] + 1) / (n + 1)
+
+
+@lru_cache(maxsize=None)
+def _pad_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`pad_solution` from order k to order n as one plan: the order-n
+    position of each order-k entry, and (n - k) x p_k factors, row s the
+    factor that entry is multiplied by at step s.  Both read-only."""
+    positions = np.arange(p_count(k))
+    factors = np.empty((n - k, len(positions)))
+    for step, order in enumerate(range(k, n)):
+        dst, factor = _pad_map(order)
+        factors[step] = factor[positions]
+        positions = dst[positions]
+    positions.setflags(write=False)
+    factors.setflags(write=False)
+    return positions, factors
+
+
+def _padded(y: np.ndarray, k: int, n: int) -> np.ndarray:
+    """A stack of order-k solutions padded to order n by `_pad_plan`: the
+    products `pad_solution` makes, in its order, so the bits of padding
+    once per order."""
+    if k == n:
+        return y
+    positions, factors = _pad_plan(k, n)
+    for factor in factors:
+        y = y * factor
+    out = np.zeros((len(y), p_count(n)))
+    out[:, positions] = y
+    return out
 
 
 def pad_solution(y: np.ndarray) -> np.ndarray:

@@ -11,9 +11,7 @@ outcome, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -39,6 +37,7 @@ from .feasibility import (
     TOL_WITNESS,
     Indeterminate,
     NonMonotonePredicate,
+    _decide,
     necessity_scan,
     nns_exists,
     threshold_bisect,
@@ -224,14 +223,14 @@ def _cmd_sweep(args) -> int:
         args.alpha_min + (args.alpha_max - args.alpha_min) * i / (args.points - 1)
         for i in range(args.points)
     ]
-    outcomes = [nns_exists(a, args.n) for a in alphas]
-    buf = io.StringIO()
-    buf.write(f"# paradist {__version__} tol_witness={TOL_WITNESS!r} tol_margin={TOL_MARGIN!r}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["alpha", "n", "outcome", "metric"])
-    for alpha, outcome in zip(alphas, outcomes):
-        writer.writerow([repr(alpha), args.n, outcome.kind, repr(outcome.metric)])
-    _emit(buf.getvalue(), args.output)
+    outcomes = _decide(alphas, args.n)
+    # no field can hold a comma, a quote or a line break, so these are
+    # the lines a CSV writer would write
+    lines = [f"# paradist {__version__} tol_witness={TOL_WITNESS!r} tol_margin={TOL_MARGIN!r}",
+             "alpha,n,outcome,metric"]
+    lines += [f"{alpha!r},{args.n},{outcome.kind},{outcome.metric!r}"
+              for alpha, outcome in zip(alphas, outcomes)]
+    _emit("\n".join(lines) + "\n", args.output)
     if any(isinstance(outcome, Indeterminate) for outcome in outcomes):
         return EXIT_INDETERMINATE
     return EXIT_OK

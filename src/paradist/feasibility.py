@@ -7,16 +7,21 @@ h with h'M >= 0 on the columns still in play: every y >= 0 with M y = 0
 that lives on those columns has sum_k (h'M)_k y_k = h'M y = 0, so y
 vanishes on each column where h'M > 0.
 
-`nns_exists` is the one decision: it builds C once, read-only, judges
-every outcome on that system alone and tries, in this order, the paper's
-explicit solution, the support table, the paper's necessity proof and
-then the projection.  First the paper's explicit solution for the catalog
-interval holding alpha (`_closed_form`), a witness if it passes
-`_witness`.  For orders 11 and 12 no catalog interval holds the angles
-from their conjectured threshold up to order 10's; there the committed
-support table (`supports.SUPPORTS`, built by `tools/support_tables.py`)
-names a few column sets, and the null vector of M on the first of them
-whose row holds alpha and which passes `_witness` is the witness
+`_decide` is the one decision, over a stack of angles; `nns_exists` is
+its one-angle case, and `sweep` and `necessity_scan` hand it their whole
+grid.  It builds each angle's C once, read-only, judges every outcome on
+that system alone and tries, in this order, the paper's explicit
+solution, the support table, the paper's necessity proof and then the
+projection.  The systems of one grid are judged together, stage by
+stage, with one matrix-vector product per system and link, so an angle's
+outcome has the same bits alone and in any grid.  First the paper's
+explicit solution for the catalog interval holding alpha
+(`_closed_form`), a witness if it passes the witness rule (`_witness`).
+For orders 11 and 12 no catalog interval holds the angles from their
+conjectured threshold up to order 10's; there the committed support
+table (`supports.SUPPORTS`, built by `tools/support_tables.py`) names a
+few column sets, and the null vector of M on the first of them whose row
+holds alpha and which passes the witness rule is the witness
 (`_support_witness`).  Then the paper's necessity proof, a facial
 reduction chain (Borwein and Wolkowicz, 1981) written out.  Let
 theta = 2 alpha - pi.  Row j of C vanishes on the columns with n1 > j, and
@@ -34,11 +39,11 @@ Where all three miss (a catalog endpoint, the band just below the
 boundary), the projection proposes a witness: the point b = (0, ..., 0, 1)
 is projected onto the cone spanned by the columns of [M; 1'] with an
 active-set nonnegative least squares solve, and its y is a witness if it
-passes `_witness`.  Otherwise the outcome is indeterminate.  Every report
-and every threshold probe is rendered from this one decision.  The witness
-and margin bars that decide what an outcome means are module constants,
-read at call time; only the threshold's bracket width is a per-call
-parameter.
+passes the witness rule.  Otherwise the outcome is indeterminate.  Every
+report and every threshold probe is rendered from this one decision.  The
+witness and margin bars that decide what an outcome means are module
+constants, read at call time; only the threshold's bracket width is a
+per-call parameter.
 """
 
 from __future__ import annotations
@@ -49,8 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import (CATALOG_MAX_ORDER, check_catalog_order, conjectured_threshold,
-                      explicit_nns, in_interval, pad_solution)
+from .catalog import catalog_solutions, check_catalog_order, conjectured_threshold
 from .labels import check_order, column_index, column_order
 from .nnls import IterationLimitReached, nnls
 from .supports import SUPPORTS
@@ -111,13 +115,21 @@ class Certificate:
 FeasibilityOutcome = Witness | Certificate | Indeterminate
 
 
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _embed(c: np.ndarray) -> np.ndarray:
+    """The real rows of a system, or of a stack of them, over its imaginary
+    rows, read-only."""
+    return _freeze(np.concatenate((c.real, c.imag), axis=-2))
+
+
 def _build(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The reduced system C and its real embedding M, both read-only."""
-    c = build_C(alpha, n)
-    m = np.concatenate((c.real, c.imag))
-    c.setflags(write=False)
-    m.setflags(write=False)
-    return c, m
+    c = _freeze(build_C(alpha, n))
+    return c, _embed(c)
 
 
 def realize(alpha: float, n: int) -> np.ndarray:
@@ -150,66 +162,140 @@ def _separation(h: np.ndarray, m: np.ndarray,
 
 
 @lru_cache(maxsize=None)
-def _chain_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (n+1) x p_n masks of the proof's chain at order n: the
-    columns in play before link j (n1 >= j) and those it leaves (n1 > j)."""
+def _chain_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables of the proof's chain at order n: the (n+1) x p_n
+    masks of the columns in play before link j (n1 >= j) and of those it
+    leaves (n1 > j), the turns n - j of the bisectors, and the flat
+    positions of cos(psi_j) and sin(psi_j) in the links x 2(n+1) h."""
     n1 = np.array([label[1] for label in column_order(n)])
-    rows = np.arange(n + 1)[:, None]
-    masks = (n1 >= rows, n1 > rows)
-    for mask in masks:
-        mask.setflags(write=False)
-    return masks
-
-
-def _chain(m: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The necessity proof's chain on m, the real embedding of the order-n
-    system, as its stacked (h, margins), read-only, when it holds, else
-    None: link j is cos(psi_j) at row j and sin(psi_j) at imaginary row
-    n+1+j, psi_j = (n-j)(alpha - pi/2), the bisector of row j's phases on
-    the columns with n1 = j.  All links are judged at once by `_separation`,
-    each on the columns with n1 >= j; the chain holds when every margin
-    reaches TOL_MARGIN and each link leaves exactly the next link's columns,
-    the last none.  A system of another shape never holds."""
-    before, after = _chain_columns(n)
-    if m.shape != (2 * (n + 1), before.shape[1]):
-        return None
     j = np.arange(n + 1)
-    psi = (n - j) * (alpha - math.pi / 2)
-    h = np.zeros((n + 1, 2 * (n + 1)))
-    h[j, j] = np.cos(psi)
-    h[j, n + 1 + j] = np.sin(psi)
-    h, margin, left = _separation(h, m, before)
-    if (margin >= TOL_MARGIN).all() and np.array_equal(left, after):
-        h.setflags(write=False)
-        margin.setflags(write=False)
-        return h, margin
-    return None
+    width = 2 * (n + 1)
+    tables = (n1 >= j[:, None], n1 > j[:, None], (n - j).astype(float),
+              j * width + j, j * width + n + 1 + j)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _chain(m: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """The necessity proof's chain on each system of the stack m, real
+    embeddings of the order-n systems at `alphas`: its (h, margins),
+    read-only, when it holds, else None.  Link j is cos(psi_j) at row j and
+    sin(psi_j) at imaginary row n+1+j, psi_j = (n-j)(alpha - pi/2), the
+    bisector of row j's phases on the columns with n1 = j.  Every link of
+    every system is judged in one `_separation` call, each on the columns
+    with n1 >= j; a chain holds when every margin reaches TOL_MARGIN and
+    each link leaves exactly the next link's columns, the last none.  A
+    system of another shape never holds."""
+    before, after, turns, at_cos, at_sin = _chain_tables(n)
+    if m.shape[1:] != (2 * (n + 1), before.shape[1]):
+        return [None] * len(m)
+    psi = np.multiply.outer([alpha - math.pi / 2 for alpha in alphas], turns)
+    h = np.zeros((len(m), n + 1, 2 * (n + 1)))
+    flat = h.reshape(len(m), -1)
+    flat[:, at_cos] = np.cos(psi)
+    flat[:, at_sin] = np.sin(psi)
+    # one system (every threshold probe) is judged without the stack axis,
+    # which costs numpy less per call; the products are the same
+    one = len(m) == 1
+    h, margin, left = _separation(h[0], m[0], before) if one else \
+        _separation(h, m[:, None], before)
+    h.setflags(write=False)
+    margin.setflags(write=False)
+    # a NaN margin is no least margin, so it fails the bar too
+    lows = np.minimum.reduce(margin, axis=-1)
+    exact = np.logical_and.reduce(left == after, axis=(-2, -1))
+    if one:
+        return [(h, margin) if lows >= TOL_MARGIN and exact else None]
+    return [(h[i], margin[i]) if low >= TOL_MARGIN and ok else None
+            for i, (low, ok) in enumerate(zip(lows.tolist(), exact.tolist()))]
 
 
 def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
-    """Decide whether a nontrivial nonnegative null vector exists.
+    """Decide whether a nontrivial nonnegative null vector exists: the
+    one-angle case of `_decide`.
 
     Builds the system once and tries, in this order: the paper's explicit
     solution for alpha (`_closed_form`), which is the Witness when it
-    passes `_witness`; for orders 11 and 12 between their threshold and
-    order 10's, the support table's null vectors (`_support_witness`),
+    passes the witness rule; for orders 11 and 12 between their threshold
+    and order 10's, the support table's null vectors (`_support_witness`),
     judged the same way; the necessity proof's chain (`_chain`), which is
     the Certificate when it holds; and the projection onto the cone of the
     normalized system { y >= 0, M y = 0, sum(y) = 1 }, whose y is the
-    Witness when it passes `_witness`.  When none does, the outcome is an
-    Indeterminate, which next to the feasibility boundary is unavoidable:
-    below it the chain's margins decay under TOL_MARGIN.  Raises only
-    ValueError, for alpha outside [pi/2, pi].
+    Witness when it passes the witness rule.  When none does, the outcome is
+    an Indeterminate, which next to the feasibility boundary is
+    unavoidable: below it the chain's margins decay under TOL_MARGIN.
+    Raises only ValueError, for alpha outside [pi/2, pi].
     """
-    if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
-        raise ValueError("alpha must lie in [pi/2, pi]")
-    c, m = _build(alpha, n)
-    witness = _closed_form(c, alpha, n) or _support_witness(c, m, alpha, n)
-    if witness is not None:
-        return witness
-    chain = _chain(m, alpha, n)
-    if chain is not None:
-        return Certificate(*chain)
+    return _decide((alpha,), n)[0]
+
+
+def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
+    """The one decision, for every angle of `alphas` at order n, outcomes
+    in the order of the angles.
+
+    Each angle is checked (ValueError outside [pi/2, pi]) and its system
+    built by `build_C`, once, in turn.  The systems of the order-n shape,
+    laid out as `build_C` lays them out, are judged as one stack; any other
+    (a substituted builder's) is judged as it is, a stack of its own.  Each
+    product is one matrix-vector product per system, so an angle's outcome
+    has the same bits in any stack; a stack of one, as `nns_exists` makes,
+    is judged without the stack axis, which costs numpy less.  In each stack (`_decide_stack`): the
+    closed form, judged for every angle that has one in one stacked witness
+    rule; the support table, angle by angle; the chain, for every angle
+    still open, in one `_separation` call; and the projection, angle by
+    angle, for what is left.
+    """
+    systems = []
+    for alpha in alphas:
+        if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
+            raise ValueError("alpha must lie in [pi/2, pi]")
+        systems.append(_freeze(build_C(alpha, n)))
+    if len(systems) == 1:
+        return _decide_stack(systems, alphas, n)
+    shape = (n + 1, len(column_order(n)))
+    alone = [c.shape != shape or not c.flags.c_contiguous for c in systems]
+    stacks = [[i] for i, own in enumerate(alone) if own]
+    stacks.append([i for i, own in enumerate(alone) if not own])
+    outcomes = [None] * len(systems)
+    for rows in stacks:
+        decided = _decide_stack([systems[i] for i in rows], [alphas[i] for i in rows], n)
+        for i, outcome in zip(rows, decided):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _decide_stack(systems: list, alphas, n: int) -> list[FeasibilityOutcome]:
+    """`_decide` on systems of one shape, judged as one stack: the closed
+    form for every angle, the support table and the chain for the angles it
+    leaves open, the projection for the angles they leave open."""
+    found = _closed_form(systems, alphas, n)
+    rest = [i for i, outcome in enumerate(found) if outcome is None]
+    if not rest:
+        return found
+    c = _stack(systems if len(rest) == len(systems) else [systems[i] for i in rest])
+    m = _embed(c)
+    if n in SUPPORTS:
+        for j, i in enumerate(rest):
+            found[i] = _support_witness(c[j], m[j], alphas[i], n)
+    # the chain is judged for every angle the closed form leaves open; a
+    # support witness, tried first, keeps its angle
+    chains = _chain(m, [alphas[i] for i in rest], n)
+    for j, (i, chain) in enumerate(zip(rest, chains)):
+        if found[i] is None:
+            found[i] = _project(c[j], m[j]) if chain is None else Certificate(*chain)
+    return found
+
+
+def _stack(systems: list) -> np.ndarray:
+    """Systems of one shape as one read-only stack; a single system is
+    stacked as a view of itself."""
+    return systems[0][None] if len(systems) == 1 else _freeze(np.stack(systems))
+
+
+def _project(c: np.ndarray, m: np.ndarray) -> Witness | Indeterminate:
+    """The projection of (0, ..., 0, 1) onto the cone of [M; 1']: its y if
+    it passes the witness rule on c, else an Indeterminate."""
     rows, p = m.shape
     a = np.concatenate((m, np.ones((1, p))))
     b = np.zeros(rows + 1)
@@ -223,32 +309,50 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
         f"and the necessity proof's chain does not hold at margin {TOL_MARGIN:.1e}")
 
 
+def _witnesses(c: np.ndarray, y: np.ndarray) -> list[Witness | None]:
+    """`_witness` over a stack of systems as wide as y: row i of y judged
+    on the system c[i], with the same operations per system.  A stack of
+    one goes to `_witness` itself, which costs numpy less per call."""
+    if len(y) == 1:
+        return [_witness(c[0], y[0])]
+    total = np.add.reduce(y, axis=-1, keepdims=True)
+    lows = np.minimum.reduce(y, axis=-1).tolist()
+    fits = [t > 0 and low >= 0 for t, low in zip(total.ravel().tolist(), lows)]
+    if not all(fits):
+        total = np.where(total > 0, total, 1.0)
+    y = y / total
+    # one matrix-vector product per system, so a residual keeps its bits
+    # whichever stack it is judged in
+    residual = np.maximum.reduce(np.abs(c @ y[..., None]), axis=(-2, -1)).tolist()
+    return [Witness(y=y[i], residual=r) if fit and r <= TOL_WITNESS else None
+            for i, (fit, r) in enumerate(zip(fits, residual))]
+
+
 def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
-    """One witness rule: y fits c's columns, y >= 0, sum(y) > 0, max|C y/sum(y)| <= TOL_WITNESS."""
-    total = float(y.sum())
-    if total > 0 and y.shape == c.shape[1:] and y.min() >= 0:
+    """The one witness rule: y is a witness of the system c when it fits
+    c's columns, y >= 0, sum(y) > 0 and max|C y/sum(y)| <= TOL_WITNESS."""
+    total = float(np.add.reduce(y))
+    if total > 0 and y.shape == c.shape[1:] and np.minimum.reduce(y) >= 0:
         y = y / total
-        residual = float(np.abs(c @ y).max())
+        residual = float(np.maximum.reduce(np.abs(c @ y)))
         if residual <= TOL_WITNESS:
             return Witness(y=y, residual=residual)
     return None
 
 
-def _closed_form(c: np.ndarray, alpha: float, n: int) -> Witness | None:
-    """The paper's explicit solution for the catalog interval (order
+def _closed_form(systems: list, alphas, n: int) -> list[Witness | None]:
+    """For each of `systems`, the order-n systems at `alphas`, of one
+    shape: the paper's explicit solution for the catalog interval (order
     k <= min(n, CATALOG_MAX_ORDER)) holding alpha, padded to order n, if it
-    passes `_witness` on c.  Below the threshold of the highest such order
-    no interval holds alpha (order 1 is the single angle pi)."""
-    top = min(n, CATALOG_MAX_ORDER)
-    if top >= 2 and alpha < conjectured_threshold(top):
-        return None
-    for k in range(1, top + 1):
-        if in_interval(k, alpha):
-            y = explicit_nns(k, alpha)
-            for _ in range(k, n):
-                y = pad_solution(y)
-            return _witness(c, y)
-    return None
+    passes the witness rule, judged for all of them in one stack.  Below
+    the threshold of the highest such order no interval holds alpha (order
+    1 is the single angle pi)."""
+    found = [None] * len(systems)
+    rows, y = catalog_solutions(alphas, n)
+    if rows:
+        for i, witness in zip(rows, _witnesses(_stack([systems[i] for i in rows]), y)):
+            found[i] = witness
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -385,12 +489,12 @@ def necessity_grid(n: int, points: int) -> np.ndarray:
     return lo + (hi - lo) * (np.arange(points) + 1) / (points + 1)
 
 
-def necessity_point(alpha: float, n: int) -> dict:
-    """One grid point of the necessity scan: a certificate is `verified` by
-    the judgment `nns_exists` made on the system it built, without a second
-    build, and lists the row and margin of each link; a witness or an
-    indeterminate outcome is flagged as an anomaly."""
-    outcome = nns_exists(alpha, n)
+def necessity_point(alpha: float, n: int, outcome: FeasibilityOutcome) -> dict:
+    """One grid point of the necessity scan, rendered from its outcome: a
+    certificate is `verified` by the judgment the decision made on the
+    system it built, without a second build, and lists the row and margin
+    of each link; a witness or an indeterminate outcome is flagged as an
+    anomaly."""
     row: dict = {"alpha": float(alpha), "n": n, "outcome": outcome.kind}
     if isinstance(outcome, Certificate):
         steps = [{"row": j, "margin": margin} for j, margin in enumerate(outcome.margins.tolist())]
@@ -403,7 +507,10 @@ def necessity_point(alpha: float, n: int) -> dict:
 
 
 def necessity_scan(n: int, points: int) -> list[dict]:
-    """Probe the conjecturally infeasible region; each grid point should
-    produce a verified certificate.  Rows come back in grid order."""
+    """Probe the conjecturally infeasible region, every grid point in one
+    `_decide`; each should produce a verified certificate.  Rows come back
+    in grid order."""
     check_order(n)
-    return [necessity_point(float(a), n) for a in necessity_grid(n, points)]
+    alphas = necessity_grid(n, points).tolist()
+    return [necessity_point(alpha, n, outcome)
+            for alpha, outcome in zip(alphas, _decide(alphas, n))]

@@ -16,7 +16,9 @@ from __future__ import annotations
 import cmath
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -40,13 +42,11 @@ def unit_phase(alpha: float) -> complex:
 
 
 def z_powers(alpha: float, kmax: int) -> np.ndarray:
-    """Powers z**0 .. z**kmax built by repeated multiplication."""
+    """Powers z**0 .. z**kmax built by repeated multiplication, one Python
+    complex product each (the textbook formula, no fused operations), read
+    into numpy in one call."""
     z = unit_phase(alpha)
-    out = np.empty(kmax + 1, dtype=complex)
-    out[0] = 1.0
-    for k in range(1, kmax + 1):
-        out[k] = out[k - 1] * z
-    return out
+    return np.fromiter(accumulate(repeat(z, kmax), mul, initial=1 + 0j), complex, kmax + 1)
 
 
 def a_alpha(alpha: float, form: MatrixForm = MatrixForm.REDUCED) -> np.ndarray:
@@ -114,10 +114,11 @@ def b_entry_closed_form(n: int, ones_count: int, label, alpha: float) -> complex
 
 @lru_cache(maxsize=None)
 def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only tables of the (n+1) x p_n closed-form rows: the mask of
-    nonzero entries and, in row-major order over the mask, the signed
-    coefficients binom(n-j, n0) * binom(j, n1) * (-1)^e0 and the phase
-    exponents 2*e0 + j - n1, with e0 = n - j - n0."""
+    """Read-only tables of the (n+1) x p_n closed-form rows: the row-major
+    flat positions of the nonzero entries and, in that order, the signed
+    coefficients binom(n-j, n0) * binom(j, n1) * (-1)^e0, held as the
+    complex numbers they are multiplied as, and the phase exponents
+    2*e0 + j - n1, with e0 = n - j - n0."""
     cols = column_order(n)
     mask = np.zeros((n + 1, p_count(n)), dtype=bool)
     coeff = []
@@ -130,7 +131,7 @@ def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             mask[j, col] = True
             coeff.append(comb(n - j, n0) * comb(j, n1) * (-1) ** e0)
             expo.append(2 * e0 + j - n1)
-    tables = (mask, np.array(coeff, dtype=float), np.array(expo, dtype=np.intp))
+    tables = (np.flatnonzero(mask), np.array(coeff, dtype=complex), np.array(expo, dtype=np.intp))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -140,9 +141,9 @@ def build_C(alpha: float, n: int) -> np.ndarray:
     """Row-deduplicated system: (n+1) x p_n, one closed-form row per ones
     count.  Structural zeros are written by no product, so they stay +0.0."""
     check_order(n)
-    mask, coeff, expo = _row_tables(n)
-    out = np.zeros(mask.shape, dtype=complex)
-    out[mask] = coeff * z_powers(alpha, 2 * n)[expo]
+    flat, coeff, expo = _row_tables(n)
+    out = np.zeros((n + 1, p_count(n)), dtype=complex)
+    out.reshape(-1)[flat] = coeff * z_powers(alpha, 2 * n)[expo]
     return out
 
 

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from paradist.catalog import (
     AlphaOutOfInterval,
     alpha_interval,
+    catalog_order,
+    catalog_solutions,
     conjectured_threshold,
     explicit_nns,
     in_interval,
@@ -179,3 +181,46 @@ def test_padding_several_orders_is_padding_once_per_order(k, n, rng):
         padded = pad_solution(padded)
     expected = _pad_by_full_vector(y, times=n - k)
     assert_allclose(padded, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
+
+
+def _scanned_order(alpha, top):
+    """The first order k = 1..top whose interval holds alpha, by scan."""
+    return next((k for k in range(1, top + 1) if in_interval(k, alpha)), None)
+
+
+def _angles(rng):
+    ends = [conjectured_threshold(k) for k in range(1, 13)]
+    return [*rng.uniform(math.pi / 2, math.pi, 3000).tolist(), *ends,
+            *(np.nextafter(end, d) for end in ends for d in (0.0, 4.0)),
+            math.pi / 2, math.pi - 1e-12, math.pi - 2e-12, math.pi + 1e-12]
+
+
+def test_catalog_order_is_the_interval_scan(rng):
+    # the bisection over the cached left endpoints picks the order the
+    # scan over k = 1..top picks, at every endpoint and next to it
+    angles = _angles(rng)
+    for top in range(1, 11):
+        assert [catalog_order(a, top) for a in angles] == [_scanned_order(a, top) for a in angles]
+
+
+def test_catalog_solutions_are_padded_explicit_solutions(rng):
+    # pad_solution, once per order, is the reference, bit for bit; the
+    # grid mixes orders, so rows of several orders are padded together
+    angles = _angles(rng)[::7]
+    for n in range(1, 13):
+        rows, y = catalog_solutions(angles, n)
+        expected = {}
+        for row, alpha in enumerate(angles):
+            k = _scanned_order(alpha, min(n, 10))
+            if k is not None:
+                padded = explicit_nns(k, alpha)
+                for _ in range(k, n):
+                    padded = pad_solution(padded)
+                expected[row] = padded
+        assert sorted(rows) == sorted(expected)
+        assert len(rows) > 50 or n == 1
+        if rows:
+            assert y.tobytes() == np.array([expected[row] for row in rows]).tobytes(), n
+        else:
+            assert y is None
+    assert catalog_solutions([math.pi / 2], 4) == ([], None)

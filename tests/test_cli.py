@@ -153,6 +153,29 @@ def test_necessity_report_bytes(capsys):
         "1ccd4c99d9e944f09f902b6904c74a6a65ff218f52c483874b738408083ada3a")
 
 
+_CONJ12 = conjectured_threshold(12)
+
+
+# the CSV of a default-range sweep at three orders, and of a 60-point window
+# conj(12) - 2e-3 ... conj(12) + 1e-3, which reaches the chain below the
+# threshold and the order-12 support table above it
+@pytest.mark.parametrize("args, digest", [
+    (("--n", "4", "--points", "200"),
+     "60e845a0040b335de76f0983e468a607deed7c0d3aa436b339fa0b3d1e8b426d"),
+    (("--n", "10", "--points", "200"),
+     "13f3dab533a429fb330335b31b0dfd03f24637bc874012861f65ca691b5e74af"),
+    (("--n", "12", "--points", "200"),
+     "dd94676d21e52a8c1167d9f057c5e26999db16b8c1dd8a15426b208aff7002aa"),
+    (("--n", "12", "--points", "60", "--alpha-min", repr(_CONJ12 - 2e-3),
+      "--alpha-max", repr(_CONJ12 + 1e-3)),
+     "3eef6cc8274d47d6350953181ea225cf1548f1706f14d9a67bbf9a0c11716fc6"),
+], ids=["n4", "n10", "n12", "n12-window"])
+def test_sweep_report_bytes(capsys, args, digest):
+    code, out, _ = run_cli(capsys, "sweep", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args", [
     ("feasibility", "--n", "4", "--pi-frac", "5/8"),
     ("sweep", "--n", "4", "--points", "5"),
@@ -160,27 +183,28 @@ def test_necessity_report_bytes(capsys):
     ("threshold", "--n", "3"),
 ], ids=lambda args: args[0])
 def test_every_command_builds_once_per_decision(capsys, monkeypatch, args):
-    calls = {"build_C": 0, "nns_exists": 0}
+    # every decision, of one angle or of a whole grid, goes through
+    # `_decide`; count the angles it decides and the systems built
+    calls = {"build_C": 0, "decided": 0}
+    build, decide = feasibility.build_C, feasibility._decide
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted_build(alpha, n):
+        calls["build_C"] += 1
+        return build(alpha, n)
 
-        def wrapper(*a, **kw):
-            calls[name] += 1
-            return original(*a, **kw)
+    def counted_decide(alphas, n):
+        calls["decided"] += len(alphas)
+        return decide(alphas, n)
 
-        monkeypatch.setattr(module, name, wrapper)
-
-    for module, name in [(feasibility, "build_C"), (feasibility, "nns_exists"),
-                         (cli, "nns_exists")]:
-        counted(module, name)
+    monkeypatch.setattr(feasibility, "build_C", counted_build)
+    for module in (feasibility, cli):
+        monkeypatch.setattr(module, "_decide", counted_decide)
     code, _, _ = run_cli(capsys, *args)
     assert code == 0
-    # a threshold probe builds its system without calling nns_exists
-    decisions = _bisection_probes(feasibility.TOL_ALPHA) if args[0] == "threshold" \
-        else calls["nns_exists"]
-    assert decisions > 0
-    assert calls["build_C"] == decisions
+    if args[0] == "threshold":
+        assert calls["decided"] == _bisection_probes(feasibility.TOL_ALPHA)
+    assert calls["decided"] > 0
+    assert calls["build_C"] == calls["decided"]
 
 
 def _bisection_probes(tol):

@@ -164,7 +164,7 @@ def test_row_link_must_remove_all_its_columns(substitute):
         return c
 
     substitute(tilted)
-    assert feasibility._chain(realize(math.pi / 2, 2), math.pi / 2, 2) is None
+    assert feasibility._chain(realize(math.pi / 2, 2)[None], [math.pi / 2], 2) == [None]
     assert not isinstance(nns_exists(math.pi / 2, 2), Certificate)
 
 
@@ -268,6 +268,52 @@ def test_crossed_system_reaches_the_projection(substitute, nnls_calls):
     assert isinstance(outcome, Indeterminate)
     assert str(outcome) == ("projection residual 4.804e-01: no witness within 1.0e-08, "
                             "and the necessity proof's chain does not hold at margin 1.0e-08")
+
+
+def _mixed_shapes(alpha, n):
+    # the system of `undecidable_below_threshold` in test_cli: one complex
+    # row of 1e-7 below the threshold, the true system above it
+    if alpha > conjectured_threshold(n):
+        return build_C(alpha, n)
+    return np.full((1, 3), 1e-7 + 1e-7j)
+
+
+def _outcome_bits(outcome):
+    bits = [outcome.kind, float(outcome.metric).hex(), str(outcome)]
+    bits += [getattr(outcome, name).tobytes() for name in ("y", "h", "margins")
+             if hasattr(outcome, name)]
+    return bits
+
+
+@pytest.mark.parametrize("system, orders, points", [
+    (build_C, range(1, 13), 41),
+    (build_B, range(1, 9), 9),
+    (_reversed_columns, range(1, 13), 9),
+    (_mixed_shapes, range(1, 13), 9),
+], ids=["C", "B", "reversed", "mixed-shapes"])
+def test_grid_decision_is_each_angle_alone(substitute, monkeypatch, system, orders, points):
+    # a grid decided in one stack gives every angle the outcome it gets
+    # alone, bit for bit: kind, metric, y, h and margins, also where a
+    # substituted builder returns systems of other shapes or layouts.  The
+    # grid holds the catalog endpoints, the band below the threshold, the
+    # order-11/12 gap and both ends of [pi/2, pi]
+    substitute(system)
+    if system is _mixed_shapes:
+        monkeypatch.setattr(feasibility, "TOL_MARGIN", 1e-6)
+    kinds = set()
+    for n in orders:
+        conj = conjectured_threshold(n)
+        grid = [*np.linspace(math.pi / 2, math.pi, points).tolist(),
+                *(conjectured_threshold(k) for k in range(2, 11)),
+                *(conj - 10.0 ** -e for e in range(3, 10)),
+                *np.linspace(conj, conjectured_threshold(10), 5 if n > 10 else 0).tolist(),
+                math.pi / 2, math.pi]
+        grid = [alpha for alpha in grid if math.pi / 2 <= alpha <= math.pi]
+        stacked = feasibility._decide(grid, n)
+        alone = [feasibility._decide((alpha,), n)[0] for alpha in grid]
+        assert [_outcome_bits(o) for o in stacked] == [_outcome_bits(o) for o in alone], n
+        kinds |= {o.kind for o in stacked}
+    assert kinds >= {"witness", "certificate" if system is build_C else "indeterminate"}
 
 
 def test_duplicate_rows_give_same_outcome_class(substitute):
@@ -445,9 +491,9 @@ def test_explicit_chain_must_remove_the_columns_of_each_link():
     # hold although every link reaches the margin bar
     alpha, n = _ALPHA4, 4
     c = build_C(alpha, n)
-    assert feasibility._chain(np.vstack([c.real, c.imag]), alpha, n) is not None
+    assert feasibility._chain(np.vstack([c.real, c.imag])[None], [alpha], n)[0] is not None
     c[:, 2] = 0  # the column (2, 0, 2), in play for link 0 only
-    assert feasibility._chain(np.vstack([c.real, c.imag]), alpha, n) is None
+    assert feasibility._chain(np.vstack([c.real, c.imag])[None], [alpha], n) == [None]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -535,7 +581,7 @@ def test_necessity_point_flags_witness(substitute):
     # the feasible system at pi stands in for the one at the grid angle
     substitute(lambda alpha, n: build_C(math.pi, n))
     alpha = float(necessity_grid(3, 1)[0])
-    row = necessity_point(alpha, 3)
+    row = necessity_point(alpha, 3, nns_exists(alpha, 3))
     assert row.keys() == {"alpha", "n", "outcome", "residual", "anomaly"}
     assert (row["alpha"], row["n"], row["outcome"], row["anomaly"]) == (alpha, 3, "witness", True)
     assert row["residual"] <= TOL_WITNESS
@@ -546,7 +592,7 @@ def test_necessity_point_flags_indeterminate(substitute, monkeypatch):
     # bar the detail names as it is read at call time
     substitute(lambda alpha, n: np.full((1, 3), 1e-7 + 1e-7j))
     monkeypatch.setattr(feasibility, "TOL_MARGIN", 1e-6)
-    row = necessity_point(2.0, 1)
+    row = necessity_point(2.0, 1, nns_exists(2.0, 1))
     assert row.keys() == {"alpha", "n", "outcome", "detail", "anomaly"}
     assert (row["outcome"], row["anomaly"]) == ("indeterminate", True)
     assert row["detail"].endswith("the necessity proof's chain does not hold at margin 1.0e-06")
@@ -554,14 +600,14 @@ def test_necessity_point_flags_indeterminate(substitute, monkeypatch):
 
 def test_necessity_point_lists_the_chain():
     alpha = float(necessity_grid(3, 1)[0])
-    row = necessity_point(alpha, 3)
+    row = necessity_point(alpha, 3, nns_exists(alpha, 3))
     assert row.keys() == {"alpha", "n", "outcome", "margin", "steps", "verified", "anomaly"}
     assert [step["row"] for step in row["steps"]] == [0, 1, 2, 3]
     assert row["margin"] == min(step["margin"] for step in row["steps"]) >= TOL_MARGIN
 
 
 def _closed_form_witness(alpha, n):
-    return feasibility._closed_form(feasibility._build(alpha, n)[0], alpha, n)
+    return feasibility._closed_form([feasibility._build(alpha, n)[0]], [alpha], n)[0]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -674,7 +720,7 @@ def test_witness_rule_refuses_a_negative_entry(n):
     y = explicit_nns(n, alpha)
     assert y.min() < 0
     assert feasibility._witness(c, y) is None
-    assert feasibility._closed_form(c, alpha, n) is None
+    assert feasibility._closed_form([c], [alpha], n) == [None]
     assert isinstance(feasibility._witness(c, np.maximum(y, 0)), Witness)
 
 

@@ -76,18 +76,23 @@ def _callers(name):
 def test_one_certificate_construction():
     # certificates come from the necessity proof's chain alone, wrapped in
     # one place, and one rule judges every link, proposed or handed in
-    assert _callers("Certificate") == {"feasibility.nns_exists"}
+    assert _callers("Certificate") == {"feasibility._decide_stack"}
     assert _callers("_separation") == {"feasibility._chain", "feasibility.verify_certificate"}
 
 
 def test_one_decision_order():
-    # one routine tries the closed form, the support table, the proof's
-    # chain and the projection, in that order, for every report and every
-    # threshold probe; a certificate is the chain's own arrays, with no
-    # link objects
-    for piece in ("_closed_form", "_support_witness", "_chain", "Certificate", "nnls"):
-        assert _callers(piece) == {"feasibility.nns_exists"}, piece
-    assert "feasibility.threshold_bisect" in _callers("nns_exists")
+    # one routine, over a stack of angles, tries the closed form, the
+    # support table, the proof's chain and the projection, in that order,
+    # for every report and every threshold probe; `nns_exists` is its
+    # one-angle case, and a grid goes to it whole.  A certificate is the
+    # chain's own arrays, with no link objects
+    for piece in ("_closed_form", "_support_witness", "_chain", "Certificate", "_project"):
+        assert _callers(piece) == {"feasibility._decide_stack"}, piece
+    assert _callers("_decide_stack") == {"feasibility._decide"}
+    assert _callers("nnls") == {"feasibility._project"}
+    assert _callers("_decide") == {"feasibility.nns_exists", "feasibility.necessity_scan",
+                                   "cli._cmd_sweep"}
+    assert _callers("nns_exists") == {"feasibility.threshold_bisect", "cli._cmd_feasibility"}
     for piece in ("_build", "build_C", "realize", "_separation", "_witness"):
         assert "feasibility.threshold_bisect" not in _callers(piece), piece
     assert "Step" not in paradist.__all__

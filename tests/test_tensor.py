@@ -135,6 +135,21 @@ def test_build_c_equals_closed_form_bitwise():
             assert build_C(alpha, n).tobytes() == expected.tobytes(), (n, alpha)
 
 
+def test_z_powers_are_repeated_complex128_products(rng):
+    # the reference is numpy's own scalar product, one power at a time;
+    # bytes also pin the sign of every zero
+    alphas = [*rng.uniform(math.pi / 2, math.pi, 5000).tolist(),
+              *(conjectured_threshold(n) for n in range(1, 13)), math.pi / 2, math.pi]
+    for i, alpha in enumerate(alphas):
+        kmax = 2 * (i % 12 + 1)
+        z = unit_phase(alpha)
+        expected = [np.complex128(1.0)]
+        for _ in range(kmax):
+            expected.append(expected[-1] * z)
+        assert tensor.z_powers(alpha, kmax).tobytes() == np.array(expected).tobytes(), alpha
+    assert tensor.z_powers(2.0, 0).tobytes() == np.ones(1, dtype=complex).tobytes()
+
+
 def test_row_tables_are_read_only():
     for table in tensor._row_tables(5):
         with pytest.raises(ValueError):
