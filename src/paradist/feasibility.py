@@ -12,8 +12,9 @@ its one-angle case, and `sweep` and `necessity_scan` hand it their whole
 grid.  It builds each angle's C once, read-only, judges every outcome on
 that system alone and tries, in this order, the paper's explicit
 solution, the support table, the paper's necessity proof and then the
-projection.  The systems of one grid are judged together, stage by
-stage, with one matrix-vector product per system and link, so an angle's
+projection.  The builder returns one C-contiguous shape per order, as
+`build_C` does, so the systems of one grid are judged together, stage by
+stage, with one matrix-vector product per system and link, and an angle's
 outcome has the same bits alone and in any grid.  First the paper's
 explicit solution for the catalog interval holding alpha
 (`_closed_form`), a witness if it passes the witness rule (`_witness`).
@@ -235,40 +236,28 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
     in the order of the angles.
 
     Each angle is checked (ValueError outside [pi/2, pi]) and its system
-    built by `build_C`, once, in turn.  The systems of the order-n shape,
-    laid out as `build_C` lays them out, are judged as one stack; any other
-    (a substituted builder's) is judged as it is, a stack of its own.  Each
-    product is one matrix-vector product per system, so an angle's outcome
-    has the same bits in any stack; a stack of one, as `nns_exists` makes,
-    is judged without the stack axis, which costs numpy less.  In each stack (`_decide_stack`): the
-    closed form, judged for every angle that has one in one stacked witness
-    rule; the support table, angle by angle; the chain, for every angle
-    still open, in one `_separation` call; and the projection, angle by
-    angle, for what is left.
+    built by `build_C`, once, in turn.  A builder returns one C-contiguous
+    shape per order, as `build_C` does, so the systems are judged as one
+    stack (`_decide_stack`): the closed form, judged for every angle that
+    has one in one stacked witness rule; the support table, angle by angle;
+    the chain, for every angle still open, in one `_separation` call; and
+    the projection, angle by angle, for what is left.  Each product is one
+    matrix-vector product per system, so an angle's outcome has the same
+    bits in any stack; a stack of one, as `nns_exists` makes, is judged
+    without the stack axis, which costs numpy less.
     """
     systems = []
     for alpha in alphas:
         if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
             raise ValueError("alpha must lie in [pi/2, pi]")
         systems.append(_freeze(build_C(alpha, n)))
-    if len(systems) == 1:
-        return _decide_stack(systems, alphas, n)
-    shape = (n + 1, len(column_order(n)))
-    alone = [c.shape != shape or not c.flags.c_contiguous for c in systems]
-    stacks = [[i] for i, own in enumerate(alone) if own]
-    stacks.append([i for i, own in enumerate(alone) if not own])
-    outcomes = [None] * len(systems)
-    for rows in stacks:
-        decided = _decide_stack([systems[i] for i in rows], [alphas[i] for i in rows], n)
-        for i, outcome in zip(rows, decided):
-            outcomes[i] = outcome
-    return outcomes
+    return _decide_stack(systems, alphas, n)
 
 
 def _decide_stack(systems: list, alphas, n: int) -> list[FeasibilityOutcome]:
-    """`_decide` on systems of one shape, judged as one stack: the closed
-    form for every angle, the support table and the chain for the angles it
-    leaves open, the projection for the angles they leave open."""
+    """`_decide` on its systems, judged as one stack: the closed form for
+    every angle, the support table and the chain for the angles it leaves
+    open, the projection for the angles they leave open."""
     found = _closed_form(systems, alphas, n)
     rest = [i for i, outcome in enumerate(found) if outcome is None]
     if not rest:

@@ -5,12 +5,11 @@ construction, every passive-set subproblem is solved freshly from the
 original data (so roundoff cannot accumulate across iterations), and the
 walk terminates finitely.  Each subproblem is one Householder QR of the
 passive columns with b appended, then a triangular solve, as in Lawson and
-Hanson's own NNLS (Solving Least Squares Problems, 1974, ch. 23); a solve
-that fails or comes out non-finite raises LinAlgError, in the walk or not.
-Both steps call numpy's LAPACK gufuncs directly (`qr_r_raw`, then `solve1`),
-the routines `np.linalg.qr(mode="raw")` and `np.linalg.solve` wrap, on the
-same inputs; only the wrappers' argument handling is skipped, so the bits
-are those of the public composition (`tests/test_nnls.py` compares them).
+Hanson's own NNLS (Solving Least Squares Problems, 1974, ch. 23), both
+through numpy's public `qr` and `solve`; a solve that fails or comes out
+non-finite raises LinAlgError, in the walk or not.  In the package the walk
+is the decision's last fallback, reached only where the explicit solution,
+the support table and the necessity proof's chain all miss.
 
 The residual r = b - A y at the solution is what tells a usable y from an
 unusable one: the KKT conditions give A'r <= 0 columnwise (within the
@@ -31,13 +30,11 @@ which ones run.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import qr_r_raw, solve1
+from numpy.linalg import LinAlgError, qr, solve
 
 
 class IterationLimitReached(RuntimeError):
@@ -52,44 +49,27 @@ class NnlsResult:
     iterations: int
 
 
-@functools.lru_cache
-def _upper(k: int) -> np.ndarray:
-    """Read-only mask of the upper triangle of a k x k array."""
-    mask = ~np.tri(k, k, -1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
+def _cap(n: int) -> int:
+    """The bound on the outer and the inner iterations of a walk over n columns."""
+    return max(30, 3 * n)
 
 
-def _raise_singular(err: str, flag: int) -> None:
-    raise LinAlgError("Singular matrix")
-
-
-def _qr_solve(ab: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """x minimizing ||a x - b||_2, where ab[:, cols] = [a | b] picks k columns
-    of full column rank and, last, the right-hand side.  One Householder QR
-    of that fresh gather, in place: the last column of its R is Q'b, so x
-    solves the triangle R[:k, :k] x = (Q'b)[:k].  The QR and the triangle
-    solve are the LAPACK gufuncs behind `np.linalg.qr(mode="raw")` and
-    `np.linalg.solve`, called directly on the inputs those wrappers would
-    pass them.  Raises LinAlgError when the triangle is singular, x is not
-    finite or a has more columns than rows."""
-    h = ab[:, cols]
-    rows, k = h.shape[0], h.shape[1] - 1
+def _qr_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x minimizing ||a x - b||_2 for k columns a of full column rank.  One
+    Householder QR of [a | b]: the last column of its R is Q'b, so x solves
+    the triangle R[:k, :k] x = (Q'b)[:k].  Raises LinAlgError when the
+    triangle is singular, x is not finite or a has more columns than rows."""
+    rows, k = a.shape
     if rows < k:
         raise LinAlgError(f"{k} columns but only {rows} rows")
-    qr_r_raw(h, signature="d->d")
-    # geqrf reports only illegal arguments, which these shapes never are;
-    # getrf reports a zero pivot through the invalid flag, raised here as
-    # `np.linalg.solve` raises it
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        x = solve1(np.where(_upper(k), h[:k, :k], 0.0), h[:k, k], signature="dd->d")
+    r = qr(np.column_stack([a, b]), mode="r")
+    x = solve(r[:k, :k], r[:k, k])
     if not np.isfinite(x).all():
         raise LinAlgError("passive-set solve is not finite")
     return x
 
 
-def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResult:
+def nnls(a: np.ndarray, b: np.ndarray) -> NnlsResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = a.shape
@@ -99,18 +79,11 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
     col_scale = np.maximum(np.linalg.norm(a, axis=0), np.finfo(float).tiny)
     eps = np.finfo(float).eps
     tau_scale = 10.0 * eps * col_scale
-    cap_outer = max_outer if max_outer is not None else max(30, 3 * n)
-    cap_inner = max(30, 3 * n)
 
     abs_a = np.abs(a)
     bnorm = math.sqrt(b @ b)
     y = np.zeros(n)
-    # every solve gathers the passive columns and b out of [A | b]: passive
-    # is a view of the gather mask, whose last entry always selects b
-    ab = np.column_stack([a, b])
-    cols = np.zeros(n + 1, dtype=bool)
-    cols[n] = True
-    passive = cols[:n]
+    passive = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)
     residual = b.copy()
     rnorm = bnorm
@@ -131,15 +104,15 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
         if not eligible.any():
             break
         outer += 1
-        if outer > cap_outer:
-            raise IterationLimitReached(f"exceeded {cap_outer} active-set iterations")
+        if outer > _cap(n):
+            raise IterationLimitReached(f"exceeded {_cap(n)} active-set iterations")
         scores = grad / col_scale
         scores[~eligible] = -np.inf
         enter = int(scores.argmax())
         passive[enter] = True
 
-        for _ in range(cap_inner):
-            sol = _qr_solve(ab, cols)
+        for _ in range(_cap(n)):
+            sol = _qr_solve(a[:, passive], b)
             if sol.min() > 0.0:
                 y[passive] = sol
                 break
@@ -156,7 +129,7 @@ def nnls(a: np.ndarray, b: np.ndarray, max_outer: int | None = None) -> NnlsResu
             passive[drop] = False
             y[drop] = 0.0
         else:
-            raise IterationLimitReached(f"inner loop exceeded {cap_inner} steps")
+            raise IterationLimitReached(f"inner loop exceeded {_cap(n)} steps")
 
         residual = b - a @ y
         new_rnorm = math.sqrt(residual @ residual)
@@ -196,13 +169,9 @@ def refined_residual(a: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
     support = y > 0
     if not np.any(support):
         return (b_hi - a_hi @ y_hi).astype(float)
-    # [A | r]: each step rounds its residual into the last column
-    ar = np.column_stack([a, b])
-    cols = np.append(support, True)
     for _ in range(2):
         r = b_hi - a_hi @ y_hi
-        ar[:, -1] = r
-        correction = _qr_solve(ar, cols)
+        correction = _qr_solve(a[:, support], r.astype(float))
         y_hi[support] += correction
         y_hi = np.maximum(y_hi, 0.0)
     return (b_hi - a_hi @ y_hi).astype(float)

@@ -29,14 +29,15 @@ def run_cli(capsys, *args):
 
 @pytest.fixture
 def undecidable_below_threshold(monkeypatch):
-    """Below the threshold, decide one complex row of 1e-7 entries at a
-    1e-6 margin bar: a row-chain margin of about 2e-7, and no witness within
-    1e-8 from the projection or the closed form, so the outcome is
-    indeterminate.  Above the threshold the true system stays."""
+    """Below the threshold, decide a system of C's shape with every entry
+    1e-7 + 1e-7j at a 1e-6 margin bar: the chain's first link removes every
+    column, at a margin of about 1e-7, and no witness within 1e-8 comes from
+    the projection or the closed form, so the outcome is indeterminate.
+    Above the threshold the true system stays."""
     def system(alpha, n):
         if alpha > conjectured_threshold(n):
             return build_C(alpha, n)
-        return np.full((1, 3), 1e-7 + 1e-7j)
+        return np.full(build_C(alpha, n).shape, 1e-7 + 1e-7j)
 
     monkeypatch.setattr(feasibility, "build_C", system)
     monkeypatch.setattr(feasibility, "TOL_MARGIN", 1e-6)

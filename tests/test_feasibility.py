@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +25,12 @@ from paradist.feasibility import (
     threshold_bisect,
     verify_certificate,
 )
-from paradist.labels import column_order, p_count
+from paradist.labels import column_index, column_order, p_count
 from paradist.nnls import IterationLimitReached
 from paradist.supports import SUPPORTS
 from paradist.tensor import build_B, build_C
+
+SUPPORT_TOOL = Path(__file__).resolve().parents[1] / "tools" / "support_tables.py"
 
 
 def test_realized_system_shapes():
@@ -254,8 +258,9 @@ def _crossed_system(alpha, n):
 def _reversed_columns(alpha, n):
     # the same system with its columns in reverse order: the closed form and
     # the proof's chain, both in column order, miss their bars on it; the
-    # projection knows no column order
-    return build_C(alpha, n)[:, ::-1]
+    # projection knows no column order.  Laid out C-contiguous, as a builder
+    # lays out its systems
+    return np.ascontiguousarray(build_C(alpha, n)[:, ::-1])
 
 
 def test_crossed_system_reaches_the_projection(substitute, nnls_calls):
@@ -270,12 +275,12 @@ def test_crossed_system_reaches_the_projection(substitute, nnls_calls):
                             "and the necessity proof's chain does not hold at margin 1.0e-08")
 
 
-def _mixed_shapes(alpha, n):
-    # the system of `undecidable_below_threshold` in test_cli: one complex
-    # row of 1e-7 below the threshold, the true system above it
+def _undecidable_below_threshold(alpha, n):
+    # the system of `undecidable_below_threshold` in test_cli: every entry
+    # 1e-7 + 1e-7j below the threshold, the true system above it
     if alpha > conjectured_threshold(n):
         return build_C(alpha, n)
-    return np.full((1, 3), 1e-7 + 1e-7j)
+    return np.full(build_C(alpha, n).shape, 1e-7 + 1e-7j)
 
 
 def _outcome_bits(outcome):
@@ -289,16 +294,16 @@ def _outcome_bits(outcome):
     (build_C, range(1, 13), 41),
     (build_B, range(1, 9), 9),
     (_reversed_columns, range(1, 13), 9),
-    (_mixed_shapes, range(1, 13), 9),
-], ids=["C", "B", "reversed", "mixed-shapes"])
+    (_undecidable_below_threshold, range(1, 13), 9),
+], ids=["C", "B", "reversed", "undecidable-below"])
 def test_grid_decision_is_each_angle_alone(substitute, monkeypatch, system, orders, points):
     # a grid decided in one stack gives every angle the outcome it gets
-    # alone, bit for bit: kind, metric, y, h and margins, also where a
-    # substituted builder returns systems of other shapes or layouts.  The
-    # grid holds the catalog endpoints, the band below the threshold, the
-    # order-11/12 gap and both ends of [pi/2, pi]
+    # alone, bit for bit: kind, metric, y, h and margins, also under a
+    # substituted builder of C's shape.  The grid holds the catalog
+    # endpoints, the band below the threshold, the order-11/12 gap and both
+    # ends of [pi/2, pi]
     substitute(system)
-    if system is _mixed_shapes:
+    if system is _undecidable_below_threshold:
         monkeypatch.setattr(feasibility, "TOL_MARGIN", 1e-6)
     kinds = set()
     for n in orders:
@@ -544,7 +549,7 @@ def test_cut_off_projection_is_indeterminate(substitute, monkeypatch):
                             "exceeded 3 active-set iterations")
 
 
-def _nan_triangle_solve(a, b, signature):
+def _nan_triangle_solve(a, b):
     return np.full(b.shape, np.nan)
 
 
@@ -552,10 +557,10 @@ def _singular_solve(a, b):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-# the NaN comes from below `_qr_solve` (the triangle-solve gufunc as `nnls`
-# binds it), so it passes through the one finite check every solve shares
+# the NaN comes from below `_qr_solve` (the triangle solve as `nnls` binds
+# it), so it passes through the one finite check every solve shares
 _BREAKS = {
-    "nan": (paradist.nnls, "solve1", _nan_triangle_solve),
+    "nan": (paradist.nnls, "solve", _nan_triangle_solve),
     "raises": (paradist.nnls, "_qr_solve", _singular_solve),
 }
 
@@ -691,6 +696,26 @@ def test_support_table_structure():
             assert all(label in labels for label in support), (n, lo)
         for before, after in zip(rows, rows[1:]):
             assert after[0] <= before[1], (n, after[0])
+
+
+def test_support_table_tool_reaches_the_engine():
+    # `tools/support_tables.py` builds SUPPORTS from the engine's own pieces
+    # (`realize`, `nnls`, `_build`, `_null_witness`); a rename must fail here
+    # rather than in the next regeneration.  At the midpoint of each
+    # committed row the projection proposes a support, and the committed
+    # support passes the witness rule on the system the tool builds
+    spec = importlib.util.spec_from_file_location("support_tables", SUPPORT_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert list(tool.ORDERS) == sorted(SUPPORTS)
+    for n, rows in SUPPORTS.items():
+        index = column_index(n)
+        for lo, hi, labels in rows:
+            alpha = 0.5 * (lo + hi)
+            assert tool.projected_support(alpha, n), (n, lo)
+            c, m = feasibility._build(alpha, n)
+            cols = np.array([index[label] for label in labels])
+            assert feasibility._null_witness(c, m, cols) is not None, (n, lo)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -21,7 +21,6 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 KNOBS = {
     "cli.main": ["argv"],
     "feasibility.threshold_bisect": ["tol_alpha"],
-    "nnls.nnls": ["max_outer"],
     "tensor.a_alpha": ["form"],
 }
 
@@ -46,7 +45,7 @@ def test_package_has_no_dead_knobs():
         if knobs:
             found[name] = knobs
     assert found == KNOBS
-    assert sum(len(knobs) for knobs in KNOBS.values()) == 4
+    assert sum(len(knobs) for knobs in KNOBS.values()) == 3
 
 
 def test_one_least_squares_routine():
@@ -98,7 +97,7 @@ def test_one_decision_order():
     assert "Step" not in paradist.__all__
     assert not hasattr(paradist.feasibility, "Step")
     assert "feasibility.nns_exists" not in KNOBS
-    assert sum(len(knobs) for knobs in KNOBS.values()) == 4
+    assert sum(len(knobs) for knobs in KNOBS.values()) == 3
     # the support table is numpy alone: importing the package loads no scipy
     src = str(Path(paradist.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -108,12 +107,12 @@ def test_one_decision_order():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
-def test_private_numpy_only_in_the_engine():
-    # the engine calls numpy's LAPACK gufuncs through the private
-    # `numpy.linalg._umath_linalg`; that surface stays in one audited module
+def test_no_private_numpy():
+    # the projection solves through numpy's public `qr` and `solve`; no
+    # module reaches into the private `numpy.linalg._umath_linalg`
     users = {path.name for path in Path(paradist.__file__).parent.glob("*.py")
              if "_umath_linalg" in path.read_text(encoding="utf-8")}
-    assert users == {"nnls.py"}
+    assert users == set()
 
 
 def test_benchmark_tracer_targets_resolve():
