@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -228,8 +228,7 @@ def quadrant_of(k: int, alpha: float, n: int) -> int:
     return ((n + 1) % 4) + 1
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     order: int
     alpha: float
     residual_inf: float

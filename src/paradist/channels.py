@@ -9,7 +9,7 @@ positive semidefinite, and takes their square roots as the final operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ class ShapeMismatch(ValueError):
     """Operator shapes are incompatible."""
 
 
-@dataclass(frozen=True)
-class KrausPair:
+class KrausPair(NamedTuple):
     e_ops: list[np.ndarray]
     f_ops: list[np.ndarray]
     scale: float

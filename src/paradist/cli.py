@@ -20,39 +20,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .catalog import check_catalog_order, interval_samples, verify_catalog_entry
-from .channels import (
-    TOL_KRAUS,
-    extract_basis,
-    product_identity,
-    random_span_set,
-    realize_channels,
-    scaled_norm,
-    span_equality,
-    verify_kraus,
-)
-from .feasibility import (
-    TOL_ALPHA,
-    TOL_MARGIN,
-    TOL_WITNESS,
-    Indeterminate,
-    NonMonotonePredicate,
-    _decide,
-    necessity_scan,
-    nns_exists,
-    threshold_bisect,
-)
-from .labels import check_order
-from .tensor import (
-    MatrixForm,
-    a_alpha,
-    build_B,
-    build_C,
-    build_C_block,
-    build_Q,
-    matrix_from_json,
-    matrix_to_json,
-)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -131,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="bisect the feasibility boundary in alpha")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=TOL_ALPHA)
+    p.add_argument("--tol", type=float)
     p.add_argument("--output")
 
     p = sub.add_parser("necessity", help="certificates across the infeasible region")
@@ -165,7 +132,13 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# each command imports the modules it runs, so a fresh `paradist` process
+# loads no others
 def _cmd_build(args) -> int:
+    from .labels import check_order
+    from .tensor import (MatrixForm, a_alpha, build_B, build_C, build_C_block, build_Q,
+                         matrix_to_json)
+
     alpha = _resolve_alpha(args)
     check_order(args.n)
     form = MatrixForm(args.form)
@@ -192,6 +165,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify_catalog(args) -> int:
+    from .catalog import check_catalog_order, interval_samples, verify_catalog_entry
+
     check_catalog_order(args.n)
     if args.samples < 1:
         raise ValueError("--samples must be positive")
@@ -208,6 +183,8 @@ def _cmd_verify_catalog(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
+    from .feasibility import TOL_MARGIN, TOL_WITNESS, Indeterminate, nns_exists
+
     alpha = _resolve_alpha(args)
     outcome = nns_exists(alpha, args.n)
     payload = dict(outcome.to_dict(), version=__version__, n=args.n, alpha=alpha,
@@ -217,6 +194,8 @@ def _cmd_feasibility(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .feasibility import TOL_MARGIN, TOL_WITNESS, Indeterminate, _decide
+
     if args.points < 2:
         raise ValueError("--points must be at least 2")
     alphas = [
@@ -237,15 +216,28 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    estimate = threshold_bisect(args.n, tol_alpha=args.tol)
+    # only `threshold_bisect` raises these two
+    from .feasibility import TOL_ALPHA, Indeterminate, NonMonotonePredicate, threshold_bisect
+
+    tol = TOL_ALPHA if args.tol is None else args.tol
+    try:
+        estimate = threshold_bisect(args.n, tol_alpha=tol)
+    except Indeterminate as exc:
+        print(f"paradist: indeterminate: {exc}", file=sys.stderr)
+        return EXIT_INDETERMINATE
+    except NonMonotonePredicate as exc:
+        print(f"paradist: verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     payload = estimate.to_dict()
     payload["version"] = __version__
-    payload["tolerances"] = {"alpha": args.tol}
+    payload["tolerances"] = {"alpha": tol}
     _emit(_json(payload), args.output)
     return EXIT_OK
 
 
 def _cmd_necessity(args) -> int:
+    from .feasibility import TOL_MARGIN, necessity_scan
+
     if args.points < 0:
         raise ValueError("--points must be nonnegative")
     rows = necessity_scan(args.n, args.points)
@@ -265,6 +257,10 @@ def _cmd_necessity(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .channels import (TOL_KRAUS, extract_basis, product_identity, random_span_set,
+                           realize_channels, scaled_norm, span_equality, verify_kraus)
+    from .tensor import matrix_from_json, matrix_to_json
+
     if args.input is not None:
         with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -322,12 +318,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except Indeterminate as exc:
-        print(f"paradist: indeterminate: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    except NonMonotonePredicate as exc:
-        print(f"paradist: verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except (ValueError, OSError) as exc:
         print(f"paradist: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

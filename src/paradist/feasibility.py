@@ -50,15 +50,15 @@ per-call parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import catalog_solutions, check_catalog_order, conjectured_threshold
+from .catalog import (CATALOG_MAX_ORDER, catalog_solutions, check_catalog_order,
+                      conjectured_threshold)
 from .labels import check_order, column_index, column_order
 from .nnls import IterationLimitReached, nnls
-from .supports import SUPPORTS
 from .tensor import build_C
 
 TOL_WITNESS = 1e-8
@@ -82,8 +82,7 @@ class NonMonotonePredicate(RuntimeError):
     """Probed feasibility contradicts a single-threshold structure."""
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     y: np.ndarray
     residual: float
     kind = "witness"
@@ -93,8 +92,7 @@ class Witness:
         return {"kind": self.kind, "y": self.y.tolist(), "residual": self.residual}
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A chain of links that together remove every column: row j of `h`
     (links x 2(n+1)), scaled to max|h| = 1, is link j, built from row j of
     C; it removes the columns still in play where h'M > 0, by at least
@@ -264,7 +262,7 @@ def _decide_stack(systems: list, alphas, n: int) -> list[FeasibilityOutcome]:
         return found
     c = _stack(systems if len(rest) == len(systems) else [systems[i] for i in rest])
     m = _embed(c)
-    if n in SUPPORTS:
+    if _support_columns(n):
         for j, i in enumerate(rest):
             found[i] = _support_witness(c[j], m[j], alphas[i], n)
     # the chain is judged for every angle the closed form leaves open; a
@@ -347,7 +345,12 @@ def _closed_form(systems: list, alphas, n: int) -> list[Witness | None]:
 @lru_cache(maxsize=None)
 def _support_columns(n: int) -> tuple[tuple[float, float, np.ndarray], ...]:
     """Order n's support table as (lo, hi, column indices) rows, the
-    indices read-only."""
+    indices read-only.  Only the orders above the catalog have one, so
+    `supports` loads for them alone."""
+    if n <= CATALOG_MAX_ORDER:
+        return ()
+    from .supports import SUPPORTS
+
     index = column_index(n)
     rows = tuple((lo, hi, np.array([index[label] for label in labels]))
                  for lo, hi, labels in SUPPORTS.get(n, ()))
@@ -405,8 +408,7 @@ def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, f
     return ok and not alive.any(), min(margins)
 
 
-@dataclass(frozen=True)
-class ThresholdEstimate:
+class ThresholdEstimate(NamedTuple):
     order: int
     alpha_star: float
     bracket_width: float

@@ -31,7 +31,7 @@ which ones run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, qr, solve
@@ -41,8 +41,7 @@ class IterationLimitReached(RuntimeError):
     """The active-set walk was cut off before reaching optimality."""
 
 
-@dataclass(frozen=True)
-class NnlsResult:
+class NnlsResult(NamedTuple):
     y: np.ndarray
     residual: np.ndarray
     rnorm: float

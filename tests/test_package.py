@@ -2,12 +2,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import paradist
@@ -98,13 +100,6 @@ def test_one_decision_order():
     assert not hasattr(paradist.feasibility, "Step")
     assert "feasibility.nns_exists" not in KNOBS
     assert sum(len(knobs) for knobs in KNOBS.values()) == 3
-    # the support table is numpy alone: importing the package loads no scipy
-    src = str(Path(paradist.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import paradist, sys; print(sorted(m for m in sys.modules "
-         "if m.partition('.')[0] == 'scipy'))"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_no_private_numpy():
@@ -129,3 +124,114 @@ def test_benchmark_tracer_targets_resolve():
 def test_outcome_class_name_is_its_kind(cls):
     # the tracer names a decision's outcome by its lower-cased class name
     assert cls.__name__.lower() == cls.kind
+
+
+# the package's exports, recorded before they loaded lazily, under their
+# home modules; each submodule is exported as itself
+EXPORTS = {
+    "catalog": ["AlphaOutOfInterval", "VerificationReport", "alpha_interval",
+                "conjectured_threshold", "explicit_nns", "pad_solution", "quadrant_of",
+                "verify_catalog_entry", "verify_vector"],
+    "channels": ["AllZero", "KrausPair", "ShapeMismatch", "extract_basis", "realize_channels",
+                 "span_equality", "verify_kraus"],
+    "feasibility": ["Certificate", "FeasibilityOutcome", "Indeterminate", "NonMonotonePredicate",
+                    "ThresholdEstimate", "Witness", "necessity_scan", "nns_exists", "realize",
+                    "threshold_bisect", "verify_certificate"],
+    "labels": ["column_order", "label_orbit", "linear_to_ternary", "orbit_size", "p_count",
+               "ternary_to_linear"],
+    "symmetry": ["LengthNotPowerOfThree", "NonRealInput", "NotOrbitConstant", "expand",
+                 "palindrome_check", "reduce", "reverse_conjugate", "symmetrize_permutation"],
+    "tensor": ["MatrixForm", "SizeExceeded", "a_alpha", "b_entry_closed_form", "build_B",
+               "build_C", "build_C_block", "build_Q", "d_diag", "gamma", "kron_power",
+               "matrix_from_json", "matrix_to_json"],
+}
+SUBMODULES = ["catalog", "channels", "feasibility", "labels", "nnls", "supports", "symmetry",
+              "tensor"]
+
+
+def _fresh(code):
+    """Run `code` in a fresh interpreter that imports paradist from this
+    checkout and return what it prints, parsed as JSON."""
+    src = str(Path(paradist.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_export_contract():
+    names = [name for names in EXPORTS.values() for name in names]
+    assert sorted(paradist.__all__) == sorted(names + SUBMODULES)
+    for home, names in EXPORTS.items():
+        module = importlib.import_module(f"paradist.{home}")
+        for name in names:
+            assert getattr(paradist, name) is getattr(module, name), name
+    for name in SUBMODULES:
+        assert getattr(paradist, name) is importlib.import_module(f"paradist.{name}")
+    with pytest.raises(AttributeError):
+        getattr(paradist, "no_such_name")
+
+
+def test_import_loads_channels_and_numpy():
+    # the benchmark's tracer times `import paradist` by the lines of
+    # `paradist.channels` and numpy in `python -X importtime`, so the package
+    # loads both at import; everything else loads on first use.  The support
+    # table is numpy alone, so no scipy is loaded
+    loaded = _fresh("import json, sys, paradist; print(json.dumps(sorted(m for m in sys.modules "
+                    "if m.partition('.')[0] in ('paradist', 'numpy', 'scipy'))))")
+    assert [m for m in loaded if m.startswith("paradist")] == ["paradist", "paradist.channels"]
+    assert "numpy" in loaded
+    assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
+
+
+_BASE = ["paradist.channels", "paradist.cli", "paradist.labels", "paradist.tensor"]
+_DECIDE = sorted(_BASE + ["paradist.catalog", "paradist.feasibility", "paradist.nnls"])
+
+
+@pytest.mark.parametrize("argv, modules", [
+    pytest.param(["build", "--n", "3", "--pi-frac", "3/4", "--emit", "C"], _BASE, id="build"),
+    pytest.param(["realize", "--random-dim", "2", "--seed", "1"], _BASE, id="realize"),
+    pytest.param(["verify-catalog", "--n", "3", "--samples", "2"],
+                 sorted(_BASE + ["paradist.catalog"]), id="verify-catalog"),
+    pytest.param(["feasibility", "--n", "4", "--pi-frac", "3/4"], _DECIDE, id="feasibility"),
+    pytest.param(["threshold", "--n", "2", "--tol", "1e-3"], _DECIDE, id="threshold"),
+    pytest.param(["sweep", "--n", "4", "--points", "3"], _DECIDE, id="sweep"),
+    pytest.param(["necessity", "--n", "4", "--points", "2"], _DECIDE, id="necessity"),
+    # between conj(11) and conj(10) the support table decides
+    pytest.param(["feasibility", "--n", "11", "--alpha", "1.72"],
+                 sorted(_DECIDE + ["paradist.supports"]), id="feasibility-n11"),
+])
+def test_commands_load_only_what_they_run(argv, modules):
+    # a fresh `paradist` process imports only the modules its command runs,
+    # and none of them needs `dataclasses`
+    code, loaded, dataclasses = _fresh(
+        "import contextlib, io, json, sys\nfrom paradist.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('paradist.')), "
+        "'dataclasses' in sys.modules]))")
+    assert code == 0
+    assert loaded == modules
+    assert not dataclasses
+
+
+# every record the package returns, with a value for each of its fields
+RECORDS = {
+    "feasibility.Witness": {"y": np.ones(3) / 3, "residual": 0.0},
+    "feasibility.Certificate": {"h": np.ones((1, 4)), "margins": np.ones(1)},
+    "feasibility.ThresholdEstimate": {"order": 2, "alpha_star": 2.35, "bracket_width": 1e-6,
+                                      "conjectured": 2.35},
+    "catalog.VerificationReport": {"order": 2, "alpha": 2.4, "residual_inf": 0.0,
+                                   "min_entry": 0.0, "nonneg": True, "nonzero": True},
+    "channels.KrausPair": {"e_ops": [np.eye(2)], "f_ops": [np.eye(2)], "scale": 1.0, "rank": 1},
+    "nnls.NnlsResult": {"y": np.ones(2), "residual": np.zeros(2), "rnorm": 0.0, "iterations": 1},
+}
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_records_are_immutable(record):
+    home, _, name = record.partition(".")
+    fields = RECORDS[record]
+    made = getattr(importlib.import_module(f"paradist.{home}"), name)(**fields)
+    for field, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(made, field, value)
