@@ -9,7 +9,7 @@ with no 1-digits, then one 1-digit, and so on.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -58,12 +58,16 @@ def _catalog_ends(top: int) -> tuple[float, ...]:
 
 
 def catalog_order(alpha: float, top: int) -> int | None:
-    """The first order k = 1..top (top <= CATALOG_MAX_ORDER) whose catalog
-    interval holds alpha (`in_interval`), or None: order 1's single angle pi
-    first, then a bisection over the cached left endpoints."""
+    """The order k = 1..top (top <= CATALOG_MAX_ORDER) whose interval
+    [conj(k), conj(k-1)) holds alpha exactly, or None: order 1's single
+    angle pi first, then a bisection over the cached left endpoints.  Each
+    fl(conj(k)), k = 2..10, lies just below conj(k) and so goes to order
+    k+1, whose padded vector is nonnegative there while order k's is not;
+    `in_interval` keeps the float intervals, closed at fl(conj(k)), for the
+    catalog's own reports (`explicit_nns`, `verify-catalog`)."""
     if abs(alpha - math.pi) <= 1e-12:
         return 1
-    i = bisect_right(_catalog_ends(top), alpha)
+    i = bisect_left(_catalog_ends(top), alpha)
     return top + 1 - i if 1 <= i < top else None
 
 

@@ -17,15 +17,17 @@ projection.  The builder returns one C-contiguous shape per order, as
 stage, with one matrix-vector product per system and link, and an angle's
 outcome has the same bits alone and in any grid.  First the paper's
 explicit solution for the catalog interval holding alpha
-(`_closed_form`), a witness if it passes the witness rule (`_witness`).
-For orders 11 and 12 no catalog interval holds the angles from their
-conjectured threshold up to order 10's; there the committed support
-table (`supports.SUPPORTS`, built by `tools/support_tables.py`) names a
-few column sets, and the null vector of M on the first of them whose row
-holds alpha and which passes the witness rule is the witness
-(`_support_witness`).  Then the paper's necessity proof, a facial
-reduction chain (Borwein and Wolkowicz, 1981) written out.  Let
-theta = 2 alpha - pi.  Row j of C vanishes on the columns with n1 > j, and
+(`_closed_form`), a witness if it passes the witness rule (`_witness`);
+fl(conj(k)) lies just below conj(k), so it takes order k+1's.  For
+orders 11 and 12 no catalog interval holds the angles from their
+conjectured threshold up to order 10's, that endpoint included; there the
+committed support table (`supports.SUPPORTS`, built by
+`tools/support_tables.py`) names a few column sets, and the null vector
+of M on the first of them whose row holds alpha and which passes the
+witness rule is the witness (`_support_witnesses`, row by row over the
+whole stack).  Then the paper's necessity proof, a facial reduction
+chain (Borwein and Wolkowicz, 1981) written out.  Let theta =
+2 alpha - pi.  Row j of C vanishes on the columns with n1 > j, and
 on those with n1 = j its entries are binom(n-j, n2) e^{i n2 theta},
 n2 = 0..n-j.  Below alpha = pi/2 + pi/(2n), that is n theta < pi, they lie
 in an open half-plane bisected by psi_j = (n-j)(alpha - pi/2), so link j,
@@ -36,13 +38,14 @@ TOL_MARGIN, are a certificate when each removes exactly its own columns;
 it is the only kind there is, held as the chain's arrays (h, margins), and
 `verify_certificate` judges it by the same rule whoever proposed it.
 
-Where all three miss (a catalog endpoint, the band just below the
-boundary), the projection proposes a witness: the point b = (0, ..., 0, 1)
-is projected onto the cone spanned by the columns of [M; 1'] with an
-active-set nonnegative least squares solve, and its y is a witness if it
-passes the witness rule.  Otherwise the outcome is indeterminate.  Every
-report and every threshold probe is rendered from this one decision.  The
-witness and margin bars that decide what an outcome means are module
+Where all three miss (fl(conj(n)) for n <= 10, which lies just below
+conj(n), and the band just below the boundary), the projection proposes
+a witness: the point b = (0, ..., 0, 1) is projected onto the cone
+spanned by the columns of [M; 1'] with an active-set nonnegative least
+squares solve, and its y is a witness if it passes the witness rule.
+Otherwise the outcome is indeterminate.  Every report and every
+threshold probe is rendered from this one decision.  The witness and
+margin bars that decide what an outcome means are module
 constants, read at call time; only the threshold's bracket width is a
 per-call parameter.
 """
@@ -55,8 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import (CATALOG_MAX_ORDER, catalog_solutions, check_catalog_order,
-                      conjectured_threshold)
+from .catalog import CATALOG_MAX_ORDER, catalog_solutions, conjectured_threshold
 from .labels import check_order, column_index, column_order
 from .nnls import IterationLimitReached, nnls
 from .tensor import build_C
@@ -217,7 +219,7 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     Builds the system once and tries, in this order: the paper's explicit
     solution for alpha (`_closed_form`), which is the Witness when it
     passes the witness rule; for orders 11 and 12 between their threshold
-    and order 10's, the support table's null vectors (`_support_witness`),
+    and order 10's, the support table's null vectors (`_support_witnesses`),
     judged the same way; the necessity proof's chain (`_chain`), which is
     the Certificate when it holds; and the projection onto the cone of the
     normalized system { y >= 0, M y = 0, sum(y) = 1 }, whose y is the
@@ -237,9 +239,10 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
     built by `build_C`, once, in turn.  A builder returns one C-contiguous
     shape per order, as `build_C` does, so the systems are judged as one
     stack (`_decide_stack`): the closed form, judged for every angle that
-    has one in one stacked witness rule; the support table, angle by angle;
-    the chain, for every angle still open, in one `_separation` call; and
-    the projection, angle by angle, for what is left.  Each product is one
+    has one in one stacked witness rule; the support table, row by row, in
+    one batched SVD and stacked witness rule per row; the chain, for every
+    angle still open, in one `_separation` call; and the projection, angle
+    by angle, for what is left.  Each product is one
     matrix-vector product per system, so an angle's outcome has the same
     bits in any stack; a stack of one, as `nns_exists` makes, is judged
     without the stack axis, which costs numpy less.
@@ -262,12 +265,14 @@ def _decide_stack(systems: list, alphas, n: int) -> list[FeasibilityOutcome]:
         return found
     c = _stack(systems if len(rest) == len(systems) else [systems[i] for i in rest])
     m = _embed(c)
-    if _support_columns(n):
-        for j, i in enumerate(rest):
-            found[i] = _support_witness(c[j], m[j], alphas[i], n)
+    open_alphas = [alphas[i] for i in rest]
+    table = _support_columns(n)
+    if table and m.shape[-1] == len(column_order(n)):
+        for i, witness in zip(rest, _support_witnesses(c, m, open_alphas, table)):
+            found[i] = witness
     # the chain is judged for every angle the closed form leaves open; a
     # support witness, tried first, keeps its angle
-    chains = _chain(m, [alphas[i] for i in rest], n)
+    chains = _chain(m, open_alphas, n)
     for j, (i, chain) in enumerate(zip(rest, chains)):
         if found[i] is None:
             found[i] = _project(c[j], m[j]) if chain is None else Certificate(*chain)
@@ -352,36 +357,27 @@ def _support_columns(n: int) -> tuple[tuple[float, float, np.ndarray], ...]:
     from .supports import SUPPORTS
 
     index = column_index(n)
-    rows = tuple((lo, hi, np.array([index[label] for label in labels]))
+    return tuple((lo, hi, _freeze(np.array([index[label] for label in labels])))
                  for lo, hi, labels in SUPPORTS.get(n, ()))
-    for _, _, cols in rows:
-        cols.setflags(write=False)
-    return rows
 
 
-def _null_witness(c: np.ndarray, m: np.ndarray, cols: np.ndarray) -> Witness | None:
-    """The null vector of m's columns `cols` (the last right singular
-    vector, its sum made positive), spread onto every column, if it passes
-    `_witness` on c."""
-    v = np.linalg.svd(m[:, cols], full_matrices=False)[2][-1]
-    y = np.zeros(m.shape[1])
-    y[cols] = v if v.sum() > 0 else -v
-    return _witness(c, y)
-
-
-def _support_witness(c: np.ndarray, m: np.ndarray, alpha: float, n: int) -> Witness | None:
-    """The first support in order n's table (`supports.SUPPORTS`) whose row
-    holds alpha and whose null vector passes `_witness` on c.  The tables
-    cover [conj(n), conj(10)] for the orders above the catalog; a system of
-    another shape has no support."""
-    if m.shape[1] != len(column_order(n)):
-        return None
-    for lo, hi, cols in _support_columns(n):
-        if lo <= alpha <= hi:
-            witness = _null_witness(c, m, cols)
-            if witness is not None:
-                return witness
-    return None
+def _support_witnesses(c: np.ndarray, m: np.ndarray, alphas, rows) -> list[Witness | None]:
+    """For each system of the stack c (embedded as m) at `alphas`, the null
+    vector of its columns in the first of `rows` ((lo, hi, column indices))
+    that holds alpha and passes the witness rule, or None.  Each row judges
+    every open angle it holds at once: one batched SVD of their columns,
+    the last right singular vector, its sum made positive, to `_witnesses`."""
+    found = [None] * len(alphas)
+    for lo, hi, cols in rows:
+        held = [i for i, alpha in enumerate(alphas) if found[i] is None and lo <= alpha <= hi]
+        if not held:
+            continue
+        v = np.linalg.svd(m[held][..., cols], full_matrices=False)[2][:, -1]
+        y = np.zeros((len(held), m.shape[-1]))
+        y[:, cols] = np.where(np.add.reduce(v, axis=-1, keepdims=True) > 0, v, -v)
+        for i, witness in zip(held, _witnesses(c[held], y)):
+            found[i] = witness
+    return found
 
 
 def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, float]:
@@ -429,20 +425,18 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     Starts from the known-feasible right endpoint pi and a point just above
     pi/2 that is known infeasible for every order.  Each probe is one
     `nns_exists` decision (closed form, support table, chain, projection),
-    classified by whether it is a Witness.  The orders 1..10 accepted here
-    have no support table: above the boundary the paper's explicit
-    solution decides a probe, below it the necessity proof's chain as soon
-    as n times its distance to the boundary is a few multiples of
-    TOL_MARGIN, and the projection only where both miss (a catalog
-    endpoint, where one entry of the explicit solution rounds below 0, and
-    the band just below the boundary).  A probe that
-    comes out indeterminate is raised: it cannot be bracketed.  The two
-    endpoints must come out infeasible and feasible, otherwise
-    NonMonotonePredicate is raised; every later probe lies strictly inside
-    the bracket, so bisection keeps each infeasible probe below each
-    feasible one by construction.
+    classified by whether it is a Witness, at any order 1..12.  Above the
+    boundary the paper's explicit solution or the support table decides a
+    probe, below it the necessity proof's chain as soon as n times its
+    distance to the boundary is a few multiples of TOL_MARGIN, and the
+    projection only where both miss (fl(conj(n)) for n <= 10, and the band
+    just below the boundary).  A probe that comes out indeterminate is
+    raised: it cannot be bracketed.  The two endpoints must come out
+    infeasible and feasible, otherwise NonMonotonePredicate is raised;
+    every later probe lies strictly inside the bracket, so bisection keeps
+    each infeasible probe below each feasible one by construction.
     """
-    check_catalog_order(n)
+    check_order(n)
     if not (math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
         raise ValueError(f"tol_alpha must be finite and at least 1e-8, got {tol_alpha!r}")
     lo = math.pi / 2 + 1e-4

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import paradist.catalog as catalog
 from paradist.catalog import (
     AlphaOutOfInterval,
     alpha_interval,
@@ -183,9 +185,28 @@ def test_padding_several_orders_is_padding_once_per_order(k, n, rng):
     assert_allclose(padded, expected, rtol=0, atol=1e-14 * np.max(np.abs(expected)))
 
 
-def _scanned_order(alpha, top):
-    """The first order k = 1..top whose interval holds alpha, by scan."""
-    return next((k for k in range(1, top + 1) if in_interval(k, alpha)), None)
+# pi to 60 digits: its error is far below the gaps of 4e-17 and more
+# between a conjectured threshold and its float
+PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+EXACT_CONJ = {k: PI / 2 + PI / (2 * k) for k in range(1, 13)}
+
+
+def _exact_order(alpha, top):
+    """The order k = 1..top whose interval [conj(k), conj(k-1)) holds the
+    float alpha as an exact rational, by scan; pi +- 1e-12 is order 1."""
+    if abs(alpha - math.pi) <= 1e-12:
+        return 1
+    exact = Fraction(alpha)
+    return next((k for k in range(2, top + 1)
+                 if EXACT_CONJ[k] <= exact < EXACT_CONJ[k - 1]), None)
+
+
+def test_conjectured_thresholds_round_down():
+    # every fl(conj(k)), k = 1..11, lies exactly below conj(k), so a catalog
+    # endpoint belongs to the order above it (fl(conj(12)) rounds up)
+    for k in range(1, 12):
+        assert Fraction(conjectured_threshold(k)) < EXACT_CONJ[k], k
+    assert Fraction(conjectured_threshold(12)) > EXACT_CONJ[12]
 
 
 def _angles(rng):
@@ -197,23 +218,34 @@ def _angles(rng):
 
 def test_catalog_order_is_the_interval_scan(rng):
     # the bisection over the cached left endpoints picks the order the
-    # scan over k = 1..top picks, at every endpoint and next to it
+    # exact scan over k = 1..top picks, at every endpoint and next to it;
+    # the float intervals of `in_interval` differ only at the endpoints
     angles = _angles(rng)
+    ends = {conjectured_threshold(k): k for k in range(2, 11)}
     for top in range(1, 11):
-        assert [catalog_order(a, top) for a in angles] == [_scanned_order(a, top) for a in angles]
+        orders = [catalog_order(a, top) for a in angles]
+        assert orders == [_exact_order(a, top) for a in angles]
+        scanned = [next((k for k in range(1, top + 1) if in_interval(k, a)), None)
+                   for a in angles]
+        differ = [a for a, got, scan in zip(angles, orders, scanned) if got != scan]
+        assert sorted(set(differ)) == sorted(end for end, k in ends.items() if k <= top), top
+        assert all(catalog_order(end, top) == (k + 1 if k < top else None)
+                   for end, k in ends.items() if k <= top)
 
 
 def test_catalog_solutions_are_padded_explicit_solutions(rng):
     # pad_solution, once per order, is the reference, bit for bit; the
-    # grid mixes orders, so rows of several orders are padded together
-    angles = _angles(rng)[::7]
+    # grid mixes orders, so rows of several orders are padded together.
+    # At fl(conj(k)) the vector is order k+1's, outside its float interval,
+    # so the reference evaluates each order's formula directly
+    angles = _angles(rng)[::7] + [conjectured_threshold(k) for k in range(2, 11)]
     for n in range(1, 13):
         rows, y = catalog_solutions(angles, n)
         expected = {}
         for row, alpha in enumerate(angles):
-            k = _scanned_order(alpha, min(n, 10))
+            k = _exact_order(alpha, min(n, 10))
             if k is not None:
-                padded = explicit_nns(k, alpha)
+                padded = catalog._BUILDERS[k](alpha)
                 for _ in range(k, n):
                     padded = pad_solution(padded)
                 expected[row] = padded

@@ -360,10 +360,24 @@ def test_parser_is_built_once(capsys, monkeypatch):
 
 
 def test_catalog_orders_share_one_message(capsys):
-    # one owner of the 1..10 limit, one message on every command that has it
-    for command in ("threshold", "verify-catalog"):
-        code, _, err = run_cli(capsys, command, "--n", "11")
-        assert (code, err) == (64, "paradist: error: order must lie in 1..10, got 11\n")
+    # one owner of the 1..10 limit: only `verify-catalog` has it, since
+    # `threshold` decides every order the decision does
+    code, _, err = run_cli(capsys, "verify-catalog", "--n", "11")
+    assert (code, err) == (64, "paradist: error: order must lie in 1..10, got 11\n")
+    code, _, err = run_cli(capsys, "threshold", "--n", "13")
+    assert (code, err) == (64, "paradist: error: order must lie in 1..12, got 13\n")
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_threshold_above_the_catalog(capsys, schema_validators, n):
+    # the support table decides the feasible probes of orders 11 and 12 and
+    # the chain the infeasible ones; the bracket holds the conjecture
+    code, out, _ = run_cli(capsys, "threshold", "--n", str(n))
+    assert code == 0
+    payload = json.loads(out)
+    assert list(schema_validators["paradist/threshold-estimate/v1"].iter_errors(payload)) == []
+    half = payload["bracket_width"] / 2
+    assert payload["alpha_star"] - half < conjectured_threshold(n) <= payload["alpha_star"] + half
 
 
 def _one_matrix(rows=1, cols=1, entries=(1, 0)):

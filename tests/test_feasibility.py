@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import paradist.catalog as catalog
 import paradist.feasibility as feasibility
 import paradist.nnls
-from paradist.catalog import alpha_interval, conjectured_threshold, explicit_nns, interval_samples
+from paradist.catalog import (alpha_interval, conjectured_threshold, explicit_nns,
+                              interval_samples, pad_solution)
 from paradist.feasibility import (
     TOL_MARGIN,
     TOL_WITNESS,
@@ -344,8 +346,9 @@ def test_threshold_bisect_order_two():
 
 
 def test_threshold_bisect_validation():
-    with pytest.raises(ValueError):
-        threshold_bisect(11)
+    for n in (0, 13):
+        with pytest.raises(ValueError, match=f"^order must lie in 1..12, got {n}$"):
+            threshold_bisect(n)
     for tol in (1e-9, -1e-6, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"^tol_alpha must be finite and at least 1e-8, "
                                              f"got {tol!r}$"):
@@ -619,10 +622,11 @@ def _closed_form_witness(alpha, n):
 def test_closed_form_agrees_with_nns_exists(n, nnls_calls):
     # a grid over [pi/2, pi] and conj +- 1e-12 ... 1e-2; the catalog's
     # endpoints are the conjectured thresholds of the orders 2..n (order 1
-    # is the single angle pi, inside the grid), and at each of them one
-    # entry of the closed form rounds below 0.  Wherever the closed form
+    # is the single angle pi, inside the grid); each float endpoint
+    # fl(conj(k)) lies below conj(k) and takes order k+1's closed form, so
+    # only order n's own endpoint has none.  Wherever the closed form
     # passes it is the witness, bit for bit; the projection runs only
-    # where both paper constructions miss: next to a catalog endpoint, or
+    # where both paper constructions miss: at order n's own endpoint, or
     # in the band just below conj where the chain's margins (about
     # n (conj - alpha)) fall under TOL_MARGIN.  Above the catalog, orders
     # 11 and 12 have no closed form on [conj, conj(10)], order 10's own
@@ -632,7 +636,7 @@ def test_closed_form_agrees_with_nns_exists(n, nnls_calls):
     offsets = [sign * 10.0 ** -e for e in range(2, 13) for sign in (-1, 1)]
     grid = [*np.linspace(math.pi / 2, math.pi, 41).tolist(),
             *(conj + d for d in offsets if conj + d <= math.pi)]
-    ends = [conjectured_threshold(k) for k in range(2, n + 1 if n <= 10 else 10)]
+    ends = [conj] if 2 <= n <= 10 else []
     above = 0
     for alpha in grid:
         witness = _closed_form_witness(alpha, n)
@@ -674,11 +678,32 @@ def test_support_table_covers_the_gap(n, nnls_calls):
 
 @pytest.mark.parametrize("n", [11, 12])
 def test_support_table_proposes_nothing_below_threshold(n):
+    # every row is judged on the whole stack; none holds an angle below
+    # the threshold, whatever its support would give there
     conj = conjectured_threshold(n)
-    for delta in (10.0 ** -e for e in range(2, 16)):
-        alpha = conj - delta
-        c, m = feasibility._build(alpha, n)
-        assert feasibility._support_witness(c, m, alpha, n) is None, delta
+    alphas = [conj - 10.0 ** -e for e in range(2, 16)]
+    c = np.stack([feasibility._build(alpha, n)[0] for alpha in alphas])
+    table = feasibility._support_columns(n)
+    assert feasibility._support_witnesses(c, feasibility._embed(c), alphas, table) == \
+        [None] * len(alphas)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_support_witnesses_take_the_first_passing_row(n):
+    # the rows overlap: judged row by row over the whole stack, each angle
+    # gets, bit for bit, the first row that holds it and passes, as when
+    # its rows are tried one at a time
+    rows = feasibility._support_columns(n)
+    alphas = np.linspace(conjectured_threshold(n), conjectured_threshold(10), 23).tolist()
+    c = np.stack([feasibility._build(alpha, n)[0] for alpha in alphas])
+    m = feasibility._embed(c)
+    together = feasibility._support_witnesses(c, m, alphas, rows)
+    for i, alpha in enumerate(alphas):
+        for row in rows:
+            first = feasibility._support_witnesses(c[i:i + 1], m[i:i + 1], [alpha], [row])[0]
+            if first is not None:
+                break
+        assert first.y.tobytes() == together[i].y.tobytes(), alpha
 
 
 def test_support_table_structure():
@@ -700,10 +725,10 @@ def test_support_table_structure():
 
 def test_support_table_tool_reaches_the_engine():
     # `tools/support_tables.py` builds SUPPORTS from the engine's own pieces
-    # (`realize`, `nnls`, `_build`, `_null_witness`); a rename must fail here
-    # rather than in the next regeneration.  At the midpoint of each
-    # committed row the projection proposes a support, and the committed
-    # support passes the witness rule on the system the tool builds
+    # (`realize`, `nnls`, `_build`, `_embed`, `_support_witnesses`); a rename
+    # must fail here rather than in the next regeneration.  At the midpoint
+    # of each committed row the projection proposes a support, and the
+    # committed support passes the witness rule on the system the tool builds
     spec = importlib.util.spec_from_file_location("support_tables", SUPPORT_TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -713,9 +738,11 @@ def test_support_table_tool_reaches_the_engine():
         for lo, hi, labels in rows:
             alpha = 0.5 * (lo + hi)
             assert tool.projected_support(alpha, n), (n, lo)
-            c, m = feasibility._build(alpha, n)
+            c = feasibility._build(alpha, n)[0][None]
             cols = np.array([index[label] for label in labels])
-            assert feasibility._null_witness(c, m, cols) is not None, (n, lo)
+            [witness] = feasibility._support_witnesses(c, feasibility._embed(c), [alpha],
+                                                       [(lo, hi, cols)])
+            assert witness is not None, (n, lo)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -769,6 +796,36 @@ def nnls_calls(monkeypatch):
 
     monkeypatch.setattr(feasibility, "nnls", counted)
     return calls
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_catalog_endpoint_is_the_next_order(k, nnls_calls):
+    # fl(conj(k)) lies exactly below conj(k), so it belongs to order k+1:
+    # at every order above k it is a witness without the projection, for
+    # k <= 9 order k+1's padded vector, normalised, bit for bit, and for
+    # k = 10 (orders 11 and 12) a support table row's null vector
+    alpha = conjectured_threshold(k)
+    for n in range(k + 1, 13):
+        outcome = nns_exists(alpha, n)
+        assert isinstance(outcome, Witness), n
+        if k <= 9:
+            y = catalog._BUILDERS[k + 1](alpha)
+            for _ in range(k + 1, n):
+                y = pad_solution(y)
+            assert outcome.y.tobytes() == (y / float(np.add.reduce(y))).tobytes(), n
+    assert nnls_calls == []
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_threshold_above_the_catalog_runs_no_projection(n, nnls_calls):
+    # the support table decides every feasible probe and the chain every
+    # infeasible one, down to the finest bracket width
+    for tol in (1e-6, 1e-7, 1e-8):
+        estimate = threshold_bisect(n, tol)
+        half = estimate.bracket_width / 2
+        assert estimate.bracket_width <= tol
+        assert estimate.alpha_star - half < conjectured_threshold(n) <= estimate.alpha_star + half
+    assert nnls_calls == []
 
 
 def test_threshold_search_runs_no_projection(nnls_calls, build_calls):

@@ -87,7 +87,7 @@ def test_one_decision_order():
     # for every report and every threshold probe; `nns_exists` is its
     # one-angle case, and a grid goes to it whole.  A certificate is the
     # chain's own arrays, with no link objects
-    for piece in ("_closed_form", "_support_witness", "_chain", "Certificate", "_project"):
+    for piece in ("_closed_form", "_support_witnesses", "_chain", "Certificate", "_project"):
         assert _callers(piece) == {"feasibility._decide_stack"}, piece
     assert _callers("_decide_stack") == {"feasibility._decide"}
     assert _callers("nnls") == {"feasibility._project"}

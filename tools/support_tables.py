@@ -4,13 +4,14 @@ For orders 11 and 12 no catalog interval holds the angles between the
 conjectured threshold pi/2 + pi/(2n) and that of order 10.  On a grid of
 GRID angles over that gap this script runs the projection (the active-set
 NNLS solve `nns_exists` falls back to), collects the supports it finds,
-and judges each support at each grid angle by the rule `nns_exists` uses:
-the null vector of the real system's columns in the support, passed to the
-witness bar.  A greedy pass then covers the grid: from the first angle not
-yet covered it takes the support whose run of passing angles reaches
-furthest.  A row is that run widened by one grid step on each side
-(clipped to the gap, and never starting below the row before it), so
-that neighbouring rows overlap where one support hands over to the next.
+and judges each support over the whole grid by the code `nns_exists` uses
+for a table row (`feasibility._support_witnesses`): the null vector of the
+real system's columns in the support, passed to the witness bar.  A greedy
+pass then covers the grid: from the first angle not yet covered it takes
+the support whose run of passing angles reaches furthest.  A row is that
+run widened by one grid step on each side (clipped to the gap, and never
+starting below the row before it), so that neighbouring rows overlap
+where one support hands over to the next.
 
     python tools/support_tables.py > src/paradist/supports.py
     python tools/support_tables.py --check   # exit 1 if the committed table differs
@@ -43,8 +44,8 @@ For orders 11 and 12 no explicit solution of the paper holds the angles
 between the order's conjectured threshold pi/2 + pi/(2n) and that of
 order 10.  Each row (lo, hi, labels) names the columns, by their
 (n0, n1, n2) labels, of a support whose null vector is proposed as the
-witness for the angles in [lo, hi]; `feasibility._support_witness` judges
-it by the one witness rule.  The rows overlap and cover the gap.
+witness for the angles in [lo, hi]; `feasibility._support_witnesses`
+judges it by the one witness rule.  The rows overlap and cover the gap.
 
 Generated by `python tools/support_tables.py > src/paradist/supports.py`;
 `python tools/support_tables.py --check` regenerates it and compares.
@@ -66,11 +67,12 @@ def cover(n: int) -> list[tuple[float, float, tuple[int, ...]]]:
     """Greedy rows (lo, hi, columns) covering the order-n grid."""
     grid = np.linspace(conjectured_threshold(n), conjectured_threshold(CATALOG_MAX_ORDER), GRID)
     supports = sorted({projected_support(float(alpha), n) for alpha in grid})
-    passes = np.zeros((len(supports), GRID), dtype=bool)
-    for k, alpha in enumerate(grid.tolist()):
-        c, m = feasibility._build(alpha, n)
-        for s, cols in enumerate(supports):
-            passes[s, k] = feasibility._null_witness(c, m, np.array(cols)) is not None
+    alphas = grid.tolist()
+    c = np.stack([feasibility._build(alpha, n)[0] for alpha in alphas])
+    m = feasibility._embed(c)
+    # each support as one row over the whole grid, judged as one stack
+    passes = np.array([[witness is not None for witness in feasibility._support_witnesses(
+        c, m, alphas, [(alphas[0], alphas[-1], np.array(cols))])] for cols in supports])
     rows, start, last = [], 0, GRID - 1
     while start <= last:
         reach = []
