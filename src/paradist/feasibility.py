@@ -7,47 +7,53 @@ h with h'M >= 0 on the columns still in play: every y >= 0 with M y = 0
 that lives on those columns has sum_k (h'M)_k y_k = h'M y = 0, so y
 vanishes on each column where h'M > 0.
 
-`_decide` is the one decision, over a stack of angles; `nns_exists` is
-its one-angle case, and `sweep` and `necessity_scan` hand it their whole
-grid.  It builds each angle's C once, read-only, judges every outcome on
-that system alone and tries, in this order, the paper's explicit
-solution, the support table, the paper's necessity proof and then the
-projection.  The builder returns one C-contiguous shape per order, as
-`build_C` does, so the systems of one grid are judged together, stage by
-stage, with one matrix-vector product per system and link, and an angle's
-outcome has the same bits alone and in any grid.  First the paper's
-explicit solution for the catalog interval holding alpha
-(`_closed_form`), a witness if it passes the witness rule (`_witness`);
-fl(conj(k)) lies just below conj(k), so it takes order k+1's.  For
-orders 11 and 12 no catalog interval holds the angles from their
-conjectured threshold up to order 10's, that endpoint included; there the
-committed support table (`supports.SUPPORTS`, built by
-`tools/support_tables.py`) names a few column sets, and the null vector
-of M on the first of them whose row holds alpha and which passes the
-witness rule is the witness (`_support_witnesses`, row by row over the
-whole stack).  Then the paper's necessity proof, a facial reduction
-chain (Borwein and Wolkowicz, 1981) written out.  Let theta =
-2 alpha - pi.  Row j of C vanishes on the columns with n1 > j, and
-on those with n1 = j its entries are binom(n-j, n2) e^{i n2 theta},
-n2 = 0..n-j.  Below alpha = pi/2 + pi/(2n), that is n theta < pi, they lie
-in an open half-plane bisected by psi_j = (n-j)(alpha - pi/2), so link j,
-cos(psi_j) at row j of M and sin(psi_j) at its imaginary row, forces y = 0
-on the columns with n1 = j once the links before it have removed those
-with n1 < j (`_chain`).  The links, judged together by `_separation` at
-TOL_MARGIN, are a certificate when each removes exactly its own columns;
-it is the only kind there is, held as the chain's arrays (h, margins), and
-`verify_certificate` judges it by the same rule whoever proposed it.
+`_decide` is the one decision, over a stack of angles: `nns_exists` is
+its one-angle case, and `sweep` and `necessity_scan` hand it their grids,
+which it decides in stacks of at most STACK angles.  It builds each
+angle's C once, read-only, and judges every outcome on that system alone.
+The builder returns one C-contiguous shape per order, as `build_C` does,
+so the systems of one stack are judged together, stage by stage, with one
+matrix-vector product per system and link, and an angle's outcome has the
+same bits alone and in any stack.  This docstring is the one statement of
+the stages and their order; an angle goes to the next stage only when the
+one before leaves it open.
 
-Where all three miss (fl(conj(n)) for n <= 10, which lies just below
-conj(n), and the band just below the boundary), the projection proposes
-a witness: the point b = (0, ..., 0, 1) is projected onto the cone
-spanned by the columns of [M; 1'] with an active-set nonnegative least
-squares solve, and its y is a witness if it passes the witness rule.
-Otherwise the outcome is indeterminate.  Every report and every
-threshold probe is rendered from this one decision.  The witness and
-margin bars that decide what an outcome means are module
-constants, read at call time; only the threshold's bracket width is a
-per-call parameter.
+1. The paper's explicit solution for the catalog interval holding alpha
+   (`_closed_form`), a witness if it passes the witness rule (`_witness`);
+   fl(conj(k)) lies just below conj(k), so it takes order k+1's.
+2. For orders 11 and 12 no catalog interval holds the angles from their
+   conjectured threshold up to order 10's, that endpoint included; there
+   the committed support table (`supports.SUPPORTS`, built by
+   `tools/support_tables.py`) names a few column sets, and the null vector
+   of M on the first of them whose row holds alpha and which passes the
+   witness rule is the witness (`_support_witnesses`, row by row over the
+   whole stack).
+3. The paper's necessity proof, a facial reduction chain (Borwein and
+   Wolkowicz, 1981) written out (`_chain`).  Let theta = 2 alpha - pi.
+   Row j of C vanishes on the columns with n1 > j, and on those with
+   n1 = j its entries are binom(n-j, n2) e^{i n2 theta}, n2 = 0..n-j.
+   Below alpha = pi/2 + pi/(2n), that is n theta < pi, they lie in an open
+   half-plane bisected by psi_j = (n-j)(alpha - pi/2), so link j,
+   cos(psi_j) at row j of M and sin(psi_j) at its imaginary row, forces
+   y = 0 on the columns with n1 = j once the links before it have removed
+   those with n1 < j.  The links, judged together by `_separation` at
+   TOL_MARGIN, are a certificate when each removes exactly its own
+   columns; it is the only kind there is, held as the chain's arrays
+   (h, margins), and `verify_certificate` judges it by the same rule
+   whoever proposed it.
+4. Where all three miss (fl(conj(n)) for n <= 10, which lies just below
+   conj(n), and the band just below the boundary), the projection
+   (`_project`) proposes a witness: the point b = (0, ..., 0, 1) is
+   projected onto the cone spanned by the columns of [M; 1'] with an
+   active-set nonnegative least squares solve, and its y is a witness if
+   it passes the witness rule.
+
+Otherwise the outcome is indeterminate, which next to the feasibility
+boundary is unavoidable: below it the chain's margins decay under
+TOL_MARGIN.  Every report and every threshold probe is rendered from this
+one decision.  The witness and margin bars that decide what an outcome
+means are module constants, read at call time; only the threshold's
+bracket width is a per-call parameter.
 """
 
 from __future__ import annotations
@@ -66,6 +72,9 @@ from .tensor import build_C
 TOL_WITNESS = 1e-8
 TOL_MARGIN = 1e-8
 TOL_ALPHA = 1e-6
+# the most angles `_decide` judges in one stack; a longer grid is decided in
+# slices of this many, so its memory does not grow with the grid
+STACK = 256
 
 
 class Indeterminate(RuntimeError):
@@ -214,51 +223,31 @@ def _chain(m: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] 
 
 def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     """Decide whether a nontrivial nonnegative null vector exists: the
-    one-angle case of `_decide`.
-
-    Builds the system once and tries, in this order: the paper's explicit
-    solution for alpha (`_closed_form`), which is the Witness when it
-    passes the witness rule; for orders 11 and 12 between their threshold
-    and order 10's, the support table's null vectors (`_support_witnesses`),
-    judged the same way; the necessity proof's chain (`_chain`), which is
-    the Certificate when it holds; and the projection onto the cone of the
-    normalized system { y >= 0, M y = 0, sum(y) = 1 }, whose y is the
-    Witness when it passes the witness rule.  When none does, the outcome is
-    an Indeterminate, which next to the feasibility boundary is
-    unavoidable: below it the chain's margins decay under TOL_MARGIN.
-    Raises only ValueError, for alpha outside [pi/2, pi].
+    one-angle case of `_decide`, whose stages the module docstring states.
+    Returns a Witness, a Certificate or an Indeterminate; raises only
+    ValueError, for alpha outside [pi/2, pi].
     """
     return _decide((alpha,), n)[0]
 
 
 def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
     """The one decision, for every angle of `alphas` at order n, outcomes
-    in the order of the angles.
+    in the order of the angles, by the stages of the module docstring.
 
-    Each angle is checked (ValueError outside [pi/2, pi]) and its system
-    built by `build_C`, once, in turn.  A builder returns one C-contiguous
-    shape per order, as `build_C` does, so the systems are judged as one
-    stack (`_decide_stack`): the closed form, judged for every angle that
-    has one in one stacked witness rule; the support table, row by row, in
-    one batched SVD and stacked witness rule per row; the chain, for every
-    angle still open, in one `_separation` call; and the projection, angle
-    by angle, for what is left.  Each product is one
-    matrix-vector product per system, so an angle's outcome has the same
-    bits in any stack; a stack of one, as `nns_exists` makes, is judged
-    without the stack axis, which costs numpy less.
+    More than STACK angles are decided in consecutive slices of STACK, each
+    by this same body, so a call holds at most STACK systems.  Each angle is
+    checked (ValueError outside [pi/2, pi]) and its system built once, in
+    turn; a stack of one, as `nns_exists` makes, is judged without the
+    stack axis, which costs numpy less.
     """
+    if len(alphas) > STACK:
+        return [outcome for start in range(0, len(alphas), STACK)
+                for outcome in _decide(alphas[start:start + STACK], n)]
     systems = []
     for alpha in alphas:
         if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
             raise ValueError("alpha must lie in [pi/2, pi]")
         systems.append(_freeze(build_C(alpha, n)))
-    return _decide_stack(systems, alphas, n)
-
-
-def _decide_stack(systems: list, alphas, n: int) -> list[FeasibilityOutcome]:
-    """`_decide` on its systems, judged as one stack: the closed form for
-    every angle, the support table and the chain for the angles it leaves
-    open, the projection for the angles they leave open."""
     found = _closed_form(systems, alphas, n)
     rest = [i for i, outcome in enumerate(found) if outcome is None]
     if not rest:
@@ -267,7 +256,7 @@ def _decide_stack(systems: list, alphas, n: int) -> list[FeasibilityOutcome]:
     m = _embed(c)
     open_alphas = [alphas[i] for i in rest]
     table = _support_columns(n)
-    if table and m.shape[-1] == len(column_order(n)):
+    if table:
         for i, witness in zip(rest, _support_witnesses(c, m, open_alphas, table)):
             found[i] = witness
     # the chain is judged for every angle the closed form leaves open; a
@@ -424,17 +413,12 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
 
     Starts from the known-feasible right endpoint pi and a point just above
     pi/2 that is known infeasible for every order.  Each probe is one
-    `nns_exists` decision (closed form, support table, chain, projection),
-    classified by whether it is a Witness, at any order 1..12.  Above the
-    boundary the paper's explicit solution or the support table decides a
-    probe, below it the necessity proof's chain as soon as n times its
-    distance to the boundary is a few multiples of TOL_MARGIN, and the
-    projection only where both miss (fl(conj(n)) for n <= 10, and the band
-    just below the boundary).  A probe that comes out indeterminate is
-    raised: it cannot be bracketed.  The two endpoints must come out
-    infeasible and feasible, otherwise NonMonotonePredicate is raised;
-    every later probe lies strictly inside the bracket, so bisection keeps
-    each infeasible probe below each feasible one by construction.
+    `nns_exists` decision, classified by whether it is a Witness, at any
+    order 1..12.  A probe that comes out indeterminate is raised: it cannot
+    be bracketed.  The two endpoints must come out infeasible and feasible,
+    otherwise NonMonotonePredicate is raised; every later probe lies
+    strictly inside the bracket, so bisection keeps each infeasible probe
+    below each feasible one by construction.
     """
     check_order(n)
     if not (math.isfinite(tol_alpha) and tol_alpha >= 1e-8):

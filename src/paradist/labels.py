@@ -1,14 +1,12 @@
-"""Ternary/binary digit labels and multiset-orbit indexing.
+"""Ternary digit labels and multiset-orbit indexing.
 
 Vectors of length 3**n are indexed by ternary digit strings (leftmost digit
-most significant), rows of the tensor-power system by binary strings, and
-orbit-reduced vectors by multiset labels (n0, n1, n2) counting how many 0s,
-1s and 2s a digit string contains.
+most significant), and orbit-reduced vectors by multiset labels
+(n0, n1, n2) counting how many 0s, 1s and 2s a digit string contains.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -25,18 +23,18 @@ def check_order(n: int) -> None:
         raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {n}")
 
 
-def _check_digits(digits, base: int) -> tuple[int, ...]:
+def _check_digits(digits) -> tuple[int, ...]:
     digits = tuple(int(d) for d in digits)
     if len(digits) < 1:
         raise ValueError("label must have at least one digit")
-    if any(d < 0 or d >= base for d in digits):
-        raise ValueError(f"digits must lie in 0..{base - 1}, got {digits}")
+    if any(d < 0 or d > 2 for d in digits):
+        raise ValueError(f"digits must lie in 0..2, got {digits}")
     return digits
 
 
 def ternary_to_linear(digits) -> int:
     """1-based position of a ternary digit string among all strings of its length."""
-    digits = _check_digits(digits, 3)
+    digits = _check_digits(digits)
     j = 0
     for d in digits:
         j = 3 * j + d
@@ -51,18 +49,9 @@ def linear_to_ternary(j: int, n: int) -> tuple[int, ...]:
     return tuple((rem // 3 ** (n - 1 - p)) % 3 for p in range(n))
 
 
-def binary_to_linear(digits) -> int:
-    """1-based position of a binary digit string, lexicographic order."""
-    digits = _check_digits(digits, 2)
-    j = 0
-    for d in digits:
-        j = 2 * j + d
-    return j + 1
-
-
 def label_orbit(digits) -> Triple:
     """Multiset label of a ternary string: counts of 0s, 1s and 2s."""
-    digits = _check_digits(digits, 3)
+    digits = _check_digits(digits)
     return (digits.count(0), digits.count(1), digits.count(2))
 
 
@@ -114,16 +103,6 @@ def orbit_size(label) -> int:
 def orbit_sizes(n: int) -> tuple[int, ...]:
     """Orbit sizes in column order."""
     return tuple(orbit_size(lab) for lab in column_order(n))
-
-
-def ternary_labels(n: int):
-    """All ternary strings of length n in linear-index order."""
-    return itertools.product(range(3), repeat=n)
-
-
-def binary_labels(n: int):
-    """All binary strings of length n in lexicographic order."""
-    return itertools.product(range(2), repeat=n)
 
 
 @lru_cache(maxsize=None)

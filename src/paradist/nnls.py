@@ -8,8 +8,7 @@ passive columns with b appended, then a triangular solve, as in Lawson and
 Hanson's own NNLS (Solving Least Squares Problems, 1974, ch. 23), both
 through numpy's public `qr` and `solve`; a solve that fails or comes out
 non-finite raises LinAlgError, in the walk or not.  In the package the walk
-is the decision's last fallback, reached only where the explicit solution,
-the support table and the necessity proof's chain all miss.
+is the decision's last stage (`paradist.feasibility` states the order).
 
 The residual r = b - A y at the solution is what tells a usable y from an
 unusable one: the KKT conditions give A'r <= 0 columnwise (within the

@@ -159,19 +159,25 @@ _CONJ12 = conjectured_threshold(12)
 
 # the CSV of a default-range sweep at three orders, and of a 60-point window
 # conj(12) - 2e-3 ... conj(12) + 1e-3, which reaches the chain below the
-# threshold and the order-12 support table above it
-@pytest.mark.parametrize("args, digest", [
+# threshold and the order-12 support table above it; the order-12 sweep
+# again with the decision cut into stacks of 7 angles, which must not move
+# a byte
+@pytest.mark.parametrize("args, digest, stack", [
     (("--n", "4", "--points", "200"),
-     "60e845a0040b335de76f0983e468a607deed7c0d3aa436b339fa0b3d1e8b426d"),
+     "60e845a0040b335de76f0983e468a607deed7c0d3aa436b339fa0b3d1e8b426d", None),
     (("--n", "10", "--points", "200"),
-     "13f3dab533a429fb330335b31b0dfd03f24637bc874012861f65ca691b5e74af"),
+     "13f3dab533a429fb330335b31b0dfd03f24637bc874012861f65ca691b5e74af", None),
     (("--n", "12", "--points", "200"),
-     "dd94676d21e52a8c1167d9f057c5e26999db16b8c1dd8a15426b208aff7002aa"),
+     "dd94676d21e52a8c1167d9f057c5e26999db16b8c1dd8a15426b208aff7002aa", None),
     (("--n", "12", "--points", "60", "--alpha-min", repr(_CONJ12 - 2e-3),
       "--alpha-max", repr(_CONJ12 + 1e-3)),
-     "3eef6cc8274d47d6350953181ea225cf1548f1706f14d9a67bbf9a0c11716fc6"),
-], ids=["n4", "n10", "n12", "n12-window"])
-def test_sweep_report_bytes(capsys, args, digest):
+     "3eef6cc8274d47d6350953181ea225cf1548f1706f14d9a67bbf9a0c11716fc6", None),
+    (("--n", "12", "--points", "200"),
+     "dd94676d21e52a8c1167d9f057c5e26999db16b8c1dd8a15426b208aff7002aa", 7),
+], ids=["n4", "n10", "n12", "n12-window", "n12-stack7"])
+def test_sweep_report_bytes(capsys, monkeypatch, args, digest, stack):
+    if stack is not None:
+        monkeypatch.setattr(feasibility, "STACK", stack)
     code, out, _ = run_cli(capsys, "sweep", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

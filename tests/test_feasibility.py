@@ -292,19 +292,23 @@ def _outcome_bits(outcome):
     return bits
 
 
-@pytest.mark.parametrize("system, orders, points", [
-    (build_C, range(1, 13), 41),
-    (build_B, range(1, 9), 9),
-    (_reversed_columns, range(1, 13), 9),
-    (_undecidable_below_threshold, range(1, 13), 9),
-], ids=["C", "B", "reversed", "undecidable-below"])
-def test_grid_decision_is_each_angle_alone(substitute, monkeypatch, system, orders, points):
-    # a grid decided in one stack gives every angle the outcome it gets
-    # alone, bit for bit: kind, metric, y, h and margins, also under a
-    # substituted builder of C's shape.  The grid holds the catalog
-    # endpoints, the band below the threshold, the order-11/12 gap and both
-    # ends of [pi/2, pi]
+@pytest.mark.parametrize("system, orders, points, stack", [
+    (build_C, range(1, 13), 41, None),
+    (build_B, range(1, 9), 9, None),
+    (_reversed_columns, range(1, 13), 9, None),
+    (_undecidable_below_threshold, range(1, 13), 9, None),
+    (build_C, range(1, 13), 41, 7),
+], ids=["C", "B", "reversed", "undecidable-below", "C-stack7"])
+def test_grid_decision_is_each_angle_alone(substitute, monkeypatch, system, orders, points,
+                                           stack):
+    # a grid decided in one stack, or cut into stacks of 7 angles, gives
+    # every angle the outcome it gets alone, bit for bit: kind, metric, y, h
+    # and margins, also under a substituted builder of C's shape.  The grid
+    # holds the catalog endpoints, the band below the threshold, the
+    # order-11/12 gap and both ends of [pi/2, pi]
     substitute(system)
+    if stack is not None:
+        monkeypatch.setattr(feasibility, "STACK", stack)
     if system is _undecidable_below_threshold:
         monkeypatch.setattr(feasibility, "TOL_MARGIN", 1e-6)
     kinds = set()
@@ -321,6 +325,26 @@ def test_grid_decision_is_each_angle_alone(substitute, monkeypatch, system, orde
         assert [_outcome_bits(o) for o in stacked] == [_outcome_bits(o) for o in alone], n
         kinds |= {o.kind for o in stacked}
     assert kinds >= {"witness", "certificate" if system is build_C else "indeterminate"}
+
+
+def test_long_grid_is_decided_in_stacks(monkeypatch):
+    # a grid longer than STACK is decided in consecutive stacks of at most
+    # STACK angles, so a call never holds more than STACK systems; every
+    # angle of this grid lies below the threshold and reaches the chain
+    sizes = []
+    chain = feasibility._chain
+
+    def recording(m, alphas, n):
+        sizes.append(len(m))
+        return chain(m, alphas, n)
+
+    monkeypatch.setattr(feasibility, "_chain", recording)
+    stack = feasibility.STACK
+    grid = necessity_grid(4, 2 * stack + 3).tolist()
+    outcomes = feasibility._decide(grid, 4)
+    assert sizes == [stack, stack, 3]
+    assert len(outcomes) == len(grid)
+    assert all(isinstance(outcome, Certificate) for outcome in outcomes)
 
 
 def test_duplicate_rows_give_same_outcome_class(substitute):

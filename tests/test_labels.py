@@ -1,10 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from paradist.labels import (
-    binary_labels,
-    binary_to_linear,
     column_index,
     column_order,
     column_positions,
@@ -14,7 +14,6 @@ from paradist.labels import (
     orbit_sizes,
     p_count,
     order_from_p,
-    ternary_labels,
     ternary_to_linear,
 )
 
@@ -28,7 +27,7 @@ def test_linear_index_examples():
 def test_linear_index_bijective_exhaustive():
     for n in range(1, 9):
         seen = set()
-        for digits in ternary_labels(n):
+        for digits in itertools.product(range(3), repeat=n):
             j = ternary_to_linear(digits)
             assert linear_to_ternary(j, n) == digits
             seen.add(j)
@@ -90,19 +89,9 @@ def test_column_positions_match_orbits():
     for n in range(1, 7):
         pos = column_positions(n)
         index = column_index(n)
-        for digits in ternary_labels(n):
+        for digits in itertools.product(range(3), repeat=n):
             lin = ternary_to_linear(digits) - 1
             assert pos[lin] == index[label_orbit(digits)]
-
-
-def test_binary_labels_lexicographic():
-    labels = list(binary_labels(3))
-    assert labels[0] == (0, 0, 0)
-    assert labels[1] == (0, 0, 1)
-    assert labels[-1] == (1, 1, 1)
-    assert len(labels) == 8
-    for i, bits in enumerate(labels):
-        assert binary_to_linear(bits) == i + 1
 
 
 def test_invalid_digits_rejected():

@@ -77,7 +77,7 @@ def _callers(name):
 def test_one_certificate_construction():
     # certificates come from the necessity proof's chain alone, wrapped in
     # one place, and one rule judges every link, proposed or handed in
-    assert _callers("Certificate") == {"feasibility._decide_stack"}
+    assert _callers("Certificate") == {"feasibility._decide"}
     assert _callers("_separation") == {"feasibility._chain", "feasibility.verify_certificate"}
 
 
@@ -85,14 +85,14 @@ def test_one_decision_order():
     # one routine, over a stack of angles, tries the closed form, the
     # support table, the proof's chain and the projection, in that order,
     # for every report and every threshold probe; `nns_exists` is its
-    # one-angle case, and a grid goes to it whole.  A certificate is the
-    # chain's own arrays, with no link objects
+    # one-angle case, and a grid goes to it whole, which it decides in
+    # stacks by calling itself.  A certificate is the chain's own arrays,
+    # with no link objects
     for piece in ("_closed_form", "_support_witnesses", "_chain", "Certificate", "_project"):
-        assert _callers(piece) == {"feasibility._decide_stack"}, piece
-    assert _callers("_decide_stack") == {"feasibility._decide"}
+        assert _callers(piece) == {"feasibility._decide"}, piece
     assert _callers("nnls") == {"feasibility._project"}
-    assert _callers("_decide") == {"feasibility.nns_exists", "feasibility.necessity_scan",
-                                   "cli._cmd_sweep"}
+    assert _callers("_decide") == {"feasibility._decide", "feasibility.nns_exists",
+                                   "feasibility.necessity_scan", "cli._cmd_sweep"}
     assert _callers("nns_exists") == {"feasibility.threshold_bisect", "cli._cmd_feasibility"}
     for piece in ("_build", "build_C", "realize", "_separation", "_witness"):
         assert "feasibility.threshold_bisect" not in _callers(piece), piece

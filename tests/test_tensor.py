@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 from conftest import displayed_b2, displayed_b3, displayed_c2, displayed_c3
 from paradist import tensor
 from paradist.catalog import conjectured_threshold
-from paradist.labels import binary_labels, column_order, orbit_sizes, p_count
+from paradist.labels import column_order, orbit_sizes, p_count
 from paradist.tensor import (
     MatrixForm,
     SizeExceeded,
@@ -59,7 +60,7 @@ def test_kron_power_entry_formula(rng):
     alpha = 2.3
     a = a_alpha(alpha, MatrixForm.REDUCED)
     big = kron_power(a, 3)
-    for row, bits in enumerate(binary_labels(3)):
+    for row, bits in enumerate(itertools.product(range(2), repeat=3)):
         for _ in range(10):
             digits = tuple(rng.integers(0, 3, 3))
             col = sum(d * 3 ** (2 - p) for p, d in enumerate(digits))
@@ -111,7 +112,7 @@ def test_build_b_equals_kron_times_selector(rng):
 def test_build_b_row_orbit_property():
     for n in range(1, 7):
         b = build_B(1.9, n)
-        ones = [sum(bits) for bits in binary_labels(n)]
+        ones = [sum(bits) for bits in itertools.product(range(2), repeat=n)]
         for row, j in enumerate(ones):
             ref = 2**j - 1  # the row labeled 0..01..1 with j trailing ones
             assert_allclose(b[row], b[ref], atol=0)
