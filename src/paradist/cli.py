@@ -117,19 +117,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
+def _write(write, output: str | None) -> None:
+    """Call `write` on the stream a report goes to: stdout, or the
+    `--output` file, a relative path taken under $PARADIST_OUTPUT_DIR when
+    that is set."""
     if output is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir and not os.path.isabs(output):
         output = os.path.join(out_dir, output)
     with open(output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        write(fh)
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, output: str | None) -> None:
+    _write(lambda stream: stream.write(text), output)
+
+
+def _json(payload, output: str | None) -> None:
+    """Write a report as indented JSON, encoded onto its stream piece by
+    piece rather than held whole as text first."""
+    def dump(stream):
+        json.dump(payload, stream, indent=2, sort_keys=True)
+        stream.write("\n")
+
+    _write(dump, output)
 
 
 # each command imports the modules it runs, so a fresh `paradist` process
@@ -160,7 +173,7 @@ def _cmd_build(args) -> int:
         "form": form.value if args.emit == "A" else None,
         "matrix": matrix_to_json(matrix),
     }
-    _emit(_json(payload), args.output)
+    _json(payload, args.output)
     return EXIT_OK
 
 
@@ -178,7 +191,7 @@ def _cmd_verify_catalog(args) -> int:
         entry = report.to_dict()
         entry["version"] = __version__
         reports.append(entry)
-    _emit(_json(reports), args.output)
+    _json(reports, args.output)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -189,7 +202,7 @@ def _cmd_feasibility(args) -> int:
     outcome = nns_exists(alpha, args.n)
     payload = dict(outcome.to_dict(), version=__version__, n=args.n, alpha=alpha,
                    tolerances={"witness": TOL_WITNESS, "margin": TOL_MARGIN})
-    _emit(_json(payload), args.output)
+    _json(payload, args.output)
     return EXIT_INDETERMINATE if isinstance(outcome, Indeterminate) else EXIT_OK
 
 
@@ -231,7 +244,7 @@ def _cmd_threshold(args) -> int:
     payload = estimate.to_dict()
     payload["version"] = __version__
     payload["tolerances"] = {"alpha": tol}
-    _emit(_json(payload), args.output)
+    _json(payload, args.output)
     return EXIT_OK
 
 
@@ -250,7 +263,7 @@ def _cmd_necessity(args) -> int:
         "anomalies": anomalies,
         "rows": rows,
     }
-    _emit(_json(payload), args.output)
+    _json(payload, args.output)
     if any(row["outcome"] == "witness" for row in rows):
         return EXIT_VERIFICATION
     return EXIT_INDETERMINATE if anomalies else EXIT_OK
@@ -298,7 +311,7 @@ def _cmd_realize(args) -> int:
             "product_norm": scaled_norm(identity),
         },
     }
-    _emit(_json(payload), args.output)
+    _json(payload, args.output)
     return EXIT_OK if (e_ok and f_ok and spans_match) else EXIT_VERIFICATION
 
 

@@ -9,14 +9,16 @@ vanishes on each column where h'M > 0.
 
 `_decide` is the one decision, over a stack of angles: `nns_exists` is
 its one-angle case, and `sweep` and `necessity_scan` hand it their grids,
-which it decides in stacks of at most STACK angles.  It builds each
-angle's C once, read-only, and judges every outcome on that system alone.
-The builder returns one C-contiguous shape per order, as `build_C` does,
-so the systems of one stack are judged together, stage by stage, with one
-matrix-vector product per system and link, and an angle's outcome has the
-same bits alone and in any stack.  This docstring is the one statement of
-the stages and their order; an angle goes to the next stage only when the
-one before leaves it open.
+which it decides in stacks of at most STACK angles.  It checks every
+angle, then builds the stack's systems in one call (`build_C_stack`, with
+the bits `build_C` gives each angle alone), read-only, and judges every
+outcome on its own system alone.  The builder returns one C-contiguous
+shape per order, so the systems of one stack are judged together, stage
+by stage, on views of the stack where their rows run consecutively, with
+one matrix-vector product per system and link, and an angle's outcome has
+the same bits alone and in any stack.  This docstring is the one
+statement of the stages and their order; an angle goes to the next stage
+only when the one before leaves it open.
 
 1. The paper's explicit solution for the catalog interval holding alpha
    (`_closed_form`), a witness if it passes the witness rule (`_witness`);
@@ -67,7 +69,7 @@ import numpy as np
 from .catalog import CATALOG_MAX_ORDER, catalog_solutions, conjectured_threshold
 from .labels import check_order, column_index, column_order
 from .nnls import IterationLimitReached, nnls
-from .tensor import build_C
+from .tensor import build_C, build_C_stack
 
 TOL_WITNESS = 1e-8
 TOL_MARGIN = 1e-8
@@ -235,24 +237,24 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
     in the order of the angles, by the stages of the module docstring.
 
     More than STACK angles are decided in consecutive slices of STACK, each
-    by this same body, so a call holds at most STACK systems.  Each angle is
-    checked (ValueError outside [pi/2, pi]) and its system built once, in
-    turn; a stack of one, as `nns_exists` makes, is judged without the
-    stack axis, which costs numpy less.
+    by this same body, so a call holds at most STACK systems.  Every angle
+    is checked first (ValueError outside [pi/2, pi]), then all their
+    systems are built in one stack, read-only, and each stage is handed
+    the rows it judges (`_rows`).  A stack of one, as `nns_exists` makes,
+    is judged without the stack axis, which costs numpy less.
     """
     if len(alphas) > STACK:
         return [outcome for start in range(0, len(alphas), STACK)
                 for outcome in _decide(alphas[start:start + STACK], n)]
-    systems = []
     for alpha in alphas:
         if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
             raise ValueError("alpha must lie in [pi/2, pi]")
-        systems.append(_freeze(build_C(alpha, n)))
-    found = _closed_form(systems, alphas, n)
+    c = _freeze(build_C_stack(alphas, n))
+    found = _closed_form(c, alphas, n)
     rest = [i for i, outcome in enumerate(found) if outcome is None]
     if not rest:
         return found
-    c = _stack(systems if len(rest) == len(systems) else [systems[i] for i in rest])
+    c = _rows(c, rest)
     m = _embed(c)
     open_alphas = [alphas[i] for i in rest]
     table = _support_columns(n)
@@ -268,10 +270,13 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
     return found
 
 
-def _stack(systems: list) -> np.ndarray:
-    """Systems of one shape as one read-only stack; a single system is
-    stacked as a view of itself."""
-    return systems[0][None] if len(systems) == 1 else _freeze(np.stack(systems))
+def _rows(stack: np.ndarray, rows: list) -> np.ndarray:
+    """The systems of `stack` at the indices `rows`, in their order: the
+    stack itself, or a view of it where the rows run consecutively, else a
+    copy."""
+    if len(rows) == 1 or rows == list(range(rows[0], rows[-1] + 1)):
+        return stack if len(rows) == len(stack) else stack[rows[0]:rows[-1] + 1]
+    return stack[rows]
 
 
 def _project(c: np.ndarray, m: np.ndarray) -> Witness | Indeterminate:
@@ -321,17 +326,17 @@ def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
     return None
 
 
-def _closed_form(systems: list, alphas, n: int) -> list[Witness | None]:
-    """For each of `systems`, the order-n systems at `alphas`, of one
-    shape: the paper's explicit solution for the catalog interval (order
+def _closed_form(c: np.ndarray, alphas, n: int) -> list[Witness | None]:
+    """For each system of the stack c, the order-n systems at `alphas`: the
+    paper's explicit solution for the catalog interval (order
     k <= min(n, CATALOG_MAX_ORDER)) holding alpha, padded to order n, if it
     passes the witness rule, judged for all of them in one stack.  Below
     the threshold of the highest such order no interval holds alpha (order
     1 is the single angle pi)."""
-    found = [None] * len(systems)
+    found = [None] * len(c)
     rows, y = catalog_solutions(alphas, n)
     if rows:
-        for i, witness in zip(rows, _witnesses(_stack([systems[i] for i in rows]), y)):
+        for i, witness in zip(rows, _witnesses(_rows(c, rows), y)):
             found[i] = witness
     return found
 
@@ -361,10 +366,10 @@ def _support_witnesses(c: np.ndarray, m: np.ndarray, alphas, rows) -> list[Witne
         held = [i for i, alpha in enumerate(alphas) if found[i] is None and lo <= alpha <= hi]
         if not held:
             continue
-        v = np.linalg.svd(m[held][..., cols], full_matrices=False)[2][:, -1]
+        v = np.linalg.svd(_rows(m, held)[..., cols], full_matrices=False)[2][:, -1]
         y = np.zeros((len(held), m.shape[-1]))
         y[:, cols] = np.where(np.add.reduce(v, axis=-1, keepdims=True) > 0, v, -v)
-        for i, witness in zip(held, _witnesses(c[held], y)):
+        for i, witness in zip(held, _witnesses(_rows(c, held), y)):
             found[i] = witness
     return found
 

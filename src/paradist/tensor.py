@@ -8,7 +8,8 @@ The reduced matrix C is built from per-order integer tables, computed once
 for each order: which entries are nonzero, their signed binomial
 coefficients and their phase exponents.  One power table then fills every
 nonzero entry with coefficient times power, the same product the closed
-form computes entry by entry.
+form computes entry by entry; `build_C_stack` fills the systems of many
+angles at once with the same products.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import cmath
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import comb
 from operator import mul
 
@@ -41,12 +42,16 @@ def unit_phase(alpha: float) -> complex:
     return cmath.exp(1j * float(alpha))
 
 
+def _powers(alpha: float, kmax: int):
+    """The powers z**0 .. z**kmax, one Python complex product each."""
+    return accumulate(repeat(unit_phase(alpha), kmax), mul, initial=1 + 0j)
+
+
 def z_powers(alpha: float, kmax: int) -> np.ndarray:
     """Powers z**0 .. z**kmax built by repeated multiplication, one Python
     complex product each (the textbook formula, no fused operations), read
     into numpy in one call."""
-    z = unit_phase(alpha)
-    return np.fromiter(accumulate(repeat(z, kmax), mul, initial=1 + 0j), complex, kmax + 1)
+    return np.fromiter(_powers(alpha, kmax), complex, kmax + 1)
 
 
 def a_alpha(alpha: float, form: MatrixForm = MatrixForm.REDUCED) -> np.ndarray:
@@ -144,6 +149,27 @@ def build_C(alpha: float, n: int) -> np.ndarray:
     flat, coeff, expo = _row_tables(n)
     out = np.zeros((n + 1, p_count(n)), dtype=complex)
     out.reshape(-1)[flat] = coeff * z_powers(alpha, 2 * n)[expo]
+    return out
+
+
+def build_C_stack(alphas, n: int) -> np.ndarray:
+    """The systems `build_C` builds at each of `alphas`, as one fresh,
+    writable, C-contiguous len(alphas) x (n+1) x p_n stack with the same
+    bits: the powers of every angle, chained into one read, and one fill
+    of coefficient times power.  One angle is `build_C` itself, which costs
+    numpy less."""
+    if len(alphas) == 1:
+        return build_C(alphas[0], n)[None]
+    check_order(n)
+    flat, coeff, expo = _row_tables(n)
+    powers = np.fromiter(chain.from_iterable(map(_powers, alphas, repeat(2 * n))),
+                         complex, len(alphas) * (2 * n + 1)).reshape(len(alphas), 2 * n + 1)
+    # each product overwrites the gathered power it is made from, so a
+    # stack allocates one temporary, not two
+    values = powers[:, expo]
+    np.multiply(coeff, values, out=values)
+    out = np.zeros((len(alphas), n + 1, p_count(n)), dtype=complex)
+    out.reshape(len(alphas), (n + 1) * p_count(n))[:, flat] = values
     return out
 
 

@@ -1,7 +1,10 @@
-"""Shared oracles: the displayed matrices, written out entry by entry."""
+"""Shared oracles: the displayed matrices, written out entry by entry; and
+the one way a test substitutes the systems `feasibility` decides."""
 
 import numpy as np
 import pytest
+
+import paradist.feasibility as feasibility
 
 
 def displayed_c2(z):
@@ -35,3 +38,18 @@ def displayed_b3(z):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def build_per_angle(monkeypatch, builder):
+    """Make `feasibility` build every stack of systems from `builder(alpha,
+    n)`, called once per angle, in place of the stack builder.  Returns the
+    list of every stack it builds, in call order; a stack holds one system
+    per angle decided."""
+    stacks = []
+
+    def build_stack(alphas, n):
+        stacks.append(np.stack([builder(alpha, n) for alpha in alphas]))
+        return stacks[-1]
+
+    monkeypatch.setattr(feasibility, "build_C_stack", build_stack)
+    return stacks

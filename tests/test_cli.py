@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import build_per_angle
+
 import paradist.cli as cli
 import paradist.feasibility as feasibility
 from paradist import __version__
@@ -39,7 +41,7 @@ def undecidable_below_threshold(monkeypatch):
             return build_C(alpha, n)
         return np.full(build_C(alpha, n).shape, 1e-7 + 1e-7j)
 
-    monkeypatch.setattr(feasibility, "build_C", system)
+    build_per_angle(monkeypatch, system)
     monkeypatch.setattr(feasibility, "TOL_MARGIN", 1e-6)
 
 
@@ -138,7 +140,7 @@ def test_necessity_exits_indeterminate(capsys, undecidable_below_threshold):
 
 def test_necessity_witness_is_a_verification_failure(capsys, monkeypatch):
     # the feasible system at pi stands in for the one at every grid angle
-    monkeypatch.setattr(feasibility, "build_C", lambda alpha, n: build_C(math.pi, n))
+    build_per_angle(monkeypatch, lambda alpha, n: build_C(math.pi, n))
     code, out, _ = run_cli(capsys, "necessity", "--n", "3", "--points", "2")
     assert code == 1
     assert [row["outcome"] for row in json.loads(out)["rows"]] == ["witness"] * 2
@@ -191,28 +193,24 @@ def test_sweep_report_bytes(capsys, monkeypatch, args, digest, stack):
 ], ids=lambda args: args[0])
 def test_every_command_builds_once_per_decision(capsys, monkeypatch, args):
     # every decision, of one angle or of a whole grid, goes through
-    # `_decide`; count the angles it decides and the systems built.  `cli`
-    # reads `_decide` from `feasibility` when a command runs, so patching
-    # `feasibility` alone counts every call
-    calls = {"build_C": 0, "decided": 0}
-    build, decide = feasibility.build_C, feasibility._decide
-
-    def counted_build(alpha, n):
-        calls["build_C"] += 1
-        return build(alpha, n)
+    # `_decide`; count the angles it decides and the systems built, one per
+    # angle of each stack.  `cli` reads `_decide` from `feasibility` when a
+    # command runs, so patching `feasibility` alone counts every call
+    calls = {"decided": 0}
+    decide = feasibility._decide
 
     def counted_decide(alphas, n):
         calls["decided"] += len(alphas)
         return decide(alphas, n)
 
-    monkeypatch.setattr(feasibility, "build_C", counted_build)
+    stacks = build_per_angle(monkeypatch, build_C)
     monkeypatch.setattr(feasibility, "_decide", counted_decide)
     code, _, _ = run_cli(capsys, *args)
     assert code == 0
     if args[0] == "threshold":
         assert calls["decided"] == _bisection_probes(feasibility.TOL_ALPHA)
     assert calls["decided"] > 0
-    assert calls["build_C"] == calls["decided"]
+    assert sum(map(len, stacks)) == calls["decided"]
 
 
 def _bisection_probes(tol):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import build_per_angle
 from numpy.testing import assert_allclose
 
 import paradist.catalog as catalog
@@ -170,7 +171,8 @@ def test_row_link_must_remove_all_its_columns(substitute):
         return c
 
     substitute(tilted)
-    assert feasibility._chain(realize(math.pi / 2, 2)[None], [math.pi / 2], 2) == [None]
+    m = feasibility._embed(tilted(math.pi / 2, 2))
+    assert feasibility._chain(m[None], [math.pi / 2], 2) == [None]
     assert not isinstance(nns_exists(math.pi / 2, 2), Certificate)
 
 
@@ -228,18 +230,12 @@ def test_alpha_range_enforced():
 
 @pytest.fixture
 def substitute(monkeypatch):
-    """Make `feasibility` build its system with `builder` (build_C itself by
-    default); returns the list of every array it obtains, in call order."""
+    """Make `feasibility` build each angle's system with `builder` (build_C
+    itself by default); returns the list of every stack it builds, in call
+    order, one system per angle decided."""
 
     def install(builder=build_C):
-        calls = []
-
-        def recording(alpha, n):
-            calls.append(builder(alpha, n))
-            return calls[-1]
-
-        monkeypatch.setattr(feasibility, "build_C", recording)
-        return calls
+        return build_per_angle(monkeypatch, builder)
 
     return install
 
@@ -325,6 +321,17 @@ def test_grid_decision_is_each_angle_alone(substitute, monkeypatch, system, orde
         assert [_outcome_bits(o) for o in stacked] == [_outcome_bits(o) for o in alone], n
         kinds |= {o.kind for o in stacked}
     assert kinds >= {"witness", "certificate" if system is build_C else "indeterminate"}
+
+
+def test_stage_rows_keep_their_order():
+    # a stage is handed the systems at its rows in the order of the rows: a
+    # view of the stack where they run consecutively, else a copy, also
+    # when the rows span a consecutive range out of order
+    stack = feasibility._freeze(np.arange(5.0)[:, None] * np.ones((5, 3)))
+    for rows in ([2], [1, 2, 3], [0, 1, 2, 3, 4], [0, 2, 1, 3], [3, 1], [0, 4]):
+        picked = feasibility._rows(stack, rows)
+        assert picked.tobytes() == stack[rows].tobytes(), rows
+        assert np.shares_memory(picked, stack) == (rows in ([2], [1, 2, 3], [0, 1, 2, 3, 4])), rows
 
 
 def test_long_grid_is_decided_in_stacks(monkeypatch):
@@ -554,7 +561,7 @@ def test_necessity_scan_small():
 
 def test_necessity_scan_builds_once_per_point(build_calls):
     rows = necessity_scan(4, 3)
-    assert len(build_calls) == 3
+    assert sum(map(len, build_calls)) == 3
     assert [row["verified"] for row in rows] == [True] * 3
 
 
@@ -639,7 +646,7 @@ def test_necessity_point_lists_the_chain():
 
 
 def _closed_form_witness(alpha, n):
-    return feasibility._closed_form([feasibility._build(alpha, n)[0]], [alpha], n)[0]
+    return feasibility._closed_form(feasibility._build(alpha, n)[0][None], [alpha], n)[0]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -749,7 +756,7 @@ def test_support_table_structure():
 
 def test_support_table_tool_reaches_the_engine():
     # `tools/support_tables.py` builds SUPPORTS from the engine's own pieces
-    # (`realize`, `nnls`, `_build`, `_embed`, `_support_witnesses`); a rename
+    # (`realize`, `nnls`, `build_C_stack`, `_embed`, `_support_witnesses`); a rename
     # must fail here rather than in the next regeneration.  At the midpoint
     # of each committed row the projection proposes a support, and the
     # committed support passes the witness rule on the system the tool builds
@@ -796,7 +803,7 @@ def test_witness_rule_refuses_a_negative_entry(n):
     y = explicit_nns(n, alpha)
     assert y.min() < 0
     assert feasibility._witness(c, y) is None
-    assert feasibility._closed_form([c], [alpha], n) == [None]
+    assert feasibility._closed_form(c[None], [alpha], n) == [None]
     assert isinstance(feasibility._witness(c, np.maximum(y, 0)), Witness)
 
 
@@ -860,7 +867,7 @@ def test_threshold_search_runs_no_projection(nnls_calls, build_calls):
     for n in range(1, 11):
         threshold_bisect(n)
     assert nnls_calls == []
-    assert len(build_calls) == 230
+    assert [len(c) for c in build_calls] == [1] * 230
 
 
 def test_probe_falls_back_to_the_projection(substitute, nnls_calls):
@@ -883,13 +890,13 @@ def test_probe_of_another_shape_reaches_the_projection(substitute, nnls_calls):
     calls = substitute(build_B)
     with pytest.raises(Indeterminate, match="chain does not hold"):
         threshold_bisect(3)
-    assert [c.shape for c in calls] == [(8, p_count(3))]
+    assert [c.shape for c in calls] == [(1, 8, p_count(3))]
     assert nnls_calls == [(17, p_count(3))]
 
 
 @pytest.fixture
 def build_calls(substitute):
-    """Every array `feasibility` obtains from build_C, in call order."""
+    """Every stack of systems `feasibility` builds, in call order."""
     return substitute()
 
 
@@ -899,7 +906,7 @@ def build_calls(substitute):
 ], ids=["witness", "certificate"])
 def test_one_build_per_decision(build_calls, alpha, expected):
     assert isinstance(nns_exists(alpha, 4), expected)
-    assert len(build_calls) == 1
+    assert [len(c) for c in build_calls] == [1]
     assert not build_calls[0].flags.writeable
 
 
@@ -909,8 +916,8 @@ def test_passed_in_system_is_judged_against_its_own_matrix(substitute):
     calls = substitute(build_B)
     witness = nns_exists(conjectured_threshold(3) + 0.02, 3)
     assert isinstance(witness, Witness)
-    assert len(calls) == 1 and calls[0].shape == (8, p_count(3))
-    assert witness.residual == float(np.abs(calls[0] @ witness.y).max())
+    assert len(calls) == 1 and calls[0].shape == (1, 8, p_count(3))
+    assert witness.residual == float(np.abs(calls[0][0] @ witness.y).max())
 
 
 def test_realized_system_is_read_only():

@@ -102,6 +102,31 @@ def test_one_decision_order():
     assert sum(len(knobs) for knobs in KNOBS.values()) == 3
 
 
+def test_one_stack_builder():
+    # the decision builds every stack of systems in one call, and no helper
+    # copies systems into a new stack
+    assert _callers("build_C_stack") == {"feasibility._decide"}
+    assert not hasattr(paradist.feasibility, "_stack")
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_stages_judge_views_of_the_built_stack(monkeypatch, n):
+    # on an ascending grid the systems each stage judges run consecutively,
+    # so every witness rule is handed a view of the one built stack, and so
+    # is `_embed`, whose embedding the chain and the projection judge; a
+    # copy fails here.  At n = 12 the grid reaches the support table too
+    feasibility = paradist.feasibility
+    build, witnesses, embed = feasibility.build_C_stack, feasibility._witnesses, feasibility._embed
+    built, judged = [], []
+    monkeypatch.setattr(feasibility, "build_C_stack",
+                        lambda alphas, n: built.append(build(alphas, n)) or built[-1])
+    monkeypatch.setattr(feasibility, "_witnesses", lambda c, y: judged.append(c) or witnesses(c, y))
+    monkeypatch.setattr(feasibility, "_embed", lambda c: judged.append(c) or embed(c))
+    feasibility._decide(np.linspace(np.pi / 2, np.pi, 120).tolist(), n)
+    assert len(built) == 1 and len(judged) >= 2
+    assert all(np.shares_memory(c, built[0]) for c in judged)
+
+
 def test_no_private_numpy():
     # the projection solves through numpy's public `qr` and `solve`; no
     # module reaches into the private `numpy.linalg._umath_linalg`

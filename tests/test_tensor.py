@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from conftest import displayed_b2, displayed_b3, displayed_c2, displayed_c3
 from paradist import tensor
 from paradist.catalog import conjectured_threshold
+from paradist.feasibility import STACK
 from paradist.labels import column_order, orbit_sizes, p_count
 from paradist.tensor import (
     MatrixForm,
@@ -17,6 +18,7 @@ from paradist.tensor import (
     build_B,
     build_C,
     build_C_block,
+    build_C_stack,
     build_Q,
     d_diag,
     gamma,
@@ -164,6 +166,27 @@ def test_build_c_returns_fresh_writable_array():
     assert fresh.flags.writeable
     fresh[0, 0] = 7.0
     assert build_C(2.0, 4)[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, STACK])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_build_c_stack_is_build_c_per_angle(n, size):
+    # a stack holds, byte for byte, the system build_C builds at each angle
+    # alone (the sign of every zero included), in a fresh, writable,
+    # C-contiguous array; the angles hold both ends of [pi/2, pi] and every
+    # catalog endpoint fl(conj(k)), then an even grid
+    angles = [math.pi / 2, math.pi, *(conjectured_threshold(k) for k in range(2, 13)),
+              *np.linspace(math.pi / 2, math.pi, STACK).tolist()]
+    alphas = angles[:size]
+    stack = build_C_stack(alphas, n)
+    assert stack.shape == (size, n + 1, p_count(n))
+    expected = np.stack([build_C(alpha, n) for alpha in alphas]) if alphas else stack[:0]
+    assert stack.tobytes() == expected.tobytes()
+    assert stack.flags.c_contiguous and stack.flags.writeable
+    again = build_C_stack(alphas, n)
+    assert not np.shares_memory(stack, again)
+    stack[...] = 7.0
+    assert again.tobytes() == expected.tobytes()
 
 
 def test_build_c_rows_are_trailing_one_rows_of_b():

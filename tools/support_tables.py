@@ -33,6 +33,7 @@ from paradist import feasibility  # noqa: E402
 from paradist.catalog import CATALOG_MAX_ORDER, conjectured_threshold  # noqa: E402
 from paradist.labels import MAX_ORDER, column_order  # noqa: E402
 from paradist.nnls import nnls  # noqa: E402
+from paradist.tensor import build_C_stack  # noqa: E402
 
 TABLE = ROOT / "src" / "paradist" / "supports.py"
 ORDERS = range(CATALOG_MAX_ORDER + 1, MAX_ORDER + 1)
@@ -68,7 +69,7 @@ def cover(n: int) -> list[tuple[float, float, tuple[int, ...]]]:
     grid = np.linspace(conjectured_threshold(n), conjectured_threshold(CATALOG_MAX_ORDER), GRID)
     supports = sorted({projected_support(float(alpha), n) for alpha in grid})
     alphas = grid.tolist()
-    c = np.stack([feasibility._build(alpha, n)[0] for alpha in alphas])
+    c = build_C_stack(alphas, n)
     m = feasibility._embed(c)
     # each support as one row over the whole grid, judged as one stack
     passes = np.array([[witness is not None for witness in feasibility._support_witnesses(
