@@ -11,7 +11,9 @@ outcome, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -117,32 +119,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(write, output: str | None) -> None:
-    """Call `write` on the stream a report goes to: stdout, or the
-    `--output` file, a relative path taken under $PARADIST_OUTPUT_DIR when
-    that is set."""
+@contextlib.contextmanager
+def _report(output: str | None):
+    """The stream a report goes to: stdout, or the `--output` file, a
+    relative path taken under $PARADIST_OUTPUT_DIR when that is set.  A file
+    whose report fails partway is removed rather than left cut short."""
     if output is None:
-        write(sys.stdout)
+        yield sys.stdout
         return
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir and not os.path.isabs(output):
         output = os.path.join(out_dir, output)
     with open(output, "w", encoding="utf-8") as fh:
-        write(fh)
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.remove(output)
+            raise
 
 
-def _emit(text: str, output: str | None) -> None:
-    _write(lambda stream: stream.write(text), output)
+# the encoder's pieces written in one call, about 100 kB of text: the
+# report is never held whole, and an unbuffered stdout takes few writes
+_JSON_BATCH = 1 << 14
 
 
 def _json(payload, output: str | None) -> None:
-    """Write a report as indented JSON, encoded onto its stream piece by
-    piece rather than held whole as text first."""
-    def dump(stream):
-        json.dump(payload, stream, indent=2, sort_keys=True)
+    """Write a report as indented JSON, encoded onto its stream a batch of
+    pieces at a time rather than held whole as text first."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    with _report(output) as stream:
+        while batch := list(itertools.islice(pieces, _JSON_BATCH)):
+            stream.write("".join(batch))
         stream.write("\n")
-
-    _write(dump, output)
 
 
 # each command imports the modules it runs, so a fresh `paradist` process
@@ -222,7 +231,8 @@ def _cmd_sweep(args) -> int:
              "alpha,n,outcome,metric"]
     lines += [f"{alpha!r},{args.n},{outcome.kind},{outcome.metric!r}"
               for alpha, outcome in zip(alphas, outcomes)]
-    _emit("\n".join(lines) + "\n", args.output)
+    with _report(args.output) as stream:
+        stream.write("\n".join(lines) + "\n")
     if any(isinstance(outcome, Indeterminate) for outcome in outcomes):
         return EXIT_INDETERMINATE
     return EXIT_OK

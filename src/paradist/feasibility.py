@@ -274,7 +274,7 @@ def _rows(stack: np.ndarray, rows: list) -> np.ndarray:
     """The systems of `stack` at the indices `rows`, in their order: the
     stack itself, or a view of it where the rows run consecutively, else a
     copy."""
-    if len(rows) == 1 or rows == list(range(rows[0], rows[-1] + 1)):
+    if rows == list(range(rows[0], rows[-1] + 1)):
         return stack if len(rows) == len(stack) else stack[rows[0]:rows[-1] + 1]
     return stack[rows]
 

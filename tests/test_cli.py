@@ -447,6 +447,26 @@ def test_output_file_and_env_override(tmp_path, capsys, monkeypatch):
     assert abs(payload["alpha_star"] - 3 * math.pi / 4) <= 1e-3
 
 
+def test_json_report_spanning_batches_is_the_whole_text(tmp_path, capsys):
+    # a report encoded over several batches has the bytes of the whole
+    # text, on stdout and in a file alike
+    payload = {"rows": [{"alpha": i / 7, "kind": "witness", "y": [0.5, -0.0, 1e-300]}
+                        for i in range(3 * cli._JSON_BATCH // 10)]}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    cli._json(payload, None)
+    assert capsys.readouterr().out == text
+    cli._json(payload, str(tmp_path / "report.json"))
+    assert (tmp_path / "report.json").read_text() == text
+
+
+def test_failed_report_leaves_no_file(tmp_path):
+    # a report whose encoding fails partway leaves no truncated file
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        cli._json({"rows": [*range(2 * cli._JSON_BATCH), object()]}, str(path))
+    assert not path.exists()
+
+
 def test_sweep_rows_are_nns_exists_outcomes(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n", "4", "--points", "5")
     assert code == 0

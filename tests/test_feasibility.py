@@ -171,8 +171,7 @@ def test_row_link_must_remove_all_its_columns(substitute):
         return c
 
     substitute(tilted)
-    m = feasibility._embed(tilted(math.pi / 2, 2))
-    assert feasibility._chain(m[None], [math.pi / 2], 2) == [None]
+    assert feasibility._chain(realize(math.pi / 2, 2)[None], [math.pi / 2], 2) == [None]
     assert not isinstance(nns_exists(math.pi / 2, 2), Certificate)
 
 
@@ -231,8 +230,8 @@ def test_alpha_range_enforced():
 @pytest.fixture
 def substitute(monkeypatch):
     """Make `feasibility` build each angle's system with `builder` (build_C
-    itself by default); returns the list of every stack it builds, in call
-    order, one system per angle decided."""
+    itself by default), in a stack or alone; returns the list of every stack
+    it builds, in call order, a system built alone as a stack of one."""
 
     def install(builder=build_C):
         return build_per_angle(monkeypatch, builder)
@@ -896,7 +895,8 @@ def test_probe_of_another_shape_reaches_the_projection(substitute, nnls_calls):
 
 @pytest.fixture
 def build_calls(substitute):
-    """Every stack of systems `feasibility` builds, in call order."""
+    """Every stack of systems `feasibility` builds, in call order, a
+    system built alone as a stack of one."""
     return substitute()
 
 
