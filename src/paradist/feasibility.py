@@ -9,16 +9,19 @@ vanishes on each column where h'M > 0.
 
 `_decide` is the one decision, over a stack of angles: `nns_exists` is
 its one-angle case, and `sweep` and `necessity_scan` hand it their grids,
-which it decides in stacks of at most STACK angles.  It checks every
-angle, then builds the stack's systems in one call (`build_C_stack`, with
-the bits `build_C` gives each angle alone), read-only, and judges every
-outcome on its own system alone.  The builder returns one C-contiguous
-shape per order, so the systems of one stack are judged together, stage
-by stage, on views of the stack where their rows run consecutively, with
-one matrix-vector product per system and link, and an angle's outcome has
-the same bits alone and in any stack.  This docstring is the one
-statement of the stages and their order; an angle goes to the next stage
-only when the one before leaves it open.
+which it decides in stacks of at most STACK angles.  Every system the
+module builds, decides, returns (`realize`) or re-checks
+(`verify_certificate`) comes from `build_C_stack`, with the bits
+`build_C` gives each angle alone; a lone angle is a stack of one.
+`_decide` checks every angle, then builds the stack's systems in one
+call, read-only, and judges every outcome on its own system alone.  The
+builder returns one C-contiguous shape per order, so the systems of one
+stack are judged together, stage by stage, on views of the stack where
+their rows run consecutively, with one matrix-vector product per system
+and link, and an angle's outcome has the same bits alone and in any
+stack.  This docstring is the one statement of the stages and their
+order; an angle goes to the next stage only when the one before leaves it
+open.
 
 1. The paper's explicit solution for the catalog interval holding alpha
    (`_closed_form`), a witness if it passes the witness rule (`_witness`);
@@ -69,7 +72,7 @@ import numpy as np
 from .catalog import CATALOG_MAX_ORDER, catalog_solutions, conjectured_threshold
 from .labels import check_order, column_index, column_order
 from .nnls import IterationLimitReached, nnls
-from .tensor import build_C, build_C_stack
+from .tensor import build_C_stack
 
 TOL_WITNESS = 1e-8
 TOL_MARGIN = 1e-8
@@ -138,16 +141,11 @@ def _embed(c: np.ndarray) -> np.ndarray:
     return _freeze(np.concatenate((c.real, c.imag), axis=-2))
 
 
-def _build(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced system C and its real embedding M, both read-only."""
-    c = _freeze(build_C(alpha, n))
-    return c, _embed(c)
-
-
 def realize(alpha: float, n: int) -> np.ndarray:
     """The reduced system's real and imaginary rows stacked into a read-only
-    real 2(n+1) x p_n array with the same nonnegative null vectors."""
-    return _build(alpha, n)[1]
+    real 2(n+1) x p_n array with the same nonnegative null vectors: the
+    system built as a stack of one and embedded."""
+    return _embed(build_C_stack((alpha,), n)[0])
 
 
 def _separation(h: np.ndarray, m: np.ndarray,

@@ -18,8 +18,9 @@ MAX_ORDER = 12
 
 
 def check_order(n: int) -> None:
-    """Refuse an order outside 1..MAX_ORDER."""
-    if not 1 <= n <= MAX_ORDER:
+    """Refuse an order that is not an int or numpy integer in 1..MAX_ORDER;
+    a bool, or a float even when integral, is refused."""
+    if not (type(n) is int or isinstance(n, np.integer)) or not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {n}")
 
 

@@ -42,21 +42,16 @@ def rng():
 
 def build_per_angle(monkeypatch, builder):
     """Make `feasibility` build every system from `builder(alpha, n)`,
-    called once per angle: each stack `_decide` builds, in place of the
-    stack builder, and each system built alone (`realize`), in place of
-    `build_C`.  Returns the list of every stack it builds, in call order, a
-    system built alone as a stack of one; a stack holds one system per
-    angle, so the stacks' lengths add up to every system built."""
+    called once per angle, in place of `build_C_stack`, the one builder
+    `feasibility` calls: each stack `_decide` builds, and each system built
+    alone (`realize`) as a stack of one.  Returns the list of every stack it
+    builds, in call order; a stack holds one system per angle, so the
+    stacks' lengths add up to every system built."""
     stacks = []
 
     def build_stack(alphas, n):
         stacks.append(np.stack([builder(alpha, n) for alpha in alphas]))
         return stacks[-1]
 
-    def build_one(alpha, n):
-        stacks.append(builder(alpha, n)[None])
-        return stacks[-1][0]
-
     monkeypatch.setattr(feasibility, "build_C_stack", build_stack)
-    monkeypatch.setattr(feasibility, "build_C", build_one)
     return stacks

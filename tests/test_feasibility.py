@@ -31,7 +31,7 @@ from paradist.feasibility import (
 from paradist.labels import column_index, column_order, p_count
 from paradist.nnls import IterationLimitReached
 from paradist.supports import SUPPORTS
-from paradist.tensor import build_B, build_C
+from paradist.tensor import build_B, build_C, build_C_stack
 
 SUPPORT_TOOL = Path(__file__).resolve().parents[1] / "tools" / "support_tables.py"
 
@@ -385,6 +385,26 @@ def test_threshold_bisect_validation():
             threshold_bisect(3, tol_alpha=tol)
 
 
+@pytest.mark.parametrize("order", [3.0, 2.5, True], ids=["integral-float", "float", "bool"])
+@pytest.mark.parametrize("call", [
+    lambda n: build_C(2.0, n),
+    lambda n: nns_exists(2.0, n),
+    threshold_bisect,
+    lambda n: necessity_scan(n, 3),
+], ids=["build_C", "nns_exists", "threshold_bisect", "necessity_scan"])
+def test_order_must_be_an_integer(call, order):
+    # an order that is not an integer is refused up front with the order
+    # message, not let through as a bool or failed later with a TypeError
+    with pytest.raises(ValueError, match=f"^order must lie in 1..12, got {order}$"):
+        call(order)
+
+
+def test_numpy_integer_order_passes():
+    n = np.int64(3)
+    assert build_C(2.0, n).tobytes() == build_C(2.0, 3).tobytes()
+    assert threshold_bisect(n).order == 3
+
+
 @pytest.mark.parametrize("outcome, message, probed", [
     (Witness(y=np.ones(3) / 3, residual=0.0), "infeasibility near pi/2", [math.pi / 2 + 1e-4]),
     (Certificate(h=np.ones((1, 4)), margins=np.ones(1)), "feasibility at pi",
@@ -645,7 +665,7 @@ def test_necessity_point_lists_the_chain():
 
 
 def _closed_form_witness(alpha, n):
-    return feasibility._closed_form(feasibility._build(alpha, n)[0][None], [alpha], n)[0]
+    return feasibility._closed_form(build_C_stack((alpha,), n), [alpha], n)[0]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -712,7 +732,7 @@ def test_support_table_proposes_nothing_below_threshold(n):
     # the threshold, whatever its support would give there
     conj = conjectured_threshold(n)
     alphas = [conj - 10.0 ** -e for e in range(2, 16)]
-    c = np.stack([feasibility._build(alpha, n)[0] for alpha in alphas])
+    c = build_C_stack(alphas, n)
     table = feasibility._support_columns(n)
     assert feasibility._support_witnesses(c, feasibility._embed(c), alphas, table) == \
         [None] * len(alphas)
@@ -725,7 +745,7 @@ def test_support_witnesses_take_the_first_passing_row(n):
     # its rows are tried one at a time
     rows = feasibility._support_columns(n)
     alphas = np.linspace(conjectured_threshold(n), conjectured_threshold(10), 23).tolist()
-    c = np.stack([feasibility._build(alpha, n)[0] for alpha in alphas])
+    c = build_C_stack(alphas, n)
     m = feasibility._embed(c)
     together = feasibility._support_witnesses(c, m, alphas, rows)
     for i, alpha in enumerate(alphas):
@@ -755,23 +775,25 @@ def test_support_table_structure():
 
 def test_support_table_tool_reaches_the_engine():
     # `tools/support_tables.py` builds SUPPORTS from the engine's own pieces
-    # (`realize`, `nnls`, `build_C_stack`, `_embed`, `_support_witnesses`); a rename
-    # must fail here rather than in the next regeneration.  At the midpoint
-    # of each committed row the projection proposes a support, and the
-    # committed support passes the witness rule on the system the tool builds
+    # (`build_C_stack`, `_embed`, `_project`, `_support_witnesses`) and sets
+    # up no projection of its own; a rename must fail here rather than in
+    # the next regeneration.  At the midpoint of each committed row the
+    # projection the tool runs proposes a witness, and the committed
+    # support passes the witness rule on the system the tool builds
     spec = importlib.util.spec_from_file_location("support_tables", SUPPORT_TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    assert not hasattr(tool, "nnls")
     assert list(tool.ORDERS) == sorted(SUPPORTS)
     for n, rows in SUPPORTS.items():
         index = column_index(n)
         for lo, hi, labels in rows:
             alpha = 0.5 * (lo + hi)
-            assert tool.projected_support(alpha, n), (n, lo)
-            c = feasibility._build(alpha, n)[0][None]
+            c = tool.build_C_stack((alpha,), n)
+            m = tool.feasibility._embed(c)
+            assert isinstance(tool.feasibility._project(c[0], m[0]), Witness), (n, lo)
             cols = np.array([index[label] for label in labels])
-            [witness] = feasibility._support_witnesses(c, feasibility._embed(c), [alpha],
-                                                       [(lo, hi, cols)])
+            [witness] = tool.feasibility._support_witnesses(c, m, [alpha], [(lo, hi, cols)])
             assert witness is not None, (n, lo)
 
 
@@ -798,7 +820,7 @@ def test_witness_rule_refuses_a_negative_entry(n):
     # at its own left endpoint each catalog vector has one entry that
     # rounds below 0; only that entry keeps it from being a witness
     alpha = conjectured_threshold(n)
-    c = feasibility._build(alpha, n)[0]
+    c = build_C(alpha, n)
     y = explicit_nns(n, alpha)
     assert y.min() < 0
     assert feasibility._witness(c, y) is None
@@ -808,7 +830,7 @@ def test_witness_rule_refuses_a_negative_entry(n):
 
 def test_witness_rule_refuses_a_vector_that_does_not_fit():
     alpha = conjectured_threshold(3) + 0.01
-    c = feasibility._build(alpha, 3)[0]
+    c = build_C(alpha, 3)
     assert feasibility._witness(c, np.zeros(p_count(3))) is None
     assert feasibility._witness(c[:, :-1], explicit_nns(3, alpha)) is None
     assert feasibility._witness(c, explicit_nns(3, alpha)).y.sum() == pytest.approx(1.0)

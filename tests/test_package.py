@@ -94,7 +94,7 @@ def test_one_decision_order():
     assert _callers("_decide") == {"feasibility._decide", "feasibility.nns_exists",
                                    "feasibility.necessity_scan", "cli._cmd_sweep"}
     assert _callers("nns_exists") == {"feasibility.threshold_bisect", "cli._cmd_feasibility"}
-    for piece in ("_build", "build_C", "realize", "_separation", "_witness"):
+    for piece in ("build_C", "realize", "_separation", "_witness"):
         assert "feasibility.threshold_bisect" not in _callers(piece), piece
     assert "Step" not in paradist.__all__
     assert not hasattr(paradist.feasibility, "Step")
@@ -103,10 +103,13 @@ def test_one_decision_order():
 
 
 def test_one_stack_builder():
-    # the decision builds every stack of systems in one call, and no helper
-    # copies systems into a new stack
-    assert _callers("build_C_stack") == {"feasibility._decide"}
-    assert not hasattr(paradist.feasibility, "_stack")
+    # every system `feasibility` builds comes from the stack builder: the
+    # decision's stacks in one call each, and `realize`'s lone system as a
+    # stack of one; no second builder is in reach, and no helper copies
+    # systems into a new stack
+    assert _callers("build_C_stack") == {"feasibility._decide", "feasibility.realize"}
+    for name in ("build_C", "_build", "_stack"):
+        assert not hasattr(paradist.feasibility, name), name
 
 
 @pytest.mark.parametrize("n", [4, 12])

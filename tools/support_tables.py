@@ -1,12 +1,15 @@
 """Build the support tables of `paradist.supports` with the projection.
 
 For orders 11 and 12 no catalog interval holds the angles between the
-conjectured threshold pi/2 + pi/(2n) and that of order 10.  On a grid of
-GRID angles over that gap this script runs the projection (the active-set
-NNLS solve `nns_exists` falls back to), collects the supports it finds,
-and judges each support over the whole grid by the code `nns_exists` uses
-for a table row (`feasibility._support_witnesses`): the null vector of the
-real system's columns in the support, passed to the witness bar.  A greedy
+conjectured threshold pi/2 + pi/(2n) and that of order 10.  It builds
+each order's grid of GRID angles over that gap as one stack
+(`build_C_stack`) and runs the projection on each angle's system through
+`feasibility._project`, the stage `nns_exists` falls back to, so the
+projection is set up in one place only; an angle where it gives no
+witness stops the script.  The supports of those witnesses are judged over
+the whole grid by the code `nns_exists` uses for a table row
+(`feasibility._support_witnesses`): the null vector of the real system's
+columns in the support, passed to the witness bar.  A greedy
 pass then covers the grid: from the first angle not yet covered it takes
 the support whose run of passing angles reaches furthest.  A row is that
 run widened by one grid step on each side (clipped to the gap, and never
@@ -32,7 +35,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from paradist import feasibility  # noqa: E402
 from paradist.catalog import CATALOG_MAX_ORDER, conjectured_threshold  # noqa: E402
 from paradist.labels import MAX_ORDER, column_order  # noqa: E402
-from paradist.nnls import nnls  # noqa: E402
 from paradist.tensor import build_C_stack  # noqa: E402
 
 TABLE = ROOT / "src" / "paradist" / "supports.py"
@@ -54,23 +56,19 @@ Generated by `python tools/support_tables.py > src/paradist/supports.py`;
 '''
 
 
-def projected_support(alpha: float, n: int) -> tuple[int, ...]:
-    """Columns of the projection's y at alpha, as `nns_exists` poses it."""
-    m = feasibility.realize(alpha, n)
-    rows, p = m.shape
-    b = np.zeros(rows + 1)
-    b[-1] = 1.0
-    y = nnls(np.concatenate((m, np.ones((1, p)))), b).y
-    return tuple(np.flatnonzero(y > 0).tolist())
-
-
 def cover(n: int) -> list[tuple[float, float, tuple[int, ...]]]:
     """Greedy rows (lo, hi, columns) covering the order-n grid."""
     grid = np.linspace(conjectured_threshold(n), conjectured_threshold(CATALOG_MAX_ORDER), GRID)
-    supports = sorted({projected_support(float(alpha), n) for alpha in grid})
     alphas = grid.tolist()
     c = build_C_stack(alphas, n)
     m = feasibility._embed(c)
+    supports = set()
+    for alpha, system, embedded in zip(alphas, c, m):
+        witness = feasibility._project(system, embedded)
+        if not isinstance(witness, feasibility.Witness):
+            raise SystemExit(f"order {n}: the projection gives no witness at {alpha!r}: {witness}")
+        supports.add(tuple(np.flatnonzero(witness.y > 0).tolist()))
+    supports = sorted(supports)
     # each support as one row over the whole grid, judged as one stack
     passes = np.array([[witness is not None for witness in feasibility._support_witnesses(
         c, m, alphas, [(alphas[0], alphas[-1], np.array(cols))])] for cols in supports])
