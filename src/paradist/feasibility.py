@@ -17,11 +17,11 @@ module builds, decides, returns (`realize`) or re-checks
 call, read-only, and judges every outcome on its own system alone.  The
 builder returns one C-contiguous shape per order, so the systems of one
 stack are judged together, stage by stage, on views of the stack where
-their rows run consecutively, with one matrix-vector product per system
-and link, and an angle's outcome has the same bits alone and in any
-stack.  This docstring is the one statement of the stages and their
-order; an angle goes to the next stage only when the one before leaves it
-open.
+their rows run consecutively, with one matrix-vector product per witness
+and elementwise products in the chain, and an angle's outcome has the
+same bits alone and in any stack.  This docstring is the one statement of
+the stages and their order; an angle goes to the next stage only when the
+one before leaves it open.
 
 1. The paper's explicit solution for the catalog interval holding alpha
    (`_closed_form`), a witness if it passes the witness rule (`_witness`);
@@ -41,11 +41,13 @@ open.
    half-plane bisected by psi_j = (n-j)(alpha - pi/2), so link j,
    cos(psi_j) at row j of M and sin(psi_j) at its imaginary row, forces
    y = 0 on the columns with n1 = j once the links before it have removed
-   those with n1 < j.  The links, judged together by `_separation` at
-   TOL_MARGIN, are a certificate when each removes exactly its own
-   columns; it is the only kind there is, held as the chain's arrays
-   (h, margins), and `verify_certificate` judges it by the same rule
-   whoever proposed it.
+   those with n1 < j.  Its margin is read off C, not M: the least
+   cos(psi_j) Re C[j, k] + sin(psi_j) Im C[j, k] over those columns.  The
+   links are a certificate when every margin reaches TOL_MARGIN and each
+   row j is exactly zero on the columns with n1 > j; it is the only kind
+   there is, held as the chain's arrays (h, margins).  `verify_certificate`
+   judges any h by the generic rule (`_separation`), which gives a chain's
+   margins the same bits.
 4. Where all three miss (fl(conj(n)) for n <= 10, which lies just below
    conj(n), and the band just below the boundary), the projection
    (`_project`) proposes a witness: the point b = (0, ..., 0, 1) is
@@ -148,77 +150,74 @@ def realize(alpha: float, n: int) -> np.ndarray:
     return _embed(build_C_stack((alpha,), n)[0])
 
 
-def _separation(h: np.ndarray, m: np.ndarray,
-                alive: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one certificate rule, for one link or a stack of them (each row
-    of h judged on its row of `alive`, the columns still in play): h scaled
-    to max|h| = 1, its margin and the columns it leaves in play.  A link
-    removes the columns where h'M > 0; its margin is the least h'M over
-    them, or the most negative h'M on a column it leaves, or 0.0 when it
-    removes nothing.  It holds at margin >= TOL_MARGIN."""
-    scale = np.maximum.reduce(abs(h), axis=-1, keepdims=True)
-    scale[~(scale > 0)] = 1.0
-    h = h / scale
-    # one vector-matrix product per link, stacked or not, so a link's
-    # values keep their bits whichever stack it is judged in
-    values = (h[..., None, :] @ m)[..., 0, :]
-    left = alive & ~(values > 0)
+def _separation(h: np.ndarray, m: np.ndarray, alive: np.ndarray) -> tuple[float, np.ndarray]:
+    """The one certificate rule for any link h, judged on the columns
+    `alive` still in play: its margin and the columns it leaves in play.
+    Scaled to max|h| = 1, a link removes the columns where h'M > 0; its
+    margin is the least h'M over them, or the most negative h'M on a column
+    it leaves, or 0.0 when it removes nothing.  It holds at margin >=
+    TOL_MARGIN.  h'M is products, then sums, with no BLAS kernel, so a
+    chain's link, two nonzero entries, gets the bits `_chain` gives it."""
+    scale = np.maximum.reduce(abs(h))
+    values = np.add.reduce((h / scale if scale > 0 else h)[:, None] * m, axis=0)
     # every value removed is above every value left below 0, so the least
     # nonzero value in play is the margin; none in play means 0.0
-    margin = np.minimum.reduce(values, axis=-1, keepdims=True, where=alive & (values != 0),
-                               initial=np.inf)
-    margin[margin == np.inf] = 0.0
-    return h, margin[..., 0], left
+    margin = float(np.minimum.reduce(values, where=alive & (values != 0), initial=np.inf))
+    return (0.0 if margin == math.inf else margin), alive & ~(values > 0)
 
 
 @lru_cache(maxsize=None)
 def _chain_tables(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only tables of the proof's chain at order n: the (n+1) x p_n
-    masks of the columns in play before link j (n1 >= j) and of those it
-    leaves (n1 > j), the turns n - j of the bisectors, and the flat
-    positions of cos(psi_j) and sin(psi_j) in the links x 2(n+1) h."""
+    """Read-only tables of the proof's chain at order n, positions taken in
+    an (n+1) x p_n system read as floats (real, imaginary part of each
+    entry): each column's n1; the real parts over the imaginary parts of
+    each column's entry in row n1; the first column of each n1 group; the
+    entries of each row j on the columns with n1 > j; the turns n - j; and
+    the mask of h's columns j and n+1+j, where link j holds cos and sin."""
     n1 = np.array([label[1] for label in column_order(n)])
+    p = len(n1)
     j = np.arange(n + 1)
-    width = 2 * (n + 1)
-    tables = (n1 >= j[:, None], n1 > j[:, None], (n - j).astype(float),
-              j * width + j, j * width + n + 1 + j)
+    entry = 2 * (n1 * p + np.arange(p))
+    tables = (n1, np.stack((entry, entry + 1)), np.flatnonzero(np.diff(n1, prepend=-1)),
+              np.flatnonzero(np.repeat(n1 > j[:, None], 2, axis=1)), (n - j).astype(float),
+              np.tile(np.eye(n + 1, dtype=bool), 2))
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _chain(m: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """The necessity proof's chain on each system of the stack m, real
-    embeddings of the order-n systems at `alphas`: its (h, margins),
-    read-only, when it holds, else None.  Link j is cos(psi_j) at row j and
-    sin(psi_j) at imaginary row n+1+j, psi_j = (n-j)(alpha - pi/2), the
-    bisector of row j's phases on the columns with n1 = j.  Every link of
-    every system is judged in one `_separation` call, each on the columns
-    with n1 >= j; a chain holds when every margin reaches TOL_MARGIN and
-    each link leaves exactly the next link's columns, the last none.  A
-    system of another shape never holds."""
-    before, after, turns, at_cos, at_sin = _chain_tables(n)
-    if m.shape[1:] != (2 * (n + 1), before.shape[1]):
-        return [None] * len(m)
-    psi = np.multiply.outer([alpha - math.pi / 2 for alpha in alphas], turns)
-    h = np.zeros((len(m), n + 1, 2 * (n + 1)))
-    flat = h.reshape(len(m), -1)
-    flat[:, at_cos] = np.cos(psi)
-    flat[:, at_sin] = np.sin(psi)
-    # one system (every threshold probe) is judged without the stack axis,
-    # which costs numpy less per call; the products are the same
-    one = len(m) == 1
-    h, margin, left = _separation(h[0], m[0], before) if one else \
-        _separation(h, m[:, None], before)
-    h.setflags(write=False)
-    margin.setflags(write=False)
+def _chain(c: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """The necessity proof's chain on each system of the stack c, the
+    order-n systems at `alphas`: its (h, margins), read-only, when it holds,
+    else None.  Link j is cos(psi_j) at row j of M and sin(psi_j) at
+    imaginary row n+1+j, psi_j = (n-j)(alpha - pi/2), scaled to max|h| = 1;
+    its margin, read off C with no embedding and no BLAS kernel, is the
+    least cos(psi_j) Re C[j, k] + sin(psi_j) Im C[j, k] over the columns
+    with n1 = j.  A chain holds when every margin reaches TOL_MARGIN and
+    each row j is exactly zero on the columns with n1 > j, so each link
+    removes exactly its own columns; on a system of another shape, never."""
+    n1, own, starts, beyond, turns, at = _chain_tables(n)
+    if c.shape[1:] != (n + 1, len(n1)):
+        return [None] * len(c)
+    psi = turns * [[alpha - math.pi / 2] for alpha in alphas]
+    cs = np.empty((2, *psi.shape))
+    np.cos(psi, out=cs[0])
+    np.sin(psi, out=cs[1])
+    cs /= np.maximum(*abs(cs))
+    # each entry's real part, then its imaginary part, one row per system
+    flat = c.reshape(len(c), -1).view(float)
+    terms = flat.take(own, axis=-1).swapaxes(0, 1) * cs.take(n1, axis=-1)
+    margins = _freeze(np.minimum.reduceat(terms[0] + terms[1], starts, axis=-1))
     # a NaN margin is no least margin, so it fails the bar too
-    lows = np.minimum.reduce(margin, axis=-1)
-    exact = np.logical_and.reduce(left == after, axis=(-2, -1))
-    if one:
-        return [(h, margin) if lows >= TOL_MARGIN and exact else None]
-    return [(h[i], margin[i]) if low >= TOL_MARGIN and ok else None
-            for i, (low, ok) in enumerate(zip(lows.tolist(), exact.tolist()))]
+    lows = np.minimum.reduce(margins, axis=-1).tolist()
+    stray = np.logical_or.reduce(flat.take(beyond, axis=-1), axis=-1).tolist()
+    holds = [low >= TOL_MARGIN and not off for low, off in zip(lows, stray)]
+    held = [i for i, ok in enumerate(holds) if ok]
+    if not held:
+        return [None] * len(c)
+    # each held chain's (cos, sin) row, spread over its links by the mask
+    h = iter(_freeze(np.where(at, _rows(cs.swapaxes(0, 1), held).reshape(len(held), 1, -1), 0)))
+    return [(next(h), margins[i]) if ok else None for i, ok in enumerate(holds)]
 
 
 def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
@@ -238,8 +237,7 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
     by this same body, so a call holds at most STACK systems.  Every angle
     is checked first (ValueError outside [pi/2, pi]), then all their
     systems are built in one stack, read-only, and each stage is handed
-    the rows it judges (`_rows`).  A stack of one, as `nns_exists` makes,
-    is judged without the stack axis, which costs numpy less.
+    the rows it judges (`_rows`).
     """
     if len(alphas) > STACK:
         return [outcome for start in range(0, len(alphas), STACK)
@@ -253,15 +251,15 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
     if not rest:
         return found
     c = _rows(c, rest)
-    m = _embed(c)
     open_alphas = [alphas[i] for i in rest]
+    # the chain judges C itself for every angle the closed form leaves open
+    # (a support witness keeps its angle); only stages 2 and 4 embed C
+    chains = _chain(c, open_alphas, n)
     table = _support_columns(n)
+    m = _embed(c) if table or None in chains else None
     if table:
         for i, witness in zip(rest, _support_witnesses(c, m, open_alphas, table)):
             found[i] = witness
-    # the chain is judged for every angle the closed form leaves open; a
-    # support witness, tried first, keeps its angle
-    chains = _chain(m, open_alphas, n)
     for j, (i, chain) in enumerate(zip(rest, chains)):
         if found[i] is None:
             found[i] = _project(c[j], m[j]) if chain is None else Certificate(*chain)
@@ -373,9 +371,9 @@ def _support_witnesses(c: np.ndarray, m: np.ndarray, alphas, rows) -> list[Witne
 
 
 def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, float]:
-    """Judge a certificate from elsewhere by `nns_exists`'s rule on the
-    system rebuilt from (alpha, n): each link (row of h), whatever its
-    scale, is judged by `_separation` on the columns the links before it
+    """Judge a certificate from elsewhere by the generic rule on the system
+    rebuilt from (alpha, n): each link (row of h), whatever its scale, is
+    judged by `_separation` on the columns the links before it
     leave in play, must hold and reach its declared margin (within 1e-12),
     and the links together must remove every column.  Returns (verdict,
     least link margin); a chain with no links, an h that is not links x
@@ -388,8 +386,8 @@ def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, f
     alive = np.ones(m.shape[1], dtype=bool)
     ok, margins = True, []
     for link, bar in zip(h, declared.tolist()):
-        _, margin, alive = _separation(link, m, alive)
-        margins.append(float(margin))
+        margin, alive = _separation(link, m, alive)
+        margins.append(margin)
         ok = ok and margins[-1] >= TOL_MARGIN and margins[-1] >= bar - 1e-12
     if not margins:
         return False, 0.0
@@ -424,6 +422,7 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     below each feasible one by construction.
     """
     check_order(n)
+    n = int(n)
     if not (math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
         raise ValueError(f"tol_alpha must be finite and at least 1e-8, got {tol_alpha!r}")
     lo = math.pi / 2 + 1e-4
@@ -483,6 +482,7 @@ def necessity_scan(n: int, points: int) -> list[dict]:
     `_decide`; each should produce a verified certificate.  Rows come back
     in grid order."""
     check_order(n)
+    n = int(n)
     alphas = necessity_grid(n, points).tolist()
     return [necessity_point(alpha, n, outcome)
             for alpha, outcome in zip(alphas, _decide(alphas, n))]

@@ -147,13 +147,16 @@ def test_necessity_witness_is_a_verification_failure(capsys, monkeypatch):
 
 
 # re-recorded when certificates became row chains: each row lists its links;
-# and when the proof's chain replaced the generic row pass, which moved link
-# margins in their last digits (rows and kinds unchanged)
+# when the proof's chain replaced the generic row pass, which moved link
+# margins in their last digits (rows and kinds unchanged); and when the
+# chain read its margins off C elementwise instead of through a BLAS
+# product, which moved one link margin by 1 ulp (alpha 1.8426649218170903,
+# row 3: 0.9999999999999999 -> 1.0)
 def test_necessity_report_bytes(capsys):
     code, out, _ = run_cli(capsys, "necessity", "--n", "4", "--points", "12")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1ccd4c99d9e944f09f902b6904c74a6a65ff218f52c483874b738408083ada3a")
+        "b53a2ab95d97e3ac01b85f3c58ebdf6e81a0f7843e08dbf387828838d7b18d3a")
 
 
 _CONJ12 = conjectured_threshold(12)

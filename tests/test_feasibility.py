@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -170,9 +171,34 @@ def test_row_link_must_remove_all_its_columns(substitute):
         c[0, 1] = 1j
         return c
 
+    assert feasibility._chain(build_C_stack((math.pi / 2,), 2), [math.pi / 2], 2)[0] is not None
     substitute(tilted)
-    assert feasibility._chain(realize(math.pi / 2, 2)[None], [math.pi / 2], 2) == [None]
+    assert feasibility._chain(tilted(math.pi / 2, 2)[None], [math.pi / 2], 2) == [None]
     assert not isinstance(nns_exists(math.pi / 2, 2), Certificate)
+
+
+def test_chain_needs_each_row_zero_beyond_its_columns(substitute):
+    # row 1 given the entry sin - i cos at the column (1, 2, 1), which has
+    # n1 = 2 > 1, with (cos, sin) link 1's scaled entries: link 1's value
+    # there, cos sin - sin cos, is exactly 0, so the generic rule still
+    # takes every link, but the proof needs row 1 itself to vanish there,
+    # and the chain certifies nothing
+    alpha, n, j = _ALPHA4, 4, 1
+    cert = nns_exists(alpha, n)
+    cos, sin = cert.h[j, j], cert.h[j, n + 1 + j]
+    col = column_index(n)[(1, 2, 1)]
+
+    def stray(a, order):
+        c = build_C(a, order)
+        c[j, col] = sin - 1j * cos
+        return c
+
+    c = stray(alpha, n)
+    assert c[j, col] != 0 and cos * c[j, col].real + sin * c[j, col].imag == 0
+    substitute(stray)
+    assert verify_certificate(cert, alpha, n) == (True, cert.margin)
+    assert feasibility._chain(c[None], [alpha], n) == [None]
+    assert not isinstance(nns_exists(alpha, n), Certificate)
 
 
 def test_certificate_rule_is_scale_free(chain4):
@@ -340,9 +366,9 @@ def test_long_grid_is_decided_in_stacks(monkeypatch):
     sizes = []
     chain = feasibility._chain
 
-    def recording(m, alphas, n):
-        sizes.append(len(m))
-        return chain(m, alphas, n)
+    def recording(c, alphas, n):
+        sizes.append(len(c))
+        return chain(c, alphas, n)
 
     monkeypatch.setattr(feasibility, "_chain", recording)
     stack = feasibility.STACK
@@ -403,6 +429,16 @@ def test_numpy_integer_order_passes():
     n = np.int64(3)
     assert build_C(2.0, n).tobytes() == build_C(2.0, 3).tobytes()
     assert threshold_bisect(n).order == 3
+
+
+def test_numpy_integer_order_is_reported_as_an_int():
+    # records carry the order as a Python int, so they encode as JSON
+    n = np.int64(3)
+    estimate = threshold_bisect(n)
+    rows = necessity_scan(n, 2)
+    assert type(estimate.order) is int and {type(row["n"]) for row in rows} == {int}
+    assert json.loads(json.dumps(estimate.to_dict()))["n"] == 3
+    assert [row["n"] for row in json.loads(json.dumps(rows))] == [3, 3]
 
 
 @pytest.mark.parametrize("outcome, message, probed", [
@@ -548,10 +584,45 @@ def test_explicit_chain_must_remove_the_columns_of_each_link():
     # at h'M = 0, and no later link is judged on it, so the chain must not
     # hold although every link reaches the margin bar
     alpha, n = _ALPHA4, 4
-    c = build_C(alpha, n)
-    assert feasibility._chain(np.vstack([c.real, c.imag])[None], [alpha], n)[0] is not None
-    c[:, 2] = 0  # the column (2, 0, 2), in play for link 0 only
-    assert feasibility._chain(np.vstack([c.real, c.imag])[None], [alpha], n) == [None]
+    c = build_C_stack((alpha,), n)
+    assert feasibility._chain(c, [alpha], n)[0] is not None
+    c[:, :, 2] = 0  # the column (2, 0, 2), in play for link 0 only
+    assert feasibility._chain(c, [alpha], n) == [None]
+
+
+def _blas_free_grids():
+    """(n, angles): the grid `test_decision_bits_are_pinned` decides and the
+    necessity grids of every order."""
+    for n in (4, 10, 12):
+        conj = conjectured_threshold(n)
+        yield n, [*np.linspace(math.pi / 2, math.pi, 24).tolist(), conj - 1e-3, conj + 1e-3]
+    for n in range(1, 13):
+        yield n, necessity_grid(n, 40).tolist()
+
+
+def test_chain_margins_do_not_depend_on_blas():
+    # every link margin is the least cos Re C[j, k] + sin Im C[j, k] over
+    # the columns with n1 = j, written out elementwise here, bit for bit;
+    # and the generic rule, re-judging each link on the rebuilt system,
+    # gives the same margin, bit for bit
+    certified = 0
+    for n, alphas in _blas_free_grids():
+        n1 = np.array([label[1] for label in column_order(n)])
+        for alpha, cert in zip(alphas, feasibility._decide(alphas, n)):
+            if not isinstance(cert, Certificate):
+                continue
+            c, m = build_C(alpha, n), realize(alpha, n)
+            own = [(cert.h[j, j] * c[j, n1 == j].real + cert.h[j, n + 1 + j] * c[j, n1 == j].imag)
+                   .min() for j in range(n + 1)]
+            assert [x.hex() for x in cert.margins.tolist()] == [float(x).hex() for x in own]
+            alive, judged = np.ones(m.shape[1], dtype=bool), []
+            for link in cert.h:
+                margin, alive = feasibility._separation(link, m, alive)
+                judged.append(margin)
+            assert judged == cert.margins.tolist() and not alive.any(), (n, alpha)
+            assert verify_certificate(cert, alpha, n) == (True, cert.margin)
+            certified += 1
+    assert certified >= 12 * 40
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -76,9 +76,10 @@ def _callers(name):
 
 def test_one_certificate_construction():
     # certificates come from the necessity proof's chain alone, wrapped in
-    # one place, and one rule judges every link, proposed or handed in
+    # one place; the chain judges its links on C itself, and the generic
+    # rule judges every link handed in, whoever proposed it
     assert _callers("Certificate") == {"feasibility._decide"}
-    assert _callers("_separation") == {"feasibility._chain", "feasibility.verify_certificate"}
+    assert _callers("_separation") == {"feasibility.verify_certificate"}
 
 
 def test_one_decision_order():
@@ -115,19 +116,23 @@ def test_one_stack_builder():
 @pytest.mark.parametrize("n", [4, 12])
 def test_stages_judge_views_of_the_built_stack(monkeypatch, n):
     # on an ascending grid the systems each stage judges run consecutively,
-    # so every witness rule is handed a view of the one built stack, and so
-    # is `_embed`, whose embedding the chain and the projection judge; a
-    # copy fails here.  At n = 12 the grid reaches the support table too
+    # so every witness rule and the chain are handed a view of the one built
+    # stack, and so is `_embed`, whose embedding only the support table and
+    # the projection judge; a copy fails here.  At n = 12 the grid reaches
+    # the support table too
     feasibility = paradist.feasibility
-    build, witnesses, embed = feasibility.build_C_stack, feasibility._witnesses, feasibility._embed
-    built, judged = [], []
+    build, witnesses = feasibility.build_C_stack, feasibility._witnesses
+    chain, embed = feasibility._chain, feasibility._embed
+    built, judged, chained = [], [], []
     monkeypatch.setattr(feasibility, "build_C_stack",
                         lambda alphas, n: built.append(build(alphas, n)) or built[-1])
     monkeypatch.setattr(feasibility, "_witnesses", lambda c, y: judged.append(c) or witnesses(c, y))
+    monkeypatch.setattr(feasibility, "_chain",
+                        lambda c, alphas, n: chained.append(c) or chain(c, alphas, n))
     monkeypatch.setattr(feasibility, "_embed", lambda c: judged.append(c) or embed(c))
     feasibility._decide(np.linspace(np.pi / 2, np.pi, 120).tolist(), n)
-    assert len(built) == 1 and len(judged) >= 2
-    assert all(np.shares_memory(c, built[0]) for c in judged)
+    assert len(built) == 1 and len(chained) == 1 and len(judged) >= 1
+    assert all(np.shares_memory(c, built[0]) for c in judged + chained)
 
 
 def test_no_private_numpy():
