@@ -1,9 +1,13 @@
 """Explicit nonnegative solutions of the reduced system for orders 1..10.
 
 Each order has a half-open admissible interval of phase angles (closed on
-the left); the order-1 entry is the single angle pi.  Vectors are laid out
-in canonical column order, written below block by block: first the labels
-with no 1-digits, then one 1-digit, and so on.
+the left); the order-1 entry is the single angle pi.  Each solution is an
+integer table: every entry an integer combination of sin(j*alpha) (odd
+orders) or cos(j*alpha) (even orders), j <= k, of at most two terms.
+Vectors are laid out in canonical column order, written below block by
+block: first the labels with no 1-digits, then one 1-digit, and so on.
+One angle is evaluated in Python floats; a stack of angles in one numpy
+pass over every order, with the same bits.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -78,145 +83,184 @@ def interval_samples(n: int, count: int) -> np.ndarray:
     return lo + (hi - lo) * np.arange(count) / max(count, 1)
 
 
-def _nns_1(a: float) -> np.ndarray:
-    return np.ones(3)
-
-
-def _nns_2(a: float) -> np.ndarray:
-    c = math.cos
-    return np.array([1, c(2 * a), 1,
-                     -c(a), -c(a),
-                     1])
-
-
-def _nns_3(a: float) -> np.ndarray:
-    s = math.sin
-    return np.array([3 * s(a), s(3 * a), s(3 * a), 3 * s(a),
-                     -s(2 * a), -s(2 * a), -s(2 * a),
-                     s(a), s(a),
-                     0])
-
-
-def _nns_4(a: float) -> np.ndarray:
-    c = math.cos
-    return np.array([6, 0, -2 * c(4 * a), 0, 6,
-                     -3 * c(a), c(3 * a), c(3 * a), -3 * c(a),
-                     2, 0, 2,
-                     -3 * c(a), -3 * c(a),
-                     6])
-
-
-def _nns_5(a: float) -> np.ndarray:
-    s = math.sin
-    return np.array([20 * s(a), 0, -2 * s(5 * a), -2 * s(5 * a), 0, 20 * s(a),
-                     -4 * s(2 * a), s(4 * a), 2 * s(4 * a), s(4 * a), -4 * s(2 * a),
-                     3 * s(a), -s(3 * a), -s(3 * a), 3 * s(a),
-                     -s(2 * a), 0, -s(2 * a),
-                     2 * s(a), 2 * s(a),
-                     0])
-
-
-def _nns_6(a: float) -> np.ndarray:
-    c = math.cos
-    return np.array([20, 0, 0, 2 * c(6 * a), 0, 0, 20,
-                     -10 * c(a), 0, -c(5 * a), -c(5 * a), 0, -10 * c(a),
-                     3, 0, c(4 * a), 0, 3,
-                     c(3 * a), 0, 0, c(3 * a),
-                     -2 * c(2 * a), 0, -2 * c(2 * a),
-                     0, 0,
-                     5])
-
-
-def _nns_7(a: float) -> np.ndarray:
-    s = math.sin
-    return np.array([140 * s(a), 0, 0, 4 * s(7 * a), 4 * s(7 * a), 0, 0, 140 * s(a),
-                     -30 * s(2 * a), 0, -2 * s(6 * a), -4 * s(6 * a), -2 * s(6 * a), 0, -30 * s(2 * a),
-                     20 * s(a), 0, 2 * s(5 * a), 2 * s(5 * a), 0, 20 * s(a),
-                     2 * s(4 * a) - 4 * s(2 * a), s(4 * a), 0, s(4 * a), 2 * s(4 * a) - 4 * s(2 * a),
-                     -4 * s(3 * a) + 6 * s(a), -2 * s(3 * a), -2 * s(3 * a), -4 * s(3 * a) + 6 * s(a),
-                     0, 0, 0,
-                     10 * s(a), 10 * s(a),
-                     0])
-
-
-def _nns_8(a: float) -> np.ndarray:
-    c = math.cos
-    return np.array([140, 0, 0, 0, -4 * c(8 * a), 0, 0, 0, 140,
-                     -70 * c(a), 0, 0, 2 * c(7 * a), 2 * c(7 * a), 0, 0, -70 * c(a),
-                     20, 0, 0, -2 * c(6 * a), 0, 0, 20,
-                     5 * c(3 * a), -c(5 * a), 0, 0, -c(5 * a), 5 * c(3 * a),
-                     -8 * c(2 * a), 2 * c(4 * a), 0, 2 * c(4 * a), -8 * c(2 * a),
-                     0, 0, 0, 0,
-                     10, 0, 10,
-                     -35 * c(a), -35 * c(a),
-                     140])
-
-
-def _nns_9(a: float) -> np.ndarray:
-    s = math.sin
-    return np.array([504 * s(a), 0, 0, 0, -4 * s(9 * a), -4 * s(9 * a), 0, 0, 0, 504 * s(a),
-                     -112 * s(2 * a), 0, 0, 2 * s(8 * a), 4 * s(8 * a), 2 * s(8 * a), 0, 0, -112 * s(2 * a),
-                     70 * s(a), 0, 0, -2 * s(7 * a), -2 * s(7 * a), 0, 0, 70 * s(a),
-                     6 * s(4 * a) - 15 * s(2 * a), -s(6 * a), -s(6 * a), 0, -s(6 * a), -s(6 * a),
-                     6 * s(4 * a) - 15 * s(2 * a),
-                     -10 * s(3 * a) + 20 * s(a), 2 * s(5 * a), 2 * s(5 * a), 2 * s(5 * a), 2 * s(5 * a),
-                     -10 * s(3 * a) + 20 * s(a),
-                     4 * s(4 * a), 0, 0, 0, 4 * s(4 * a),
-                     15 * s(a) - 12 * s(3 * a), -5 * s(3 * a), -5 * s(3 * a), 15 * s(a) - 12 * s(3 * a),
-                     0, 0, 0,
-                     56 * s(a), 56 * s(a),
-                     0])
-
-
-def _nns_10(a: float) -> np.ndarray:
-    c = math.cos
-    return np.array([504, 0, 0, 0, 0, 4 * c(10 * a), 0, 0, 0, 0, 504,
-                     -252 * c(a), 0, 0, 0, -2 * c(9 * a), -2 * c(9 * a), 0, 0, 0, -252 * c(a),
-                     70, 0, 0, 0, 2 * c(8 * a), 0, 0, 0, 70,
-                     21 * c(3 * a), 0, c(7 * a), 0, 0, c(7 * a), 0, 21 * c(3 * a),
-                     -30 * c(2 * a), 0, -2 * c(6 * a), 0, -2 * c(6 * a), 0, -30 * c(2 * a),
-                     -4 * c(5 * a), 0, 0, 0, 0, -4 * c(5 * a),
-                     12 * c(4 * a) + 15, 0, 5 * c(4 * a), 0, 12 * c(4 * a) + 15,
-                     0, 0, 0, 0,
-                     -56 * c(2 * a), 0, -56 * c(2 * a),
-                     0, 0,
-                     504])
-
-
-_BUILDERS = {
-    1: _nns_1, 2: _nns_2, 3: _nns_3, 4: _nns_4, 5: _nns_5,
-    6: _nns_6, 7: _nns_7, 8: _nns_8, 9: _nns_9, 10: _nns_10,
+# The paper's explicit solutions as integer tables, one per order: an entry
+# per column, in canonical column order, each the flat tuple c1, j1[, c2, j2]
+# of its terms c * f(j * alpha) in the paper's term order, () for a zero.
+# f is cos for even orders and sin for odd ones; j = 0 is the constant 1.
+_TABLES = {
+    1: ((1, 0), (1, 0), (1, 0)),
+    2: ((1, 0), (1, 2), (1, 0),
+        (-1, 1), (-1, 1),
+        (1, 0)),
+    3: ((3, 1), (1, 3), (1, 3), (3, 1),
+        (-1, 2), (-1, 2), (-1, 2),
+        (1, 1), (1, 1),
+        ()),
+    4: ((6, 0), (), (-2, 4), (), (6, 0),
+        (-3, 1), (1, 3), (1, 3), (-3, 1),
+        (2, 0), (), (2, 0),
+        (-3, 1), (-3, 1),
+        (6, 0)),
+    5: ((20, 1), (), (-2, 5), (-2, 5), (), (20, 1),
+        (-4, 2), (1, 4), (2, 4), (1, 4), (-4, 2),
+        (3, 1), (-1, 3), (-1, 3), (3, 1),
+        (-1, 2), (), (-1, 2),
+        (2, 1), (2, 1),
+        ()),
+    6: ((20, 0), (), (), (2, 6), (), (), (20, 0),
+        (-10, 1), (), (-1, 5), (-1, 5), (), (-10, 1),
+        (3, 0), (), (1, 4), (), (3, 0),
+        (1, 3), (), (), (1, 3),
+        (-2, 2), (), (-2, 2),
+        (), (),
+        (5, 0)),
+    7: ((140, 1), (), (), (4, 7), (4, 7), (), (), (140, 1),
+        (-30, 2), (), (-2, 6), (-4, 6), (-2, 6), (), (-30, 2),
+        (20, 1), (), (2, 5), (2, 5), (), (20, 1),
+        (2, 4, -4, 2), (1, 4), (), (1, 4), (2, 4, -4, 2),
+        (-4, 3, 6, 1), (-2, 3), (-2, 3), (-4, 3, 6, 1),
+        (), (), (),
+        (10, 1), (10, 1),
+        ()),
+    8: ((140, 0), (), (), (), (-4, 8), (), (), (), (140, 0),
+        (-70, 1), (), (), (2, 7), (2, 7), (), (), (-70, 1),
+        (20, 0), (), (), (-2, 6), (), (), (20, 0),
+        (5, 3), (-1, 5), (), (), (-1, 5), (5, 3),
+        (-8, 2), (2, 4), (), (2, 4), (-8, 2),
+        (), (), (), (),
+        (10, 0), (), (10, 0),
+        (-35, 1), (-35, 1),
+        (140, 0)),
+    9: ((504, 1), (), (), (), (-4, 9), (-4, 9), (), (), (), (504, 1),
+        (-112, 2), (), (), (2, 8), (4, 8), (2, 8), (), (), (-112, 2),
+        (70, 1), (), (), (-2, 7), (-2, 7), (), (), (70, 1),
+        (6, 4, -15, 2), (-1, 6), (-1, 6), (), (-1, 6), (-1, 6), (6, 4, -15, 2),
+        (-10, 3, 20, 1), (2, 5), (2, 5), (2, 5), (2, 5), (-10, 3, 20, 1),
+        (4, 4), (), (), (), (4, 4),
+        (15, 1, -12, 3), (-5, 3), (-5, 3), (15, 1, -12, 3),
+        (), (), (),
+        (56, 1), (56, 1),
+        ()),
+    10: ((504, 0), (), (), (), (), (4, 10), (), (), (), (), (504, 0),
+         (-252, 1), (), (), (), (-2, 9), (-2, 9), (), (), (), (-252, 1),
+         (70, 0), (), (), (), (2, 8), (), (), (), (70, 0),
+         (21, 3), (), (1, 7), (), (), (1, 7), (), (21, 3),
+         (-30, 2), (), (-2, 6), (), (-2, 6), (), (-30, 2),
+         (-4, 5), (), (), (), (), (-4, 5),
+         (12, 4, 15, 0), (), (5, 4), (), (12, 4, 15, 0),
+         (), (), (), (),
+         (-56, 2), (), (-56, 2),
+         (), (),
+         (504, 0)),
 }
 
 
-def catalog_solutions(alphas, n: int) -> tuple[list[int], np.ndarray | None]:
-    """The positions in `alphas` of the angles that a catalog interval of
-    order k <= min(n, CATALOG_MAX_ORDER) holds (`catalog_order`), grouped by
-    order, and their cataloged solutions padded to order n, one row each in
-    the same order (None when there is no such angle).  The solutions of
-    one order are padded together (`_padded`)."""
+def _terms(entry: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """A nonzero table entry as (c1, j1, c2, j2), c2 = 0 for one term."""
+    assert len(entry) in (2, 4), entry  # no entry has more than two terms
+    return entry if len(entry) == 4 else (*entry, 0, 0)
+
+
+@lru_cache(maxsize=None)
+def _one_angle_plan(k: int) -> tuple:
+    """Order k's table for `_solution`: its trig function, cos for even k
+    and sin for odd k; its distinct nonzero entries as `_terms`; and an
+    itemgetter that lays the order-k vector out from their values followed
+    by 0.0."""
+    distinct = sorted({e for e in _TABLES[k] if e})
+    return (math.sin if k % 2 else math.cos, tuple(map(_terms, distinct)),
+            itemgetter(*(distinct.index(e) if e else -1 for e in _TABLES[k])))
+
+
+def _solution(k: int, alpha: float) -> tuple[float, ...]:
+    """Order k's table at one angle in Python floats: one trig call per j,
+    then c1*t1 (+ c2*t2) once per distinct entry, which costs less than
+    numpy for one angle."""
+    f, entries, layout = _one_angle_plan(k)
+    t = [f(j * alpha) for j in range(k + 1)]
+    t[0] = 1.0
+    values = [c1 * t[j1] + c2 * t[j2] if c2 else c1 * t[j1] for c1, j1, c2, j2 in entries]
+    values.append(0.0)
+    return layout(values)
+
+
+# the trig table of a stack: cos(j*alpha) at column j, sin(j*alpha) at
+# column _SIN + j, j = 0..CATALOG_MAX_ORDER; column 0 is the constant 1
+_SIN = CATALOG_MAX_ORDER + 1
+
+
+@lru_cache(maxsize=None)
+def _grid_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of the tables of orders k = 1..min(n,
+    CATALOG_MAX_ORDER), order after order, as one read-only plan: where
+    order k's entries start (index k; they end at index k + 1); per entry
+    its order-n position and the trig columns of its two terms; and per
+    entry its two coefficients, then its `_pad_plan` factors padded with
+    1.0 to n - 1 steps.  A missing second term is 0 times the constant."""
     top = min(n, CATALOG_MAX_ORDER)
-    groups: dict[int, list[int]] = {}
-    for row, alpha in enumerate(alphas):
+    starts, index, values = [0, 0], [], []
+    for k in range(1, top + 1):
+        positions, factors = _pad_plan(k, n)
+        shift = _SIN if k % 2 else 0
+        for i, entry in enumerate(_TABLES[k]):
+            if entry:
+                c1, j1, c2, j2 = _terms(entry)
+                index.append((positions[i], j1 and j1 + shift, j2 and j2 + shift))
+                values.append((c1, c2, *factors[:, i], *[1.0] * (k - 1)))
+        starts.append(len(index))
+    plan = (np.array(starts), np.array(index), np.array(values, dtype=float))
+    for table in plan:
+        table.setflags(write=False)
+    return plan
+
+
+def catalog_solutions(alphas, n: int) -> tuple[list[int], np.ndarray | None]:
+    """The positions in `alphas`, ascending, of the angles that a catalog
+    interval of order k <= min(n, CATALOG_MAX_ORDER) holds (`catalog_order`),
+    and their cataloged solutions padded to order n, one row each in the
+    same order (None when there is no such angle), with the bits of
+    `pad_solution` once per order.  One angle is evaluated in Python
+    (`_solution`); a stack in one pass over all its orders (`_grid_plan`):
+    one trig table, c1*t1 + c2*t2 per entry, the padding factors step by
+    step, and one scatter.  A zero entry is written by no product."""
+    top = min(n, CATALOG_MAX_ORDER)
+    if len(alphas) == 1:
+        alpha = float(alphas[0])
         k = catalog_order(alpha, top)
-        if k is not None:
-            groups.setdefault(k, []).append(row)
-    rows, blocks = [], []
-    for k, members in groups.items():
-        ys = [_BUILDERS[k](float(alphas[row])) for row in members]
-        blocks.append(_padded(ys[0][None] if len(ys) == 1 else np.array(ys), k, n))
-        rows += members
-    if len(blocks) > 1:
-        return rows, np.concatenate(blocks)
-    return rows, blocks[0] if blocks else None
+        if k is None:
+            return [], None
+        y = np.array(_solution(k, alpha))[None]
+        return [0], y if k == n else _padded(y, k, n)
+    alphas = np.asarray(alphas, dtype=float)
+    # `catalog_order` for every angle at once
+    i = np.searchsorted(_catalog_ends(top), alphas, side="left")
+    orders = np.where((1 <= i) & (i < top), top + 1 - i, 0)
+    orders[np.abs(alphas - math.pi) <= 1e-12] = 1
+    held = np.flatnonzero(orders)
+    if not len(held):
+        return [], None
+    # the plan's entries of each held angle's order, angle after angle
+    starts, index, values = _grid_plan(n)
+    ks = orders[held]
+    counts = starts[ks + 1] - starts[ks]
+    ends = np.cumsum(counts)
+    entry = np.arange(ends[-1]) + np.repeat(starts[ks] - ends + counts, counts)
+    row = np.repeat(np.arange(len(held)), counts)
+    index, values = index[entry], values[entry]
+    angles = alphas[held, None] * np.arange(CATALOG_MAX_ORDER + 1)
+    trig = np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
+    y = values[:, 0] * trig[row, index[:, 1]] + values[:, 1] * trig[row, index[:, 2]]
+    for step in range(2, values.shape[1]):
+        y *= values[:, step]
+    out = np.zeros((len(held), p_count(n)))
+    out[row, index[:, 0]] = y
+    return held.tolist(), out
 
 
 def explicit_nns(n: int, alpha: float) -> np.ndarray:
     """The cataloged nonnegative solution at order n, evaluated at ``alpha``."""
     _check_in_interval(n, alpha)
-    y = _BUILDERS[n](float(alpha))
-    assert len(y) == p_count(n)
-    return y
+    return np.array(_solution(n, float(alpha)))
 
 
 def quadrant_of(k: int, alpha: float, n: int) -> int:

@@ -2,14 +2,16 @@
 selector, and the reduced coefficient matrices.
 
 All builders share one power table of z = exp(i*alpha) (computed once and
-extended by repeated multiplication) together with exact integer binomials,
-so the direct and block constructions of the reduced matrix agree bitwise.
+extended by one complex product per power, in order) together with exact
+integer binomials, so the direct and block constructions of the reduced
+matrix agree bitwise.
 The reduced matrix C is built from per-order integer tables, computed once
 for each order: which entries are nonzero, their signed binomial
 coefficients and their phase exponents.  One power table then fills every
 nonzero entry with coefficient times power, the same product the closed
 form computes entry by entry; `build_C_stack` fills the systems of many
-angles at once with the same products.
+angles at once with the same products, their powers chained by one
+`np.multiply.accumulate`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import cmath
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from math import comb
 from operator import mul
 
@@ -155,15 +157,20 @@ def build_C(alpha: float, n: int) -> np.ndarray:
 def build_C_stack(alphas, n: int) -> np.ndarray:
     """The systems `build_C` builds at each of `alphas`, as one fresh,
     writable, C-contiguous len(alphas) x (n+1) x p_n stack with the same
-    bits: the powers of every angle, chained into one read, and one fill
-    of coefficient times power.  One angle is `build_C` itself, which costs
-    numpy less."""
+    bits: one power table for every angle, and one fill of coefficient
+    times power.  One angle is `build_C` itself, which costs numpy less."""
     if len(alphas) == 1:
         return build_C(alphas[0], n)[None]
     check_order(n)
     flat, coeff, expo = _row_tables(n)
-    powers = np.fromiter(chain.from_iterable(map(_powers, alphas, repeat(2 * n))),
-                         complex, len(alphas) * (2 * n + 1)).reshape(len(alphas), 2 * n + 1)
+    # z**0 .. z**2n of every angle, seeded with 1 and z and chained by one
+    # accumulate, whose loop makes `_powers`'s products one at a time; a
+    # multiply per column would run numpy's vector loop, whose fused
+    # products move the bits of almost every row
+    powers = np.empty((len(alphas), 2 * n + 1), dtype=complex)
+    powers[:, 0] = 1
+    powers[:, 1:] = np.fromiter(map(unit_phase, alphas), complex, len(alphas))[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
     # each product overwrites the gathered power it is made from, so a
     # stack allocates one temporary, not two
     values = powers[:, expo]

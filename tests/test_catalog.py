@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from paradist.catalog import (
 )
 from paradist.labels import p_count
 from paradist.symmetry import expand, palindrome_check, reduce, symmetrize_permutation
+from paradist import tensor
 from paradist.tensor import build_C
 
 
@@ -237,7 +239,7 @@ def test_catalog_solutions_are_padded_explicit_solutions(rng):
     # pad_solution, once per order, is the reference, bit for bit; the
     # grid mixes orders, so rows of several orders are padded together.
     # At fl(conj(k)) the vector is order k+1's, outside its float interval,
-    # so the reference evaluates each order's formula directly
+    # so the reference evaluates each order's table at one angle directly
     angles = _angles(rng)[::7] + [conjectured_threshold(k) for k in range(2, 11)]
     for n in range(1, 13):
         rows, y = catalog_solutions(angles, n)
@@ -245,7 +247,7 @@ def test_catalog_solutions_are_padded_explicit_solutions(rng):
         for row, alpha in enumerate(angles):
             k = _exact_order(alpha, min(n, 10))
             if k is not None:
-                padded = catalog._BUILDERS[k](alpha)
+                padded = np.array(catalog._solution(k, alpha))
                 for _ in range(k, n):
                     padded = pad_solution(padded)
                 expected[row] = padded
@@ -256,3 +258,97 @@ def test_catalog_solutions_are_padded_explicit_solutions(rng):
         else:
             assert y is None
     assert catalog_solutions([math.pi / 2], 4) == ([], None)
+
+
+def _laurent_residual(k, table):
+    """C_k times the order-k solution given by `table`, times 2 (even k)
+    or 2i (odd k), in integers: its Laurent coefficients in z = exp(i*alpha),
+    row by row, at exponents -k..3k.  Entry (j, col) of C_k is coeff * z**e
+    (`tensor._row_tables`), 2 cos(j*alpha) is z**j + z**-j and
+    2i sin(j*alpha) is z**j - z**-j."""
+    flat, coeff, expo = tensor._row_tables(k)
+    assert not coeff.imag.any() and (coeff.real == np.round(coeff.real)).all()
+    sign = -1 if k % 2 else 1
+    residual = np.zeros((k + 1, 4 * k + 1), dtype=np.int64)
+    for position, c, e in zip(flat.tolist(), coeff.real.astype(int).tolist(), expo.tolist()):
+        row, col = divmod(position, p_count(k))
+        for cy, j in zip(table[col][::2], table[col][1::2]):
+            residual[row, k + e + j] += c * cy
+            residual[row, k + e - j] += sign * c * cy
+    return residual
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_tables_solve_the_system_identically(k):
+    # C_k y_k = 0 for every alpha, proved in integer arithmetic; every entry
+    # has at most two terms, integer coefficients and 0 <= j <= k
+    table = catalog._TABLES[k]
+    assert len(table) == p_count(k)
+    for entry in table:
+        assert len(entry) in (0, 2, 4)
+        assert all(type(x) is int for x in entry)
+        assert all(0 <= j <= k for j in entry[1::2])
+    assert not _laurent_residual(k, table).any()
+    # negative control: one coefficient changed by one breaks the identity
+    for col, entry in enumerate(table):
+        if entry:
+            changed = list(table)
+            changed[col] = (entry[0] + 1, *entry[1:])
+            assert _laurent_residual(k, changed).any(), (k, col)
+
+
+def test_order_one_table_is_the_constant_one():
+    assert catalog._TABLES[1] == ((1, 0),) * 3
+    assert explicit_nns(1, math.pi).tobytes() == np.ones(3).tobytes()
+
+
+# sha256 digests of the catalog's solutions as the paper's formulas gave
+# them, one hand-written function per order, recorded with numpy 2.4.6
+# before the formulas became integer tables: `catalog_solutions` on
+# `_pinned_grid` at n = 1..12 (rows ascending, then their solutions), and
+# `explicit_nns` on 50 `interval_samples` of each order 1..10
+CATALOG_SOLUTIONS_SHA = "cf4e340fbd42cf87f9e8de5c8839d11c6ebb39ff29f9ab141a5fee0072db963d"
+EXPLICIT_NNS_SHA = "dd379d3537c29d7804979ded3017e45b5b4ea7a4dd4d5d37ba9befbd23d0c611"
+
+
+def _pinned_grid():
+    """241 even angles over [pi/2, pi], every fl(conj(k)), k = 1..12, with
+    both its float neighbours, and pi - 1e-12, pi - 2e-12, pi + 1e-12; the
+    even angles are split in two halves, ascending then descending, so rows
+    of every order alternate."""
+    ends = [conjectured_threshold(k) for k in range(1, 13)]
+    even = np.linspace(math.pi / 2, math.pi, 241).tolist()
+    return [*even[::2], *ends,
+            *(float(np.nextafter(end, d)) for end in ends for d in (0.0, 4.0)),
+            *even[1::2][::-1], math.pi - 1e-12, math.pi - 2e-12, math.pi + 1e-12]
+
+
+def test_solutions_keep_the_bits_of_the_paper_formulas():
+    grid = _pinned_grid()
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        rows, y = catalog_solutions(grid, n)
+        assert rows == sorted(rows)
+        assert {catalog_order(a, min(n, 10)) for a in grid} - {None} == set(range(1, min(n, 10) + 1))
+        digest.update(np.array(rows, dtype=np.int64).tobytes())
+        digest.update(y.tobytes())
+    assert digest.hexdigest() == CATALOG_SOLUTIONS_SHA
+    digest = hashlib.sha256()
+    for k in range(1, 11):
+        for alpha in interval_samples(k, 50):
+            digest.update(explicit_nns(k, float(alpha)).tobytes())
+    assert digest.hexdigest() == EXPLICIT_NNS_SHA
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 12])
+def test_one_angle_is_its_row_of_the_grid(n):
+    # the Python path for one angle gives the row the numpy pass gives
+    grid = _pinned_grid()
+    rows, y = catalog_solutions(grid, n)
+    solved = dict(zip(rows, y))
+    for row, alpha in enumerate(grid):
+        one_rows, one = catalog_solutions([alpha], n)
+        if row in solved:
+            assert one_rows == [0] and one.tobytes() == solved[row][None].tobytes(), alpha
+        else:
+            assert (one_rows, one) == ([], None)

@@ -168,15 +168,17 @@ def test_build_c_returns_fresh_writable_array():
     assert build_C(2.0, 4)[0, 0] == 1.0
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 7, STACK])
-@pytest.mark.parametrize("n", range(1, 13))
-def test_build_c_stack_is_build_c_per_angle(n, size):
+@pytest.mark.parametrize("n, size", [*itertools.product(range(1, 13), [0, 1, 2, 7, STACK]),
+                                     (12, 2400)])
+def test_build_c_stack_is_build_c_per_angle(n, size, rng):
     # a stack holds, byte for byte, the system build_C builds at each angle
     # alone (the sign of every zero included), in a fresh, writable,
     # C-contiguous array; the angles hold both ends of [pi/2, pi] and every
-    # catalog endpoint fl(conj(k)), then an even grid
+    # catalog endpoint fl(conj(k)), then an even grid, then seeded angles:
+    # 2,131 of them at n = 12, where the accumulate chains the most powers
     angles = [math.pi / 2, math.pi, *(conjectured_threshold(k) for k in range(2, 13)),
-              *np.linspace(math.pi / 2, math.pi, STACK).tolist()]
+              *np.linspace(math.pi / 2, math.pi, STACK).tolist(),
+              *rng.uniform(math.pi / 2, math.pi, 2400).tolist()]
     alphas = angles[:size]
     stack = build_C_stack(alphas, n)
     assert stack.shape == (size, n + 1, p_count(n))
