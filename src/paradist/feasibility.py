@@ -410,16 +410,37 @@ class ThresholdEstimate(NamedTuple):
 
 
 def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
-    """Bisect the phase angle over [pi/2, pi] for the feasibility boundary.
+    """Bisect the phase angle over [pi/2, pi] for the feasibility boundary,
+    with bisection's bits from about half its decisions.
 
     Starts from the known-feasible right endpoint pi and a point just above
-    pi/2 that is known infeasible for every order.  Each probe is one
-    `nns_exists` decision, classified by whether it is a Witness, at any
-    order 1..12.  A probe that comes out indeterminate is raised: it cannot
-    be bracketed.  The two endpoints must come out infeasible and feasible,
-    otherwise NonMonotonePredicate is raised; every later probe lies
-    strictly inside the bracket, so bisection keeps each infeasible probe
-    below each feasible one by construction.
+    pi/2 that is known infeasible for every order.  Each decision is one
+    `nns_exists` probe, classified by whether it is a Witness, at any order
+    1..12.  A probe that comes out indeterminate is raised: it cannot be
+    bracketed.  The two endpoints must come out infeasible and feasible,
+    otherwise NonMonotonePredicate is raised.  Then two phases, both on the
+    bracket (a, b) from the highest decided certificate to the lowest
+    decided witness:
+
+    1. Guided probes narrow (a, b) until b - a <= tol_alpha.  Below the
+       boundary the chain's least link margin tracks n (conj(n) - alpha),
+       so p = a + margin/n predicts the boundary from the certificate at a;
+       the probe is p - tol_alpha/4, or else p + tol_alpha/4, the first
+       that lies in (a + tol_alpha/4, b), or else b - (b - a)/4.  Far
+       below the boundary the margin stays near 1, so without the tol/4
+       floor above a, p - tol_alpha/4 could sit a hair above a at a width
+       just under 4/n, one certificate after another.
+    2. Bisection's own arithmetic runs unchanged: midpoints of [lo, hi]
+       from the two endpoints down to tol_alpha.  Only a midpoint strictly
+       inside (a, b) is decided; one at or below a takes a's side, one at or
+       above b takes b's.
+
+    The reported [lo, hi] always holds a decided certificate a below a
+    decided witness b, whatever the decisions between them, and is at most
+    tol_alpha wide.  Its bits equal plain bisection's when the decision is
+    monotone along the search: every angle the search passed over below a
+    decided certificate is itself a certificate, and every one above a
+    decided witness a witness.
     """
     check_order(n)
     n = int(n)
@@ -427,20 +448,34 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
         raise ValueError(f"tol_alpha must be finite and at least 1e-8, got {tol_alpha!r}")
     lo = math.pi / 2 + 1e-4
     hi = math.pi
+    a, b, margin = lo, hi, math.nan
 
-    def feasible(alpha: float) -> bool:
+    def decide(alpha: float) -> None:
+        nonlocal a, b, margin
         outcome = nns_exists(alpha, n)
         if isinstance(outcome, Indeterminate):
             raise outcome
-        return isinstance(outcome, Witness)
+        if isinstance(outcome, Witness):
+            b = alpha
+        else:
+            a, margin = alpha, outcome.margin
 
-    if feasible(lo):
+    decide(lo)
+    if b == lo:
         raise NonMonotonePredicate(f"expected infeasibility near pi/2 at order {n}")
-    if not feasible(hi):
+    decide(hi)
+    if a == hi:
         raise NonMonotonePredicate(f"expected feasibility at pi at order {n}")
+    while b - a > tol_alpha:
+        guess = a + margin / n
+        inside = [alpha for alpha in (guess - tol_alpha / 4, guess + tol_alpha / 4)
+                  if a + tol_alpha / 4 < alpha < b]
+        decide(inside[0] if inside else b - (b - a) / 4)
     while hi - lo > tol_alpha:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if a < mid < b:
+            decide(mid)
+        if mid >= b:
             hi = mid
         else:
             lo = mid
@@ -453,8 +488,11 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
 
 
 def necessity_grid(n: int, points: int) -> np.ndarray:
-    """Evenly spaced angles strictly between pi/2 and the conjectured
-    threshold for order n."""
+    """`points` evenly spaced angles strictly between pi/2 and the
+    conjectured threshold for order n.  A count that is not an int or numpy
+    integer >= 0 is refused, a bool or a float even when integral."""
+    if not (type(points) is int or isinstance(points, np.integer)) or points < 0:
+        raise ValueError(f"points must be a nonnegative integer, got {points}")
     lo = math.pi / 2
     hi = conjectured_threshold(n)
     return lo + (hi - lo) * (np.arange(points) + 1) / (points + 1)

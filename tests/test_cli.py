@@ -211,18 +211,11 @@ def test_every_command_builds_once_per_decision(capsys, monkeypatch, args):
     code, _, _ = run_cli(capsys, *args)
     assert code == 0
     if args[0] == "threshold":
-        assert calls["decided"] == _bisection_probes(feasibility.TOL_ALPHA)
+        # the guided search's decisions at order 3 and the default width,
+        # where plain bisection made 23
+        assert calls["decided"] == 11
     assert calls["decided"] > 0
     assert sum(map(len, stacks)) == calls["decided"]
-
-
-def _bisection_probes(tol):
-    """Probes of a threshold search: both endpoints, then one per halving
-    of [pi/2 + 1e-4, pi] down to tol."""
-    probes, width = 2, math.pi / 2 - 1e-4
-    while width > tol:
-        probes, width = probes + 1, width / 2
-    return probes
 
 
 def test_realize_random_requires_seed(capsys):

@@ -659,6 +659,22 @@ def test_necessity_scan_empty():
     assert necessity_scan(3, 0) == []
 
 
+@pytest.mark.parametrize("points", [2.5, 3.0, -1, True], ids=["float", "integral-float",
+                                                             "negative", "bool"])
+@pytest.mark.parametrize("call", [necessity_grid, necessity_scan])
+def test_necessity_points_must_be_a_count(call, points):
+    # a count that is not a nonnegative integer is refused up front, not
+    # spaced as if it were one (2.5 gave 3 points spaced for 3.5), emptied
+    # (-1) or read as 1 (True)
+    with pytest.raises(ValueError, match=f"^points must be a nonnegative integer, got {points}$"):
+        call(4, points)
+
+
+def test_numpy_integer_points_pass():
+    assert necessity_grid(4, np.int64(3)).tobytes() == necessity_grid(4, 3).tobytes()
+    assert necessity_scan(np.int64(4), np.int64(3)) == necessity_scan(4, 3)
+
+
 def test_cut_off_projection_is_indeterminate(substitute, monkeypatch):
     # a projection that stops early judges nothing, on a feasible system
     # the closed form cannot rescue
@@ -954,24 +970,125 @@ def test_threshold_above_the_catalog_runs_no_projection(n, nnls_calls):
 def test_threshold_search_runs_no_projection(nnls_calls, build_calls):
     # every feasible probe rests on a closed form and every infeasible one
     # on the proof's chain, for each order the catalog covers: no probe
-    # reaches the projection, and each of the 23 probes per order is one
-    # decision that builds its system once
+    # reaches the projection, and each of the 107 probes (plain bisection
+    # made 23 per order) is one decision that builds its system once
     for n in range(1, 11):
         threshold_bisect(n)
     assert nnls_calls == []
-    assert [len(c) for c in build_calls] == [1] * 230
+    assert [len(c) for c in build_calls] == [1] * 107
 
 
-def test_probe_falls_back_to_the_projection(substitute, nnls_calls):
+def test_probe_falls_back_to_the_projection(substitute, nnls_calls, monkeypatch):
     expected = threshold_bisect(3)
     assert nnls_calls == []
     conj = conjectured_threshold(3)
     substitute(lambda alpha, n: _reversed_columns(alpha, n) if alpha > conj else build_C(alpha, n))
+    decisions = _record_decisions(monkeypatch)
     # above the threshold the columns are reversed, so each feasible probe
     # now rests on the projection; the infeasible ones rest on the chain as
     # before, and every probe decides as before
     assert threshold_bisect(3) == expected
-    assert len(nnls_calls) >= 10
+    above = [alpha for alpha, outcome in decisions if alpha > conj]
+    assert all(isinstance(outcome, Witness) for alpha, outcome in decisions if alpha > conj)
+    assert len(above) == 5
+    assert len(nnls_calls) == len(above)
+
+
+def _record_decisions(monkeypatch):
+    """Every (alpha, outcome) `nns_exists` returns from now on, in call
+    order."""
+    decisions = []
+    decide = feasibility.nns_exists
+
+    def recorded(alpha, n):
+        decisions.append((alpha, decide(alpha, n)))
+        return decisions[-1][1]
+
+    monkeypatch.setattr(feasibility, "nns_exists", recorded)
+    return decisions
+
+
+def _plain_bisection(n, tol_alpha):
+    """The threshold search as plain bisection ran it, one decision per
+    halving of [pi/2 + 1e-4, pi]: the reference whose bits the guided search
+    must return."""
+    lo, hi = math.pi / 2 + 1e-4, math.pi
+
+    def feasible(alpha):
+        outcome = nns_exists(alpha, n)
+        if isinstance(outcome, Indeterminate):
+            raise outcome
+        return isinstance(outcome, Witness)
+
+    assert not feasible(lo) and feasible(hi)
+    while hi - lo > tol_alpha:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), hi - lo
+
+
+_SEARCH_TOLERANCES = sorted({*np.random.default_rng(27).uniform(-8, -2, 10).round(3).tolist(), -6, -8})
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_threshold_is_plain_bisection_bit_for_bit(n):
+    # the decision is monotone along every search here, so the guided
+    # search returns plain bisection's alpha_star and width, bit for bit
+    for exponent in _SEARCH_TOLERANCES:
+        tol = 10.0 ** exponent
+        estimate = threshold_bisect(n, tol)
+        expected = _plain_bisection(n, tol)
+        assert (estimate.alpha_star.hex(), estimate.bracket_width.hex()) == tuple(
+            x.hex() for x in expected), (n, tol)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_threshold_search_does_not_creep(n, monkeypatch):
+    # far below the boundary the least link margin stays near 1, so at a
+    # width just under 4/n the probe a + margin/n - tol/4 would sit a hair
+    # above a, one certificate after another (904 decisions at n = 6); the
+    # search takes it only more than tol/4 above a, and makes at most three
+    # decisions more than plain bisection, with its bits
+    tol = 0.999 * 4 / n
+    expected = _plain_bisection(n, tol)
+    decisions = _record_decisions(monkeypatch)
+    estimate = threshold_bisect(n, tol)
+    assert (estimate.alpha_star, estimate.bracket_width) == expected
+    halvings = math.ceil(math.log2((math.pi / 2 - 1e-4) / tol))
+    assert len(decisions) <= 2 + halvings + 3
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-8])
+def test_threshold_bracket_rests_on_decided_probes(n, tol, build_calls, monkeypatch):
+    # the reported bracket holds a decided certificate below a decided
+    # witness and is at most tol wide; each decision builds its system once.
+    # The bracket's ends are replayed from bisection's midpoints: one that
+    # was decided takes its outcome, any other must lie at or below a
+    # decided certificate or at or above a decided witness, not both
+    decisions = _record_decisions(monkeypatch)
+    estimate = threshold_bisect(n, tol)
+    feasible = {alpha: isinstance(outcome, Witness) for alpha, outcome in decisions}
+    assert all(isinstance(outcome, Witness | Certificate) for _, outcome in decisions)
+    certificates = [a for a, found in feasible.items() if not found]
+    witnesses = [b for b, found in feasible.items() if found]
+    lo, hi = math.pi / 2 + 1e-4, math.pi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid not in feasible:
+            below, above = mid <= max(certificates), mid >= min(witnesses)
+            assert below != above, mid
+        if feasible.get(mid, mid >= min(witnesses)):
+            hi = mid
+        else:
+            lo = mid
+    assert (estimate.alpha_star, estimate.bracket_width) == (0.5 * (lo + hi), hi - lo)
+    assert any(lo <= a < b <= hi for a in certificates for b in witnesses)
+    assert estimate.bracket_width <= tol
+    assert [len(c) for c in build_calls] == [1] * len(decisions)
 
 
 def test_probe_of_another_shape_reaches_the_projection(substitute, nnls_calls):
