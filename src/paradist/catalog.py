@@ -6,8 +6,9 @@ integer table: every entry an integer combination of sin(j*alpha) (odd
 orders) or cos(j*alpha) (even orders), j <= k, of at most two terms.
 Vectors are laid out in canonical column order, written below block by
 block: first the labels with no 1-digits, then one 1-digit, and so on.
-One angle is evaluated in Python floats; a stack of angles in one numpy
-pass over every order, with the same bits.
+One plan (`_grid_plan`) turns the tables into arithmetic, padding included:
+one angle walks its order's rows in Python floats, and a stack of angles
+takes one numpy pass over every order, with the same bits.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from operator import itemgetter
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .labels import column_order, order_from_p, p_count
+from .labels import check_count, column_order, is_integer, order_from_p, p_count
 from .tensor import build_C
 
 CATALOG_MAX_ORDER = 10
@@ -77,7 +78,9 @@ def catalog_order(alpha: float, top: int) -> int | None:
 
 
 def interval_samples(n: int, count: int) -> np.ndarray:
-    """Deterministic angles in the catalog interval, left endpoint included."""
+    """Deterministic angles in the catalog interval, left endpoint included;
+    `count` must be a count (`labels.check_count`)."""
+    check_count(count, "count")
     lo, hi = alpha_interval(n)
     # keep strictly below the open right endpoint; n = 1 gives pi every time
     return lo + (hi - lo) * np.arange(count) / max(count, 1)
@@ -155,35 +158,6 @@ _TABLES = {
 }
 
 
-def _terms(entry: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """A nonzero table entry as (c1, j1, c2, j2), c2 = 0 for one term."""
-    assert len(entry) in (2, 4), entry  # no entry has more than two terms
-    return entry if len(entry) == 4 else (*entry, 0, 0)
-
-
-@lru_cache(maxsize=None)
-def _one_angle_plan(k: int) -> tuple:
-    """Order k's table for `_solution`: its trig function, cos for even k
-    and sin for odd k; its distinct nonzero entries as `_terms`; and an
-    itemgetter that lays the order-k vector out from their values followed
-    by 0.0."""
-    distinct = sorted({e for e in _TABLES[k] if e})
-    return (math.sin if k % 2 else math.cos, tuple(map(_terms, distinct)),
-            itemgetter(*(distinct.index(e) if e else -1 for e in _TABLES[k])))
-
-
-def _solution(k: int, alpha: float) -> tuple[float, ...]:
-    """Order k's table at one angle in Python floats: one trig call per j,
-    then c1*t1 (+ c2*t2) once per distinct entry, which costs less than
-    numpy for one angle."""
-    f, entries, layout = _one_angle_plan(k)
-    t = [f(j * alpha) for j in range(k + 1)]
-    t[0] = 1.0
-    values = [c1 * t[j1] + c2 * t[j2] if c2 else c1 * t[j1] for c1, j1, c2, j2 in entries]
-    values.append(0.0)
-    return layout(values)
-
-
 # the trig table of a stack: cos(j*alpha) at column j, sin(j*alpha) at
 # column _SIN + j, j = 0..CATALOG_MAX_ORDER; column 0 is the constant 1
 _SIN = CATALOG_MAX_ORDER + 1
@@ -204,7 +178,7 @@ def _grid_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         shift = _SIN if k % 2 else 0
         for i, entry in enumerate(_TABLES[k]):
             if entry:
-                c1, j1, c2, j2 = _terms(entry)
+                c1, j1, c2, j2 = entry if len(entry) == 4 else (*entry, 0, 0)
                 index.append((positions[i], j1 and j1 + shift, j2 and j2 + shift))
                 values.append((c1, c2, *factors[:, i], *[1.0] * (k - 1)))
         starts.append(len(index))
@@ -214,23 +188,52 @@ def _grid_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return plan
 
 
+@lru_cache(maxsize=None)
+def _rows(k: int, n: int) -> tuple:
+    """Order k's rows of `_grid_plan(n)` column by column: order-n positions
+    (read-only), then as tuples of Python numbers trig columns j1, j2,
+    coefficients c1, c2 and the n - k padding factors, step by step."""
+    starts, index, values = _grid_plan(n)
+    rows = slice(starts[k], starts[k + 1])
+    columns = [*index[rows, 1:].T.tolist(), *values[rows, :n - k + 2].T.tolist()]
+    return (index[rows, 0], *map(tuple, columns))
+
+
+def _solution(k: int, n: int, alpha: float) -> np.ndarray:
+    """Order k's solution at one angle, padded to order n: its rows of
+    `_grid_plan(n)` (`_rows`) in Python floats, cheaper than numpy for one
+    angle, computed as the numpy pass does.  One trig call per j, c1*t1 +
+    c2*t2 per entry (a missing term adds +0.0), then the padding factors."""
+    positions, j1s, j2s, c1s, c2s, *steps = _rows(k, n)
+    shift, f = (_SIN, math.sin) if k % 2 else (0, math.cos)
+    t = [1.0] * (2 * _SIN)
+    for j in range(1, k + 1):
+        t[shift + j] = f(j * alpha)
+    y = [c1 * t[j1] + c2 * t[j2] for c1, j1, c2, j2 in zip(c1s, j1s, c2s, j2s)]
+    for factors in steps:
+        y = list(map(mul, y, factors))
+    out = np.zeros(p_count(n))
+    out[positions] = y
+    return out
+
+
 def catalog_solutions(alphas, n: int) -> tuple[list[int], np.ndarray | None]:
     """The positions in `alphas`, ascending, of the angles that a catalog
     interval of order k <= min(n, CATALOG_MAX_ORDER) holds (`catalog_order`),
     and their cataloged solutions padded to order n, one row each in the
     same order (None when there is no such angle), with the bits of
-    `pad_solution` once per order.  One angle is evaluated in Python
-    (`_solution`); a stack in one pass over all its orders (`_grid_plan`):
-    one trig table, c1*t1 + c2*t2 per entry, the padding factors step by
-    step, and one scatter.  A zero entry is written by no product."""
+    `pad_solution` once per order.  Both paths read `_grid_plan(n)`: one
+    angle walks its order's rows in Python (`_solution`); a stack takes one
+    pass over all its orders: one trig table, c1*t1 + c2*t2 per entry, the
+    padding factors step by step, and one scatter, so that a zero entry is
+    written by no product."""
     top = min(n, CATALOG_MAX_ORDER)
     if len(alphas) == 1:
         alpha = float(alphas[0])
         k = catalog_order(alpha, top)
         if k is None:
             return [], None
-        y = np.array(_solution(k, alpha))[None]
-        return [0], y if k == n else _padded(y, k, n)
+        return [0], _solution(k, n, alpha)[None]
     alphas = np.asarray(alphas, dtype=float)
     # `catalog_order` for every angle at once
     i = np.searchsorted(_catalog_ends(top), alphas, side="left")
@@ -260,12 +263,13 @@ def catalog_solutions(alphas, n: int) -> tuple[list[int], np.ndarray | None]:
 def explicit_nns(n: int, alpha: float) -> np.ndarray:
     """The cataloged nonnegative solution at order n, evaluated at ``alpha``."""
     _check_in_interval(n, alpha)
-    return np.array(_solution(n, float(alpha)))
+    return _solution(n, n, float(alpha))
 
 
 def quadrant_of(k: int, alpha: float, n: int) -> int:
     """Quadrant (1..4) of exp(i*k*alpha) for angles in the order-n interval:
     Q_{(k mod 4)+1} for k < n and Q_{((n+1) mod 4)+1} for k = n."""
+    check_catalog_order(n)
     if n < 2:
         raise ValueError("quadrant bookkeeping requires order >= 2")
     if not 0 <= k <= n:
@@ -325,41 +329,19 @@ def verify_catalog_entry(n: int, alpha: float) -> VerificationReport:
 
 
 @lru_cache(maxsize=None)
-def _pad_map(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per order-n label (n0, n1, n2): the position of (n0 + 1, n1, n2) at
-    order n+1, moved on by one per earlier group (n1 of them), and (n0 + 1)/(n + 1)."""
-    labels = np.array(column_order(n))
-    return np.arange(len(labels)) + labels[:, 1], (labels[:, 0] + 1) / (n + 1)
-
-
-@lru_cache(maxsize=None)
 def _pad_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`pad_solution` from order k to order n as one plan: the order-n
-    position of each order-k entry, and (n - k) x p_k factors, row s the
-    factor that entry is multiplied by at step s.  Both read-only."""
-    positions = np.arange(p_count(k))
-    factors = np.empty((n - k, len(positions)))
-    for step, order in enumerate(range(k, n)):
-        dst, factor = _pad_map(order)
-        factors[step] = factor[positions]
-        positions = dst[positions]
+    """`pad_solution` from order k to order n as one plan: each order-k
+    label (n0, n1, n2) lands at (n0 + n - k, n1, n2), moved on by n - k per
+    earlier group (n1 of them), and step s multiplies it by
+    (n0 + s + 1)/(k + s + 1).  Returns the order-n positions and the
+    (n - k) x p_k factors, row s for step s, both read-only."""
+    labels = np.array(column_order(k))
+    steps = np.arange(n - k)[:, None]
+    positions = np.arange(len(labels)) + (n - k) * labels[:, 1]
+    factors = (labels[:, 0] + steps + 1) / (k + steps + 1)
     positions.setflags(write=False)
     factors.setflags(write=False)
     return positions, factors
-
-
-def _padded(y: np.ndarray, k: int, n: int) -> np.ndarray:
-    """A stack of order-k solutions padded to order n by `_pad_plan`: the
-    products `pad_solution` makes, in its order, so the bits of padding
-    once per order."""
-    if k == n:
-        return y
-    positions, factors = _pad_plan(k, n)
-    for factor in factors:
-        y = y * factor
-    out = np.zeros((len(y), p_count(n)))
-    out[:, positions] = y
-    return out
 
 
 def pad_solution(y: np.ndarray) -> np.ndarray:
@@ -367,18 +349,20 @@ def pad_solution(y: np.ndarray) -> np.ndarray:
     its expanded vector tensored with (1, 0, 0) and permutation-averaged,
     y'(m0, m1, m2) = y(m0 - 1, m1, m2) m0/(n+1) (the share of the label's
     strings that end in the 0), and 0 where m0 = 0.  It solves the
-    order-(n+1) system whenever y solves the order-n one, and stays >= 0."""
+    order-(n+1) system whenever y solves the order-n one, and stays >= 0.
+    It is the one-step case of `_pad_plan`."""
     y = np.asarray(y, dtype=float)
     n = order_from_p(len(y))
-    dst, factor = _pad_map(n)
+    positions, factors = _pad_plan(n, n + 1)
     out = np.zeros(p_count(n + 1))
-    out[dst] = y * factor
+    out[positions] = y * factors[0]
     return out
 
 
 def check_catalog_order(n: int) -> None:
-    """Refuse an order outside the catalog's 1..CATALOG_MAX_ORDER."""
-    if not 1 <= n <= CATALOG_MAX_ORDER:
+    """Refuse an order that is not an integer (`labels.is_integer`) in the
+    catalog's 1..CATALOG_MAX_ORDER."""
+    if not is_integer(n) or not 1 <= n <= CATALOG_MAX_ORDER:
         raise ValueError(f"order must lie in 1..{CATALOG_MAX_ORDER}, got {n}")
 
 

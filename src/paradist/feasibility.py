@@ -72,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import CATALOG_MAX_ORDER, catalog_solutions, conjectured_threshold
-from .labels import check_order, column_index, column_order
+from .labels import check_count, check_order, column_index, column_order
 from .nnls import IterationLimitReached, nnls
 from .tensor import build_C_stack
 
@@ -489,10 +489,9 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
 
 def necessity_grid(n: int, points: int) -> np.ndarray:
     """`points` evenly spaced angles strictly between pi/2 and the
-    conjectured threshold for order n.  A count that is not an int or numpy
-    integer >= 0 is refused, a bool or a float even when integral."""
-    if not (type(points) is int or isinstance(points, np.integer)) or points < 0:
-        raise ValueError(f"points must be a nonnegative integer, got {points}")
+    conjectured threshold for order n; `points` must be a count
+    (`labels.check_count`)."""
+    check_count(points, "points")
     lo = math.pi / 2
     hi = conjectured_threshold(n)
     return lo + (hi - lo) * (np.arange(points) + 1) / (points + 1)

@@ -17,11 +17,21 @@ Triple = tuple[int, int, int]
 MAX_ORDER = 12
 
 
+def is_integer(x) -> bool:
+    """An int or numpy integer; a bool, or a float even when integral, is not."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 def check_order(n: int) -> None:
-    """Refuse an order that is not an int or numpy integer in 1..MAX_ORDER;
-    a bool, or a float even when integral, is refused."""
-    if not (type(n) is int or isinstance(n, np.integer)) or not 1 <= n <= MAX_ORDER:
+    """Refuse an order that is not an integer (`is_integer`) in 1..MAX_ORDER."""
+    if not is_integer(n) or not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {n}")
+
+
+def check_count(count: int, name: str) -> None:
+    """Refuse a count that is not an integer (`is_integer`) >= 0; `name` names it."""
+    if not is_integer(count) or count < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {count}")
 
 
 def _check_digits(digits) -> tuple[int, ...]:

@@ -44,16 +44,12 @@ def unit_phase(alpha: float) -> complex:
     return cmath.exp(1j * float(alpha))
 
 
-def _powers(alpha: float, kmax: int):
-    """The powers z**0 .. z**kmax, one Python complex product each."""
-    return accumulate(repeat(unit_phase(alpha), kmax), mul, initial=1 + 0j)
-
-
 def z_powers(alpha: float, kmax: int) -> np.ndarray:
     """Powers z**0 .. z**kmax built by repeated multiplication, one Python
     complex product each (the textbook formula, no fused operations), read
     into numpy in one call."""
-    return np.fromiter(_powers(alpha, kmax), complex, kmax + 1)
+    powers = accumulate(repeat(unit_phase(alpha), kmax), mul, initial=1 + 0j)
+    return np.fromiter(powers, complex, kmax + 1)
 
 
 def a_alpha(alpha: float, form: MatrixForm = MatrixForm.REDUCED) -> np.ndarray:
@@ -164,7 +160,7 @@ def build_C_stack(alphas, n: int) -> np.ndarray:
     check_order(n)
     flat, coeff, expo = _row_tables(n)
     # z**0 .. z**2n of every angle, seeded with 1 and z and chained by one
-    # accumulate, whose loop makes `_powers`'s products one at a time; a
+    # accumulate, whose loop makes `z_powers`'s products one at a time; a
     # multiply per column would run numpy's vector loop, whose fused
     # products move the bits of almost every row
     powers = np.empty((len(alphas), 2 * n + 1), dtype=complex)

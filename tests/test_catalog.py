@@ -21,7 +21,7 @@ from paradist.catalog import (
     verify_catalog_entry,
     verify_vector,
 )
-from paradist.labels import p_count
+from paradist.labels import column_order, p_count
 from paradist.symmetry import expand, palindrome_check, reduce, symmetrize_permutation
 from paradist import tensor
 from paradist.tensor import build_C
@@ -103,6 +103,47 @@ def test_quadrant_validation():
         quadrant_of(1, 1.0, 3)
 
 
+# an order that is not an integer, each at an angle its float interval held,
+# so that it reached the tables: 2.5 raised KeyError, 2.0 TypeError, and
+# True gave order 1's vector
+_NOT_ORDERS = [(2.5, conjectured_threshold(2.5) + 1e-3), (2.0, 2.4), (True, math.pi),
+               (np.float64(3.0), 2.2)]
+
+
+@pytest.mark.parametrize("n, alpha", _NOT_ORDERS, ids=["float", "integral-float", "bool",
+                                                      "numpy-float"])
+@pytest.mark.parametrize("call", [
+    lambda n, alpha: alpha_interval(n),
+    explicit_nns,
+    verify_catalog_entry,
+    lambda n, alpha: quadrant_of(1, alpha, n),
+], ids=["alpha_interval", "explicit_nns", "verify_catalog_entry", "quadrant_of"])
+def test_catalog_order_must_be_an_integer(call, n, alpha):
+    with pytest.raises(ValueError, match=f"^order must lie in 1..10, got {n}$"):
+        call(n, alpha)
+
+
+def test_numpy_integer_order_passes():
+    alpha = float(interval_samples(4, 3)[1])
+    assert alpha_interval(np.int64(4)) == alpha_interval(4)
+    assert explicit_nns(np.int64(4), alpha).tobytes() == explicit_nns(4, alpha).tobytes()
+    assert verify_catalog_entry(np.int64(4), alpha) == verify_catalog_entry(4, alpha)
+    assert quadrant_of(1, alpha, np.int64(4)) == quadrant_of(1, alpha, 4)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, -1, True], ids=["float", "integral-float",
+                                                             "negative", "bool"])
+def test_interval_samples_count_must_be_a_count(count):
+    # 2.5 gave 3 angles spaced for 2.5, True gave 1 angle and -1 gave none
+    with pytest.raises(ValueError, match=f"^count must be a nonnegative integer, got {count}$"):
+        interval_samples(4, count)
+
+
+def test_numpy_integer_count_passes():
+    assert interval_samples(4, np.int64(3)).tobytes() == interval_samples(4, 3).tobytes()
+    assert len(interval_samples(4, 0)) == 0
+
+
 def test_interval_samples_cover_left_endpoint():
     for n in range(1, 11):
         samples = interval_samples(n, 20)
@@ -177,6 +218,18 @@ def test_pad_matches_the_full_vector_oracle(k, rng):
                         atol=1e-14 * np.max(np.abs(expected)))
 
 
+@pytest.mark.parametrize("n", range(1, 12))
+def test_pad_solution_is_the_one_step_map_bit_for_bit(n, rng):
+    # the label (n0, n1, n2) at position i moves to position i + n1 at
+    # order n+1 (one more entry in each earlier group) and is multiplied by
+    # (n0 + 1)/(n + 1); the map written out here, bit for bit
+    labels = np.array(column_order(n))
+    for y in (rng.uniform(0, 1, p_count(n)), rng.standard_normal(p_count(n))):
+        expected = np.zeros(p_count(n + 1))
+        expected[np.arange(len(labels)) + labels[:, 1]] = y * ((labels[:, 0] + 1) / (n + 1))
+        assert pad_solution(y).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("k, n", [(1, 4), (2, 7), (3, 10), (6, 10), (9, 10)])
 def test_padding_several_orders_is_padding_once_per_order(k, n, rng):
     y = rng.uniform(0, 1, p_count(k))
@@ -247,7 +300,7 @@ def test_catalog_solutions_are_padded_explicit_solutions(rng):
         for row, alpha in enumerate(angles):
             k = _exact_order(alpha, min(n, 10))
             if k is not None:
-                padded = np.array(catalog._solution(k, alpha))
+                padded = np.array(catalog._solution(k, k, alpha))
                 for _ in range(k, n):
                     padded = pad_solution(padded)
                 expected[row] = padded
@@ -340,7 +393,7 @@ def test_solutions_keep_the_bits_of_the_paper_formulas():
     assert digest.hexdigest() == EXPLICIT_NNS_SHA
 
 
-@pytest.mark.parametrize("n", [2, 4, 10, 12])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_one_angle_is_its_row_of_the_grid(n):
     # the Python path for one angle gives the row the numpy pass gives
     grid = _pinned_grid()

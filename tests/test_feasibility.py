@@ -948,7 +948,7 @@ def test_catalog_endpoint_is_the_next_order(k, nnls_calls):
         outcome = nns_exists(alpha, n)
         assert isinstance(outcome, Witness), n
         if k <= 9:
-            y = np.array(catalog._solution(k + 1, alpha))
+            y = np.array(catalog._solution(k + 1, k + 1, alpha))
             for _ in range(k + 1, n):
                 y = pad_solution(y)
             assert outcome.y.tobytes() == (y / float(np.add.reduce(y))).tobytes(), n

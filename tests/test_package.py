@@ -74,6 +74,28 @@ def _callers(name):
     return callers
 
 
+def _readers(name):
+    """module.function (or module.<module>) for every top-level definition
+    in the package that reads the global `name`."""
+    readers = set()
+    for path in sorted(Path(paradist.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                   for node in ast.walk(top)):
+                readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return readers
+
+
+def test_one_catalog_plan():
+    # the integer tables become arithmetic in one plan, which the one-angle
+    # walk and the stack pass both read, and padding comes from one routine
+    assert _readers("_TABLES") == {"catalog._grid_plan"}
+    assert _callers("_grid_plan") == {"catalog._rows", "catalog.catalog_solutions"}
+    assert _callers("_pad_plan") == {"catalog._grid_plan", "catalog.pad_solution"}
+    for name in ("_one_angle_plan", "_padded", "_pad_map"):
+        assert not hasattr(paradist.catalog, name), name
+
+
 def test_one_certificate_construction():
     # certificates come from the necessity proof's chain alone, wrapped in
     # one place; the chain judges its links on C itself, and the generic
