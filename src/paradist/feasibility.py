@@ -66,6 +66,7 @@ bracket width is a per-call parameter.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -411,7 +412,7 @@ class ThresholdEstimate(NamedTuple):
 
 def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     """Bisect the phase angle over [pi/2, pi] for the feasibility boundary,
-    with bisection's bits from about half its decisions.
+    with bisection's bits from a handful of decisions.
 
     Starts from the known-feasible right endpoint pi and a point just above
     pi/2 that is known infeasible for every order.  Each decision is one
@@ -422,67 +423,76 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     bracket (a, b) from the highest decided certificate to the lowest
     decided witness:
 
-    1. Guided probes narrow (a, b) until b - a <= tol_alpha.  Below the
-       boundary the chain's least link margin tracks n (conj(n) - alpha),
-       so p = a + margin/n predicts the boundary from the certificate at a;
-       the probe is p - tol_alpha/4, or else p + tol_alpha/4, the first
-       that lies in (a + tol_alpha/4, b), or else b - (b - a)/4.  Far
-       below the boundary the margin stays near 1, so without the tol/4
-       floor above a, p - tol_alpha/4 could sit a hair above a at a width
-       just under 4/n, one certificate after another.
+    1. At most three guided probes.  Link 0 of the chain reads row 0 of C,
+       whose entries lie within +-n(alpha - pi/2) of its bisector, so below
+       the boundary the least link margin is min(1, cot(n(alpha - pi/2)))
+       and p = a + atan(margin)/n is the boundary pi/2 + pi/(2n) itself
+       where the margin is under 1, and no higher where it is 1.  Bisection's
+       own arithmetic, run with `mid >= p` in place of a decision, gives the
+       bracket [l, h] plain bisection would end on were p the boundary; the
+       probe decides the first of l and h strictly inside (a, b).  The phase
+       stops early when neither is, or when b - a <= tol_alpha.
     2. Bisection's own arithmetic runs unchanged: midpoints of [lo, hi]
        from the two endpoints down to tol_alpha.  Only a midpoint strictly
        inside (a, b) is decided; one at or below a takes a's side, one at or
-       above b takes b's.
+       above b takes b's.  After a phase 1 whose p was the boundary, every
+       midpoint lies outside (a, b), so an order costs five decisions.
 
     The reported [lo, hi] always holds a decided certificate a below a
     decided witness b, whatever the decisions between them, and is at most
     tol_alpha wide.  Its bits equal plain bisection's when the decision is
     monotone along the search: every angle the search passed over below a
     decided certificate is itself a certificate, and every one above a
-    decided witness a witness.
+    decided witness a witness.  It makes at most three decisions more than
+    plain bisection.  tol_alpha must be a real number, not a bool, finite
+    and at least 1e-8 (ValueError).
     """
     check_order(n)
     n = int(n)
-    if not (math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
+    real = isinstance(tol_alpha, numbers.Real) and not isinstance(tol_alpha, bool)
+    if not (real and math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
         raise ValueError(f"tol_alpha must be finite and at least 1e-8, got {tol_alpha!r}")
-    lo = math.pi / 2 + 1e-4
-    hi = math.pi
+    lo, hi = math.pi / 2 + 1e-4, math.pi
     a, b, margin = lo, hi, math.nan
 
-    def decide(alpha: float) -> None:
+    def bisect(above) -> tuple[float, float]:
+        # bisection's arithmetic from [lo, hi], `above(mid)` in place of the
+        # decision: the bracket it ends on
+        left, right = lo, hi
+        while right - left > tol_alpha:
+            mid = 0.5 * (left + right)
+            if above(mid):
+                right = mid
+            else:
+                left = mid
+        return left, right
+
+    def decide(alpha: float) -> bool:
         nonlocal a, b, margin
         outcome = nns_exists(alpha, n)
         if isinstance(outcome, Indeterminate):
             raise outcome
         if isinstance(outcome, Witness):
             b = alpha
-        else:
-            a, margin = alpha, outcome.margin
+            return True
+        a, margin = alpha, outcome.margin
+        return False
 
-    decide(lo)
-    if b == lo:
+    if decide(lo):
         raise NonMonotonePredicate(f"expected infeasibility near pi/2 at order {n}")
-    decide(hi)
-    if a == hi:
+    if not decide(hi):
         raise NonMonotonePredicate(f"expected feasibility at pi at order {n}")
-    while b - a > tol_alpha:
-        guess = a + margin / n
-        inside = [alpha for alpha in (guess - tol_alpha / 4, guess + tol_alpha / 4)
-                  if a + tol_alpha / 4 < alpha < b]
-        decide(inside[0] if inside else b - (b - a) / 4)
-    while hi - lo > tol_alpha:
-        mid = 0.5 * (lo + hi)
-        if a < mid < b:
-            decide(mid)
-        if mid >= b:
-            hi = mid
-        else:
-            lo = mid
+    for _ in range(3):
+        guess = a + math.atan(margin) / n
+        inside = [end for end in bisect(lambda mid: mid >= guess) if a < end < b]
+        if b - a <= tol_alpha or not inside:
+            break
+        decide(inside[0])
+    left, right = bisect(lambda mid: decide(mid) if a < mid < b else mid >= b)
     return ThresholdEstimate(
         order=n,
-        alpha_star=0.5 * (lo + hi),
-        bracket_width=hi - lo,
+        alpha_star=0.5 * (left + right),
+        bracket_width=right - left,
         conjectured=conjectured_threshold(n),
     )
 

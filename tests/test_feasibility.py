@@ -411,6 +411,18 @@ def test_threshold_bisect_validation():
             threshold_bisect(3, tol_alpha=tol)
 
 
+@pytest.mark.parametrize("tol", [True, False, np.bool_(True), "1e-6", None])
+def test_tolerance_must_be_a_real_number(tol):
+    # a bool is refused as the orders refuse one, not read as 1.0 or 0.0,
+    # and a value that is no number at all gets the same ValueError
+    with pytest.raises(ValueError, match="^tol_alpha must be finite and at least 1e-8, got "):
+        threshold_bisect(4, tol)
+
+
+def test_numpy_float_tolerance_passes():
+    assert threshold_bisect(4, np.float64(1e-6)) == threshold_bisect(4, 1e-6)
+
+
 @pytest.mark.parametrize("order", [3.0, 2.5, True], ids=["integral-float", "float", "bool"])
 @pytest.mark.parametrize("call", [
     lambda n: build_C(2.0, n),
@@ -970,12 +982,13 @@ def test_threshold_above_the_catalog_runs_no_projection(n, nnls_calls):
 def test_threshold_search_runs_no_projection(nnls_calls, build_calls):
     # every feasible probe rests on a closed form and every infeasible one
     # on the proof's chain, for each order the catalog covers: no probe
-    # reaches the projection, and each of the 107 probes (plain bisection
-    # made 23 per order) is one decision that builds its system once
+    # reaches the projection, and each of the 49 probes (4 at order 1, then
+    # 5 per order, where plain bisection made 23) is one decision that
+    # builds its system once
     for n in range(1, 11):
         threshold_bisect(n)
     assert nnls_calls == []
-    assert [len(c) for c in build_calls] == [1] * 107
+    assert [len(c) for c in build_calls] == [1] * 49
 
 
 def test_probe_falls_back_to_the_projection(substitute, nnls_calls, monkeypatch):
@@ -990,7 +1003,7 @@ def test_probe_falls_back_to_the_projection(substitute, nnls_calls, monkeypatch)
     assert threshold_bisect(3) == expected
     above = [alpha for alpha, outcome in decisions if alpha > conj]
     assert all(isinstance(outcome, Witness) for alpha, outcome in decisions if alpha > conj)
-    assert len(above) == 5
+    assert len(above) == 2
     assert len(nnls_calls) == len(above)
 
 
@@ -1008,14 +1021,15 @@ def _record_decisions(monkeypatch):
     return decisions
 
 
-def _plain_bisection(n, tol_alpha):
-    """The threshold search as plain bisection ran it, one decision per
-    halving of [pi/2 + 1e-4, pi]: the reference whose bits the guided search
-    must return."""
+def _plain_bisection(n, tol_alpha, decide=nns_exists):
+    """The threshold search as plain bisection ran it, one decision of
+    `decide` per halving of [pi/2 + 1e-4, pi]: the reference whose bits the
+    guided search must return.  (alpha_star, width, decisions)."""
     lo, hi = math.pi / 2 + 1e-4, math.pi
+    decisions = 2
 
     def feasible(alpha):
-        outcome = nns_exists(alpha, n)
+        outcome = decide(alpha, n)
         if isinstance(outcome, Indeterminate):
             raise outcome
         return isinstance(outcome, Witness)
@@ -1023,11 +1037,12 @@ def _plain_bisection(n, tol_alpha):
     assert not feasible(lo) and feasible(hi)
     while hi - lo > tol_alpha:
         mid = 0.5 * (lo + hi)
+        decisions += 1
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi), hi - lo
+    return 0.5 * (lo + hi), hi - lo, decisions
 
 
 _SEARCH_TOLERANCES = sorted({*np.random.default_rng(27).uniform(-8, -2, 10).round(3).tolist(), -6, -8})
@@ -1040,25 +1055,64 @@ def test_threshold_is_plain_bisection_bit_for_bit(n):
     for exponent in _SEARCH_TOLERANCES:
         tol = 10.0 ** exponent
         estimate = threshold_bisect(n, tol)
-        expected = _plain_bisection(n, tol)
+        expected = _plain_bisection(n, tol)[:2]
         assert (estimate.alpha_star.hex(), estimate.bracket_width.hex()) == tuple(
             x.hex() for x in expected), (n, tol)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_threshold_search_does_not_creep(n, monkeypatch):
-    # far below the boundary the least link margin stays near 1, so at a
-    # width just under 4/n the probe a + margin/n - tol/4 would sit a hair
-    # above a, one certificate after another (904 decisions at n = 6); the
-    # search takes it only more than tol/4 above a, and makes at most three
+    # far below the boundary the least link margin is 1, and at a width
+    # just under 4/n a search that probed next to its guess a + margin/n
+    # crept up one certificate after another (904 decisions at n = 6).
+    # Phase 1 makes at most three probes, so the search makes at most three
     # decisions more than plain bisection, with its bits
     tol = 0.999 * 4 / n
-    expected = _plain_bisection(n, tol)
+    expected = _plain_bisection(n, tol)[:2]
     decisions = _record_decisions(monkeypatch)
     estimate = threshold_bisect(n, tol)
     assert (estimate.alpha_star, estimate.bracket_width) == expected
     halvings = math.ceil(math.log2((math.pi / 2 - 1e-4) / tol))
     assert len(decisions) <= 2 + halvings + 3
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_least_margin_inverts_to_the_boundary(n):
+    # link 0 reads row 0 of C, whose entries lie within +-n(alpha - pi/2) of
+    # its bisector, so below the boundary the least link margin is
+    # min(1, cot(n(alpha - pi/2))): where that is under 1, alpha +
+    # atan(margin)/n is the boundary within a few ulps, and where it is 1
+    # the guess alpha + pi/(4n) lies no higher than the boundary
+    conj = conjectured_threshold(n)
+    for distance in np.geomspace(1e-6, conj - math.pi / 2 - 1e-4, 40).tolist():
+        alpha = conj - distance
+        outcome = nns_exists(alpha, n)
+        assert isinstance(outcome, Certificate), (n, distance)
+        if n * (alpha - math.pi / 2) > math.pi / 4:
+            guess = alpha + math.atan(outcome.margin) / n
+            assert abs(guess - conj) <= 4 * math.ulp(conj), (n, distance)
+        else:
+            assert abs(outcome.margin - 1) <= 1e-12, (n, distance)
+            assert alpha + math.pi / (4 * n) <= conj, (n, distance)
+
+
+def test_threshold_search_is_bounded(monkeypatch):
+    # certificates at margin TOL_MARGIN up to 2.5 guess the boundary a hair
+    # above each one; phase 1 gives up after three probes, so the search
+    # makes at most three decisions more than plain bisection, with its bits
+    def decide(alpha, n):
+        if alpha < 2.5:
+            return Certificate(h=np.ones((1, 2 * (n + 1))), margins=np.full(1, TOL_MARGIN))
+        return Witness(y=np.ones(p_count(n)) / p_count(n), residual=0.0)
+
+    monkeypatch.setattr(feasibility, "nns_exists", decide)
+    decisions = _record_decisions(monkeypatch)
+    for tol in (1e-2, 1e-4, 1e-6):
+        decisions.clear()
+        estimate = threshold_bisect(4, tol)
+        *expected, plain = _plain_bisection(4, tol, decide)
+        assert (estimate.alpha_star, estimate.bracket_width) == tuple(expected), tol
+        assert len(decisions) <= plain + 3, tol
 
 
 @pytest.mark.parametrize("n", range(1, 13))
