@@ -2,8 +2,8 @@
 for parallel distinguishability of quantum operations.
 
 `import paradist` loads `channels`, and numpy with it.  Every other name
-below loads its home module on first access (PEP 562), so a command
-imports only the modules it runs.
+below loads its home module on first access (PEP 562) and is then kept in
+the package, so a command imports only the modules it runs.
 """
 
 import importlib
@@ -50,8 +50,12 @@ __all__ = sorted([*_HOME, *_MODULES])
 
 
 def __getattr__(name):
+    # stored in the package, which answers every later lookup itself
     if name in _MODULES:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _HOME:
-        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

@@ -19,9 +19,12 @@ builder returns one C-contiguous shape per order, so the systems of one
 stack are judged together, stage by stage, on views of the stack where
 their rows run consecutively, with one matrix-vector product per witness
 and elementwise products in the chain, and an angle's outcome has the
-same bits alone and in any stack.  This docstring is the one statement of
-the stages and their order; an angle goes to the next stage only when the
-one before leaves it open.
+same bits alone and in any stack.  A stage handed a stack of one, such as
+every threshold probe, judges it in its one-system form, the same
+operations at what one system costs: `_closed_form` goes straight to
+`_witness`, and `_chain` to `_lone_chain`.  This docstring is the one
+statement of the stages and their order; an angle goes to the next stage
+only when the one before leaves it open.
 
 1. The paper's explicit solution for the catalog interval holding alpha
    (`_closed_form`), a witness if it passes the witness rule (`_witness`);
@@ -174,17 +177,27 @@ def _chain_tables(n: int) -> tuple[np.ndarray, ...]:
     entry): each column's n1; the real parts over the imaginary parts of
     each column's entry in row n1; the first column of each n1 group; the
     entries of each row j on the columns with n1 > j; the turns n - j; and
-    the mask of h's columns j and n+1+j, where link j holds cos and sin."""
+    the positions in the flat h of its columns j and n+1+j of each row j,
+    where link j holds cos and sin."""
     n1 = np.array([label[1] for label in column_order(n)])
     p = len(n1)
     j = np.arange(n + 1)
     entry = 2 * (n1 * p + np.arange(p))
     tables = (n1, np.stack((entry, entry + 1)), np.flatnonzero(np.diff(n1, prepend=-1)),
               np.flatnonzero(np.repeat(n1 > j[:, None], 2, axis=1)), (n - j).astype(float),
-              np.tile(np.eye(n + 1, dtype=bool), 2))
+              np.stack((j, j + n + 1)) + j * 2 * (n + 1))
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+def _link_rows(psi: np.ndarray) -> np.ndarray:
+    """cos(psi) over sin(psi), each pair scaled by its larger magnitude."""
+    cs = np.empty((2, *psi.shape))
+    np.cos(psi, out=cs[0])
+    np.sin(psi, out=cs[1])
+    cs /= np.maximum(*abs(cs))
+    return cs
 
 
 def _chain(c: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] | None]:
@@ -196,15 +209,15 @@ def _chain(c: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] 
     least cos(psi_j) Re C[j, k] + sin(psi_j) Im C[j, k] over the columns
     with n1 = j.  A chain holds when every margin reaches TOL_MARGIN and
     each row j is exactly zero on the columns with n1 > j, so each link
-    removes exactly its own columns; on a system of another shape, never."""
-    n1, own, starts, beyond, turns, at = _chain_tables(n)
+    removes exactly its own columns; on a system of another shape, never.
+    A stack of one goes to `_lone_chain`, the same operations on one
+    system, which costs numpy less per call."""
+    n1, own, starts, beyond, turns, links = _chain_tables(n)
     if c.shape[1:] != (n + 1, len(n1)):
         return [None] * len(c)
-    psi = turns * [[alpha - math.pi / 2] for alpha in alphas]
-    cs = np.empty((2, *psi.shape))
-    np.cos(psi, out=cs[0])
-    np.sin(psi, out=cs[1])
-    cs /= np.maximum(*abs(cs))
+    if len(c) == 1:
+        return [_lone_chain(c[0], alphas[0], n)]
+    cs = _link_rows(turns * [[alpha - math.pi / 2] for alpha in alphas])
     # each entry's real part, then its imaginary part, one row per system
     flat = c.reshape(len(c), -1).view(float)
     terms = flat.take(own, axis=-1).swapaxes(0, 1) * cs.take(n1, axis=-1)
@@ -216,9 +229,26 @@ def _chain(c: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] 
     held = [i for i, ok in enumerate(holds) if ok]
     if not held:
         return [None] * len(c)
-    # each held chain's (cos, sin) row, spread over its links by the mask
-    h = iter(_freeze(np.where(at, _rows(cs.swapaxes(0, 1), held).reshape(len(held), 1, -1), 0)))
+    # each held chain's (cos, sin) rows, on the two diagonals of its h
+    h = np.zeros((len(held), n + 1, 2 * (n + 1)))
+    h.reshape(len(held), -1)[:, links] = cs[:, held].swapaxes(0, 1)
+    h = iter(_freeze(h))
     return [(next(h), margins[i]) if ok else None for i, ok in enumerate(holds)]
+
+
+def _lone_chain(c: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """`_chain` on the one order-n system c at alpha, with its bits: one
+    scalar offset, and h filled on its two diagonals."""
+    n1, own, starts, beyond, turns, links = _chain_tables(n)
+    cs = _link_rows(turns * (alpha - math.pi / 2))
+    flat = c.reshape(-1).view(float)
+    terms = flat.take(own) * cs.take(n1, axis=-1)
+    margins = np.minimum.reduceat(terms[0] + terms[1], starts)
+    if not np.minimum.reduce(margins) >= TOL_MARGIN or np.logical_or.reduce(flat.take(beyond)):
+        return None
+    h = np.zeros((n + 1, 2 * (n + 1)))
+    h.reshape(-1)[links] = cs
+    return _freeze(h), _freeze(margins)
 
 
 def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
@@ -251,15 +281,15 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
     rest = [i for i, outcome in enumerate(found) if outcome is None]
     if not rest:
         return found
-    c = _rows(c, rest)
-    open_alphas = [alphas[i] for i in rest]
+    if len(rest) < len(found):
+        c, alphas = _rows(c, rest), [alphas[i] for i in rest]
     # the chain judges C itself for every angle the closed form leaves open
     # (a support witness keeps its angle); only stages 2 and 4 embed C
-    chains = _chain(c, open_alphas, n)
-    table = _support_columns(n)
+    chains = _chain(c, alphas, n)
+    table = _support_columns(n) if n > CATALOG_MAX_ORDER else ()
     m = _embed(c) if table or None in chains else None
     if table:
-        for i, witness in zip(rest, _support_witnesses(c, m, open_alphas, table)):
+        for i, witness in zip(rest, _support_witnesses(c, m, alphas, table)):
             found[i] = witness
     for j, (i, chain) in enumerate(zip(rest, chains)):
         if found[i] is None:
@@ -329,9 +359,11 @@ def _closed_form(c: np.ndarray, alphas, n: int) -> list[Witness | None]:
     k <= min(n, CATALOG_MAX_ORDER)) holding alpha, padded to order n, if it
     passes the witness rule, judged for all of them in one stack.  Below
     the threshold of the highest such order no interval holds alpha (order
-    1 is the single angle pi)."""
-    found = [None] * len(c)
+    1 is the single angle pi).  A lone angle goes straight to `_witness`."""
     rows, y = catalog_solutions(alphas, n)
+    if len(c) == 1:
+        return [_witness(c[0], y[0]) if rows else None]
+    found = [None] * len(c)
     if rows:
         for i, witness in zip(rows, _witnesses(_rows(c, rows), y)):
             found[i] = witness
@@ -341,10 +373,8 @@ def _closed_form(c: np.ndarray, alphas, n: int) -> list[Witness | None]:
 @lru_cache(maxsize=None)
 def _support_columns(n: int) -> tuple[tuple[float, float, np.ndarray], ...]:
     """Order n's support table as (lo, hi, column indices) rows, the
-    indices read-only.  Only the orders above the catalog have one, so
-    `supports` loads for them alone."""
-    if n <= CATALOG_MAX_ORDER:
-        return ()
+    indices read-only.  Only the orders above the catalog have one, and
+    `_decide` reads it for them alone, so `supports` loads for them alone."""
     from .supports import SUPPORTS
 
     index = column_index(n)

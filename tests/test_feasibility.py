@@ -308,8 +308,10 @@ def _undecidable_below_threshold(alpha, n):
 
 def _outcome_bits(outcome):
     bits = [outcome.kind, float(outcome.metric).hex(), str(outcome)]
-    bits += [getattr(outcome, name).tobytes() for name in ("y", "h", "margins")
-             if hasattr(outcome, name)]
+    for name in ("y", "h", "margins"):
+        if hasattr(outcome, name):
+            a = getattr(outcome, name)
+            bits += [a.tobytes(), a.shape, a.dtype.str, a.flags.writeable]
     return bits
 
 
@@ -324,7 +326,8 @@ def test_grid_decision_is_each_angle_alone(substitute, monkeypatch, system, orde
                                            stack):
     # a grid decided in one stack, or cut into stacks of 7 angles, gives
     # every angle the outcome it gets alone, bit for bit: kind, metric, y, h
-    # and margins, also under a substituted builder of C's shape.  The grid
+    # and margins, each array with its shape, dtype and writeability, also
+    # under a substituted builder of C's shape.  The grid
     # holds the catalog endpoints, the band below the threshold, the
     # order-11/12 gap and both ends of [pi/2, pi]
     substitute(system)

@@ -125,6 +125,17 @@ def test_one_decision_order():
     assert sum(len(knobs) for knobs in KNOBS.values()) == 3
 
 
+def test_one_system_forms():
+    # a lone angle is judged by the same stages in their one-system forms:
+    # the chain's is reached through the chain alone, and `_witness` stays
+    # the one witness rule, called by the witness stages and never by the
+    # threshold search
+    assert _callers("_lone_chain") == {"feasibility._chain"}
+    assert _callers("_link_rows") == {"feasibility._chain", "feasibility._lone_chain"}
+    assert _callers("_witness") == {"feasibility._closed_form", "feasibility._witnesses",
+                                    "feasibility._project"}
+
+
 def test_one_stack_builder():
     # every system `feasibility` builds comes from the stack builder: the
     # decision's stacks in one call each, and `realize`'s lone system as a
@@ -225,6 +236,20 @@ def test_export_contract():
         assert getattr(paradist, name) is importlib.import_module(f"paradist.{name}")
     with pytest.raises(AttributeError):
         getattr(paradist, "no_such_name")
+
+
+def test_lazy_exports_resolve_once():
+    # the first access stores the home module's object in the package, so
+    # every later lookup is a plain module attribute
+    homes = {"threshold_bisect": "feasibility", "Certificate": "feasibility",
+             "orbit_size": "labels"}
+    stored = _fresh(
+        f"import importlib, json, paradist\nhomes = {homes!r}\n"
+        "before = [name in vars(paradist) for name in homes]\n"
+        "got = {name: getattr(paradist, name) for name in homes}\n"
+        "print(json.dumps([before, [vars(paradist)[name] is got[name] is getattr("
+        "importlib.import_module('paradist.' + home), name) for name, home in homes.items()]]))")
+    assert stored == [[False] * 3, [True] * 3]
 
 
 def test_import_loads_channels_and_numpy():
