@@ -14,12 +14,13 @@ module builds, decides, returns (`realize`) or re-checks
 (`verify_certificate`) comes from `build_C_stack`, with the bits
 `build_C` gives each angle alone; a lone angle is a stack of one.
 `_decide` checks every angle, then builds the stack's systems in one
-call, read-only, and judges every outcome on its own system alone.  The
-builder returns one C-contiguous shape per order, so the systems of one
-stack are judged together, stage by stage, on views of the stack where
-their rows run consecutively, with one matrix-vector product per witness
-and elementwise products in the chain, and an angle's outcome has the
-same bits alone and in any stack.  A stage handed a stack of one, such as
+call, read-only, and judges every outcome on its own system alone.  It
+hands each stage C only; stages 2 and 4, which judge M, embed the rows
+they judge.  The builder returns one C-contiguous shape per order, so
+the systems of one stack are judged together, stage by stage, on views
+of the stack where their rows run consecutively, with one matrix-vector
+product per witness and elementwise products in the chain, and an
+angle's outcome has the same bits alone and in any stack.  A stage handed a stack of one, such as
 every threshold probe, judges it in its one-system form, the same
 operations at what one system costs: `_closed_form` goes straight to
 `_witness`, and `_chain` to `_lone_chain`.  This docstring is the one
@@ -35,7 +36,7 @@ only when the one before leaves it open.
    `tools/support_tables.py`) names a few column sets, and the null vector
    of M on the first of them whose row holds alpha and which passes the
    witness rule is the witness (`_support_witnesses`, row by row over the
-   whole stack).
+   whole stack, each row embedding only the systems it holds).
 3. The paper's necessity proof, a facial reduction chain (Borwein and
    Wolkowicz, 1981) written out (`_chain`).  Let theta = 2 alpha - pi.
    Row j of C vanishes on the columns with n1 > j, and on those with
@@ -53,10 +54,10 @@ only when the one before leaves it open.
    margins the same bits.
 4. Where all three miss (fl(conj(n)) for n <= 10, which lies just below
    conj(n), and the band just below the boundary), the projection
-   (`_project`) proposes a witness: the point b = (0, ..., 0, 1) is
-   projected onto the cone spanned by the columns of [M; 1'] with an
-   active-set nonnegative least squares solve, and its y is a witness if
-   it passes the witness rule.
+   (`_project`, which embeds its one system) proposes a witness: the point
+   b = (0, ..., 0, 1) is projected onto the cone spanned by the columns of
+   [M; 1'] with an active-set nonnegative least squares solve, and its y
+   is a witness if it passes the witness rule.
 
 Otherwise the outcome is indeterminate, which next to the feasibility
 boundary is unavoidable: below it the chain's margins decay under
@@ -217,23 +218,19 @@ def _chain(c: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] 
         return [None] * len(c)
     if len(c) == 1:
         return [_lone_chain(c[0], alphas[0], n)]
-    cs = _link_rows(turns * [[alpha - math.pi / 2] for alpha in alphas])
+    cs = _link_rows(np.subtract(alphas, math.pi / 2)[:, None] * turns)
     # each entry's real part, then its imaginary part, one row per system
     flat = c.reshape(len(c), -1).view(float)
     terms = flat.take(own, axis=-1).swapaxes(0, 1) * cs.take(n1, axis=-1)
     margins = _freeze(np.minimum.reduceat(terms[0] + terms[1], starts, axis=-1))
     # a NaN margin is no least margin, so it fails the bar too
-    lows = np.minimum.reduce(margins, axis=-1).tolist()
-    stray = np.logical_or.reduce(flat.take(beyond, axis=-1), axis=-1).tolist()
-    holds = [low >= TOL_MARGIN and not off for low, off in zip(lows, stray)]
-    held = [i for i, ok in enumerate(holds) if ok]
-    if not held:
-        return [None] * len(c)
-    # each held chain's (cos, sin) rows, on the two diagonals of its h
-    h = np.zeros((len(held), n + 1, 2 * (n + 1)))
-    h.reshape(len(held), -1)[:, links] = cs[:, held].swapaxes(0, 1)
-    h = iter(_freeze(h))
-    return [(next(h), margins[i]) if ok else None for i, ok in enumerate(holds)]
+    holds = np.minimum.reduce(margins, axis=-1) >= TOL_MARGIN
+    holds &= ~np.logical_or.reduce(flat.take(beyond, axis=-1), axis=-1)
+    # each chain's (cos, sin) rows, on the two diagonals of its h
+    h = np.zeros((len(c), n + 1, 2 * (n + 1)))
+    h.reshape(len(c), -1)[:, links] = cs.swapaxes(0, 1)
+    h = _freeze(h)
+    return [(h[i], margins[i]) if ok else None for i, ok in enumerate(holds.tolist())]
 
 
 def _lone_chain(c: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -268,7 +265,7 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
     by this same body, so a call holds at most STACK systems.  Every angle
     is checked first (ValueError outside [pi/2, pi]), then all their
     systems are built in one stack, read-only, and each stage is handed
-    the rows it judges (`_rows`).
+    the rows of C it judges (`_rows`); a stage that judges M embeds them.
     """
     if len(alphas) > STACK:
         return [outcome for start in range(0, len(alphas), STACK)
@@ -283,17 +280,14 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
         return found
     if len(rest) < len(found):
         c, alphas = _rows(c, rest), [alphas[i] for i in rest]
-    # the chain judges C itself for every angle the closed form leaves open
-    # (a support witness keeps its angle); only stages 2 and 4 embed C
+    # the chain judges every open angle; a support witness keeps its angle
     chains = _chain(c, alphas, n)
-    table = _support_columns(n) if n > CATALOG_MAX_ORDER else ()
-    m = _embed(c) if table or None in chains else None
-    if table:
-        for i, witness in zip(rest, _support_witnesses(c, m, alphas, table)):
+    if n > CATALOG_MAX_ORDER:
+        for i, witness in zip(rest, _support_witnesses(c, alphas, _support_columns(n))):
             found[i] = witness
     for j, (i, chain) in enumerate(zip(rest, chains)):
         if found[i] is None:
-            found[i] = _project(c[j], m[j]) if chain is None else Certificate(*chain)
+            found[i] = _project(c[j]) if chain is None else Certificate(*chain)
     return found
 
 
@@ -306,9 +300,10 @@ def _rows(stack: np.ndarray, rows: list) -> np.ndarray:
     return stack[rows]
 
 
-def _project(c: np.ndarray, m: np.ndarray) -> Witness | Indeterminate:
-    """The projection of (0, ..., 0, 1) onto the cone of [M; 1']: its y if
-    it passes the witness rule on c, else an Indeterminate."""
+def _project(c: np.ndarray) -> Witness | Indeterminate:
+    """The projection of (0, ..., 0, 1) onto the cone of [M; 1'], M the one
+    system c embedded: its y if it passes the witness rule, else an Indeterminate."""
+    m = _embed(c)
     rows, p = m.shape
     a = np.concatenate((m, np.ones((1, p))))
     b = np.zeros(rows + 1)
@@ -324,16 +319,14 @@ def _project(c: np.ndarray, m: np.ndarray) -> Witness | Indeterminate:
 
 def _witnesses(c: np.ndarray, y: np.ndarray) -> list[Witness | None]:
     """`_witness` over a stack of systems as wide as y: row i of y judged
-    on the system c[i], with the same operations per system.  A stack of
-    one goes to `_witness` itself, which costs numpy less per call."""
-    if len(y) == 1:
-        return [_witness(c[0], y[0])]
+    on the system c[i], with the same operations per system, each witness
+    a read-only row of one array."""
     total = np.add.reduce(y, axis=-1, keepdims=True)
     lows = np.minimum.reduce(y, axis=-1).tolist()
     fits = [t > 0 and low >= 0 for t, low in zip(total.ravel().tolist(), lows)]
     if not all(fits):
         total = np.where(total > 0, total, 1.0)
-    y = y / total
+    y = _freeze(y / total)
     # one matrix-vector product per system, so a residual keeps its bits
     # whichever stack it is judged in
     residual = np.maximum.reduce(np.abs(c @ y[..., None]), axis=(-2, -1)).tolist()
@@ -343,10 +336,11 @@ def _witnesses(c: np.ndarray, y: np.ndarray) -> list[Witness | None]:
 
 def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
     """The one witness rule: y is a witness of the system c when it fits
-    c's columns, y >= 0, sum(y) > 0 and max|C y/sum(y)| <= TOL_WITNESS."""
+    c's columns, y >= 0, sum(y) > 0 and max|C y/sum(y)| <= TOL_WITNESS; it
+    holds y/sum(y), read-only."""
     total = float(np.add.reduce(y))
     if total > 0 and y.shape == c.shape[1:] and np.minimum.reduce(y) >= 0:
-        y = y / total
+        y = _freeze(y / total)
         residual = float(np.maximum.reduce(np.abs(c @ y)))
         if residual <= TOL_WITNESS:
             return Witness(y=y, residual=residual)
@@ -382,21 +376,22 @@ def _support_columns(n: int) -> tuple[tuple[float, float, np.ndarray], ...]:
                  for lo, hi, labels in SUPPORTS.get(n, ()))
 
 
-def _support_witnesses(c: np.ndarray, m: np.ndarray, alphas, rows) -> list[Witness | None]:
-    """For each system of the stack c (embedded as m) at `alphas`, the null
-    vector of its columns in the first of `rows` ((lo, hi, column indices))
-    that holds alpha and passes the witness rule, or None.  Each row judges
-    every open angle it holds at once: one batched SVD of their columns,
-    the last right singular vector, its sum made positive, to `_witnesses`."""
+def _support_witnesses(c: np.ndarray, alphas, rows) -> list[Witness | None]:
+    """For each system of the stack c at `alphas`, the null vector of its
+    embedding's columns in the first of `rows` ((lo, hi, column indices))
+    that holds alpha and passes the witness rule, or None.  Each row embeds
+    the open systems it holds and judges them at once: one batched SVD of
+    their columns, the last right singular vector, its sum made positive."""
     found = [None] * len(alphas)
     for lo, hi, cols in rows:
         held = [i for i, alpha in enumerate(alphas) if found[i] is None and lo <= alpha <= hi]
         if not held:
             continue
-        v = np.linalg.svd(_rows(m, held)[..., cols], full_matrices=False)[2][:, -1]
-        y = np.zeros((len(held), m.shape[-1]))
+        systems = _rows(c, held)
+        v = np.linalg.svd(_embed(systems)[..., cols], full_matrices=False)[2][:, -1]
+        y = np.zeros((len(held), c.shape[-1]))
         y[:, cols] = np.where(np.add.reduce(v, axis=-1, keepdims=True) > 0, v, -v)
-        for i, witness in zip(held, _witnesses(_rows(c, held), y)):
+        for i, witness in zip(held, _witnesses(systems, y)):
             found[i] = witness
     return found
 

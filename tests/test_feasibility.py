@@ -836,8 +836,7 @@ def test_support_table_proposes_nothing_below_threshold(n):
     alphas = [conj - 10.0 ** -e for e in range(2, 16)]
     c = build_C_stack(alphas, n)
     table = feasibility._support_columns(n)
-    assert feasibility._support_witnesses(c, feasibility._embed(c), alphas, table) == \
-        [None] * len(alphas)
+    assert feasibility._support_witnesses(c, alphas, table) == [None] * len(alphas)
 
 
 @pytest.mark.parametrize("n", [11, 12])
@@ -848,14 +847,63 @@ def test_support_witnesses_take_the_first_passing_row(n):
     rows = feasibility._support_columns(n)
     alphas = np.linspace(conjectured_threshold(n), conjectured_threshold(10), 23).tolist()
     c = build_C_stack(alphas, n)
-    m = feasibility._embed(c)
-    together = feasibility._support_witnesses(c, m, alphas, rows)
+    together = feasibility._support_witnesses(c, alphas, rows)
     for i, alpha in enumerate(alphas):
         for row in rows:
-            first = feasibility._support_witnesses(c[i:i + 1], m[i:i + 1], [alpha], [row])[0]
+            first = feasibility._support_witnesses(c[i:i + 1], [alpha], [row])[0]
             if first is not None:
                 break
         assert first.y.tobytes() == together[i].y.tobytes(), alpha
+
+
+@pytest.fixture
+def embedded(monkeypatch):
+    """Every stack of systems `feasibility` embeds as M, in call order."""
+    calls = []
+    embed = feasibility._embed
+    monkeypatch.setattr(feasibility, "_embed", lambda c: calls.append(c) or embed(c))
+    return calls
+
+
+def test_certificate_embeds_nothing(embedded):
+    # the chain reads C itself and no table row holds an angle below the
+    # threshold, so an order-12 certificate embeds no system
+    assert isinstance(nns_exists(conjectured_threshold(12) - 0.01, 12), Certificate)
+    assert embedded == []
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_support_witnesses_embed_only_the_rows_they_hold(embedded, nnls_calls, n):
+    # from below the threshold into the gap, only the table step embeds,
+    # and only the systems of gap angles its rows hold; a lone gap angle
+    # embeds its own system alone
+    conj = conjectured_threshold(n)
+    alphas = [conj - 0.1, conj - 0.01, *np.linspace(conj, conjectured_threshold(10), 9).tolist()]
+    outcomes = feasibility._decide(alphas, n)
+    assert [o.kind for o in outcomes] == ["certificate"] * 2 + ["witness"] * 9
+    assert nnls_calls == []
+    angle = {c.tobytes(): alpha for alpha, c in zip(alphas, build_C_stack(alphas, n))}
+    assert {angle[c.tobytes()] for stack in embedded for c in stack} == set(alphas[2:])
+    embedded.clear()
+    assert isinstance(nns_exists(alphas[6], n), Witness)
+    assert embedded and all(c.tobytes() == build_C(alphas[6], n).tobytes()
+                            for stack in embedded for c in stack)
+
+
+def test_witness_vectors_are_read_only(nnls_calls):
+    # a returned witness's vector cannot change after its residual was
+    # judged: a lone angle's, a projection's, and every one of a grid
+    # decided in one stack (closed form and support table alike)
+    lone = nns_exists(math.pi, 4)
+    projected = nns_exists(conjectured_threshold(4), 4)
+    assert isinstance(projected, Witness) and nnls_calls
+    witnesses = [lone, projected]
+    for n in (4, 12):
+        grid = np.linspace(math.pi / 2, math.pi, 120).tolist()
+        witnesses += [o for o in feasibility._decide(grid, n) if isinstance(o, Witness)]
+    assert not any(witness.y.flags.writeable for witness in witnesses)
+    with pytest.raises(ValueError):
+        lone.y[0] = 1.0
 
 
 def test_support_table_structure():
@@ -877,7 +925,7 @@ def test_support_table_structure():
 
 def test_support_table_tool_reaches_the_engine():
     # `tools/support_tables.py` builds SUPPORTS from the engine's own pieces
-    # (`build_C_stack`, `_embed`, `_project`, `_support_witnesses`) and sets
+    # (`build_C_stack`, `_project`, `_support_witnesses`) and sets
     # up no projection of its own; a rename must fail here rather than in
     # the next regeneration.  At the midpoint of each committed row the
     # projection the tool runs proposes a witness, and the committed
@@ -892,10 +940,9 @@ def test_support_table_tool_reaches_the_engine():
         for lo, hi, labels in rows:
             alpha = 0.5 * (lo + hi)
             c = tool.build_C_stack((alpha,), n)
-            m = tool.feasibility._embed(c)
-            assert isinstance(tool.feasibility._project(c[0], m[0]), Witness), (n, lo)
+            assert isinstance(tool.feasibility._project(c[0]), Witness), (n, lo)
             cols = np.array([index[label] for label in labels])
-            [witness] = tool.feasibility._support_witnesses(c, m, [alpha], [(lo, hi, cols)])
+            [witness] = tool.feasibility._support_witnesses(c, [alpha], [(lo, hi, cols)])
             assert witness is not None, (n, lo)
 
 

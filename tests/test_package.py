@@ -132,8 +132,14 @@ def test_one_system_forms():
     # threshold search
     assert _callers("_lone_chain") == {"feasibility._chain"}
     assert _callers("_link_rows") == {"feasibility._chain", "feasibility._lone_chain"}
-    assert _callers("_witness") == {"feasibility._closed_form", "feasibility._witnesses",
-                                    "feasibility._project"}
+    assert _callers("_witness") == {"feasibility._closed_form", "feasibility._project"}
+
+
+def test_stages_that_judge_m_embed_it():
+    # `_decide` hands every stage C alone; the two stages that judge the
+    # real embedding M make it from the rows they judge
+    assert _callers("_embed") == {"feasibility.realize", "feasibility._project",
+                                  "feasibility._support_witnesses"}
 
 
 def test_one_stack_builder():

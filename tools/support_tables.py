@@ -9,7 +9,8 @@ projection is set up in one place only; an angle where it gives no
 witness stops the script.  The supports of those witnesses are judged over
 the whole grid by the code `nns_exists` uses for a table row
 (`feasibility._support_witnesses`): the null vector of the real system's
-columns in the support, passed to the witness bar.  A greedy
+columns in the support, passed to the witness bar.  Both stages are handed
+the complex systems and embed them as real ones themselves.  A greedy
 pass then covers the grid: from the first angle not yet covered it takes
 the support whose run of passing angles reaches furthest.  A row is that
 run widened by one grid step on each side (clipped to the gap, and never
@@ -61,17 +62,16 @@ def cover(n: int) -> list[tuple[float, float, tuple[int, ...]]]:
     grid = np.linspace(conjectured_threshold(n), conjectured_threshold(CATALOG_MAX_ORDER), GRID)
     alphas = grid.tolist()
     c = build_C_stack(alphas, n)
-    m = feasibility._embed(c)
     supports = set()
-    for alpha, system, embedded in zip(alphas, c, m):
-        witness = feasibility._project(system, embedded)
+    for alpha, system in zip(alphas, c):
+        witness = feasibility._project(system)
         if not isinstance(witness, feasibility.Witness):
             raise SystemExit(f"order {n}: the projection gives no witness at {alpha!r}: {witness}")
         supports.add(tuple(np.flatnonzero(witness.y > 0).tolist()))
     supports = sorted(supports)
     # each support as one row over the whole grid, judged as one stack
     passes = np.array([[witness is not None for witness in feasibility._support_witnesses(
-        c, m, alphas, [(alphas[0], alphas[-1], np.array(cols))])] for cols in supports])
+        c, alphas, [(alphas[0], alphas[-1], np.array(cols))])] for cols in supports])
     rows, start, last = [], 0, GRID - 1
     while start <= last:
         reach = []
