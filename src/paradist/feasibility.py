@@ -252,7 +252,7 @@ def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
     """Decide whether a nontrivial nonnegative null vector exists: the
     one-angle case of `_decide`, whose stages the module docstring states.
     Returns a Witness, a Certificate or an Indeterminate; raises only
-    ValueError, for alpha outside [pi/2, pi].
+    ValueError, for an alpha that is no real number in [pi/2, pi].
     """
     return _decide((alpha,), n)[0]
 
@@ -263,15 +263,19 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
 
     More than STACK angles are decided in consecutive slices of STACK, each
     by this same body, so a call holds at most STACK systems.  Every angle
-    is checked first (ValueError outside [pi/2, pi]), then all their
-    systems are built in one stack, read-only, and each stage is handed
-    the rows of C it judges (`_rows`); a stage that judges M embeds them.
+    is checked first (ValueError unless a real number in [pi/2, pi]), then
+    their systems are built in one stack, read-only, and each stage is
+    handed the rows of C it judges (`_rows`); one that judges M embeds them.
     """
     if len(alphas) > STACK:
         return [outcome for start in range(0, len(alphas), STACK)
                 for outcome in _decide(alphas[start:start + STACK], n)]
     for alpha in alphas:
-        if not math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12:
+        try:
+            inside = math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12
+        except TypeError:  # no real number: a string, None or a complex
+            inside = False
+        if not inside:
             raise ValueError("alpha must lie in [pi/2, pi]")
     c = _freeze(build_C_stack(alphas, n))
     found = _closed_form(c, alphas, n)
@@ -448,27 +452,26 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     bracket (a, b) from the highest decided certificate to the lowest
     decided witness:
 
-    1. At most three guided probes.  Link 0 of the chain reads row 0 of C,
-       whose entries lie within +-n(alpha - pi/2) of its bisector, so below
-       the boundary the least link margin is min(1, cot(n(alpha - pi/2)))
-       and p = a + atan(margin)/n is the boundary pi/2 + pi/(2n) itself
-       where the margin is under 1, and no higher where it is 1.  Bisection's
-       own arithmetic, run with `mid >= p` in place of a decision, gives the
-       bracket [l, h] plain bisection would end on were p the boundary; the
-       probe decides the first of l and h strictly inside (a, b).  The phase
-       stops early when neither is, or when b - a <= tol_alpha.
+    1. One guided step.  Link 0 of the chain reads row 0 of C, whose
+       entries lie within +-n(alpha - pi/2) of its bisector, so below the
+       boundary the least link margin is min(1, cot(n(alpha - pi/2))),
+       whose inverse alpha + atan(margin)/n is the boundary itself,
+       conj = conjectured_threshold(n).  Bisection's own arithmetic, run
+       with `mid >= conj` in place of a decision, gives the bracket [l, h]
+       plain bisection would end on were conj the boundary; l, then h, is
+       decided if it lies strictly inside (a, b) while b - a > tol_alpha.
     2. Bisection's own arithmetic runs unchanged: midpoints of [lo, hi]
        from the two endpoints down to tol_alpha.  Only a midpoint strictly
        inside (a, b) is decided; one at or below a takes a's side, one at or
-       above b takes b's.  After a phase 1 whose p was the boundary, every
-       midpoint lies outside (a, b), so an order costs five decisions.
+       above b takes b's.  When the boundary is conj, every midpoint lies
+       outside (a, b): an order costs four decisions, three at order 1.
 
     The reported [lo, hi] always holds a decided certificate a below a
     decided witness b, whatever the decisions between them, and is at most
     tol_alpha wide.  Its bits equal plain bisection's when the decision is
     monotone along the search: every angle the search passed over below a
     decided certificate is itself a certificate, and every one above a
-    decided witness a witness.  It makes at most three decisions more than
+    decided witness a witness.  It makes at most two decisions more than
     plain bisection.  tol_alpha must be a real number, not a bool, finite
     and at least 1e-8 (ValueError).
     """
@@ -478,7 +481,7 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     if not (real and math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
         raise ValueError(f"tol_alpha must be finite and at least 1e-8, got {tol_alpha!r}")
     lo, hi = math.pi / 2 + 1e-4, math.pi
-    a, b, margin = lo, hi, math.nan
+    a, b, conjectured = lo, hi, conjectured_threshold(n)
 
     def bisect(above) -> tuple[float, float]:
         # bisection's arithmetic from [lo, hi], `above(mid)` in place of the
@@ -493,32 +496,29 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
         return left, right
 
     def decide(alpha: float) -> bool:
-        nonlocal a, b, margin
+        nonlocal a, b
         outcome = nns_exists(alpha, n)
         if isinstance(outcome, Indeterminate):
             raise outcome
         if isinstance(outcome, Witness):
             b = alpha
             return True
-        a, margin = alpha, outcome.margin
+        a = alpha
         return False
 
     if decide(lo):
         raise NonMonotonePredicate(f"expected infeasibility near pi/2 at order {n}")
     if not decide(hi):
         raise NonMonotonePredicate(f"expected feasibility at pi at order {n}")
-    for _ in range(3):
-        guess = a + math.atan(margin) / n
-        inside = [end for end in bisect(lambda mid: mid >= guess) if a < end < b]
-        if b - a <= tol_alpha or not inside:
-            break
-        decide(inside[0])
+    for end in bisect(lambda mid: mid >= conjectured):
+        if a < end < b and b - a > tol_alpha:
+            decide(end)
     left, right = bisect(lambda mid: decide(mid) if a < mid < b else mid >= b)
     return ThresholdEstimate(
         order=n,
         alpha_star=0.5 * (left + right),
         bracket_width=right - left,
-        conjectured=conjectured_threshold(n),
+        conjectured=conjectured,
     )
 
 

@@ -211,9 +211,10 @@ def test_every_command_builds_once_per_decision(capsys, monkeypatch, args):
     code, _, _ = run_cli(capsys, *args)
     assert code == 0
     if args[0] == "threshold":
-        # the guided search's decisions at order 3 and the default width,
+        # the guided search's decisions at order 3 and the default width:
+        # the two endpoints and the two ends of plain bisection's bracket,
         # where plain bisection made 23
-        assert calls["decided"] == 5
+        assert calls["decided"] == 4
     assert calls["decided"] > 0
     assert sum(map(len, stacks)) == calls["decided"]
 

@@ -253,6 +253,17 @@ def test_alpha_range_enforced():
         nns_exists(3.3, 3)
 
 
+@pytest.mark.parametrize("alpha", ["2.0", None, 2 + 0j], ids=["str", "None", "complex"])
+def test_angle_must_be_a_real_number(alpha):
+    # an angle that is no real number cannot be compared with the range, and
+    # is refused with the range's ValueError, alone and inside a stack, not
+    # failed with a TypeError
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[pi/2, pi\]$"):
+        nns_exists(alpha, 4)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[pi/2, pi\]$"):
+        feasibility._decide([2.0, alpha, math.pi], 4)
+
+
 @pytest.fixture
 def substitute(monkeypatch):
     """Make `feasibility` build each angle's system with `builder` (build_C
@@ -1032,13 +1043,13 @@ def test_threshold_above_the_catalog_runs_no_projection(n, nnls_calls):
 def test_threshold_search_runs_no_projection(nnls_calls, build_calls):
     # every feasible probe rests on a closed form and every infeasible one
     # on the proof's chain, for each order the catalog covers: no probe
-    # reaches the projection, and each of the 49 probes (4 at order 1, then
-    # 5 per order, where plain bisection made 23) is one decision that
+    # reaches the projection, and each of the 39 probes (3 at order 1, then
+    # 4 per order, where plain bisection made 23) is one decision that
     # builds its system once
     for n in range(1, 11):
         threshold_bisect(n)
     assert nnls_calls == []
-    assert [len(c) for c in build_calls] == [1] * 49
+    assert [len(c) for c in build_calls] == [1] * 39
 
 
 def test_probe_falls_back_to_the_projection(substitute, nnls_calls, monkeypatch):
@@ -1115,7 +1126,7 @@ def test_threshold_search_does_not_creep(n, monkeypatch):
     # far below the boundary the least link margin is 1, and at a width
     # just under 4/n a search that probed next to its guess a + margin/n
     # crept up one certificate after another (904 decisions at n = 6).
-    # Phase 1 makes at most three probes, so the search makes at most three
+    # Phase 1 makes at most two probes, so the search makes at most two
     # decisions more than plain bisection, with its bits
     tol = 0.999 * 4 / n
     expected = _plain_bisection(n, tol)[:2]
@@ -1123,7 +1134,7 @@ def test_threshold_search_does_not_creep(n, monkeypatch):
     estimate = threshold_bisect(n, tol)
     assert (estimate.alpha_star, estimate.bracket_width) == expected
     halvings = math.ceil(math.log2((math.pi / 2 - 1e-4) / tol))
-    assert len(decisions) <= 2 + halvings + 3
+    assert len(decisions) <= 2 + halvings + 2
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -1147,9 +1158,9 @@ def test_least_margin_inverts_to_the_boundary(n):
 
 
 def test_threshold_search_is_bounded(monkeypatch):
-    # certificates at margin TOL_MARGIN up to 2.5 guess the boundary a hair
-    # above each one; phase 1 gives up after three probes, so the search
-    # makes at most three decisions more than plain bisection, with its bits
+    # certificates at margin TOL_MARGIN up to 2.5, far from order 4's
+    # conjectured boundary; phase 1 makes at most two probes, so the search
+    # makes at most two decisions more than plain bisection, with its bits
     def decide(alpha, n):
         if alpha < 2.5:
             return Certificate(h=np.ones((1, 2 * (n + 1))), margins=np.full(1, TOL_MARGIN))
@@ -1162,7 +1173,32 @@ def test_threshold_search_is_bounded(monkeypatch):
         estimate = threshold_bisect(4, tol)
         *expected, plain = _plain_bisection(4, tol, decide)
         assert (estimate.alpha_star, estimate.bracket_width) == tuple(expected), tol
-        assert len(decisions) <= plain + 3, tol
+        assert len(decisions) <= plain + 2, tol
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_threshold_search_decides_the_endpoints_then_plain_bisections_bracket(n, monkeypatch):
+    # the least margin inverts to the boundary, so after the two endpoints
+    # the search decides only the ends of the bracket plain bisection ends
+    # on that lie strictly inside them, and no midpoint after: four
+    # decisions an order, three at order 1, whose boundary is pi itself
+    lo, hi = math.pi / 2 + 1e-4, math.pi
+    decisions = _record_decisions(monkeypatch)
+    for tol in (1e-2, 1e-4, 1e-6, 1e-7):
+        # plain bisection's bracket, decided by this module's own unrecorded
+        # `nns_exists`
+        left, right = lo, hi
+        while right - left > tol:
+            mid = 0.5 * (left + right)
+            if isinstance(nns_exists(mid, n), Witness):
+                right = mid
+            else:
+                left = mid
+        decisions.clear()
+        threshold_bisect(n, tol)
+        probes = [alpha for alpha, _ in decisions]
+        assert probes == [lo, hi] + [end for end in (left, right) if lo < end < hi], tol
+        assert len(probes) == (3 if n == 1 else 4), tol
 
 
 @pytest.mark.parametrize("n", range(1, 13))
