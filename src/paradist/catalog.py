@@ -6,9 +6,10 @@ integer table: every entry an integer combination of sin(j*alpha) (odd
 orders) or cos(j*alpha) (even orders), j <= k, of at most two terms.
 Vectors are laid out in canonical column order, written below block by
 block: first the labels with no 1-digits, then one 1-digit, and so on.
-One plan (`_grid_plan`) turns the tables into arithmetic, padding included:
-one angle walks its order's rows in Python floats, and a stack of angles
-takes one numpy pass over every order, with the same bits.
+`catalog_order` alone maps an angle to its catalog order.  One cached plan
+(`_grid_plan`) turns the tables into arithmetic, padding included: one
+angle walks its order's rows, held there in Python floats, and a stack of
+angles takes one numpy pass over every order, with the same bits.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .labels import check_count, column_order, is_integer, order_from_p, p_count
+from .labels import check_count, column_order, is_integer, order_from_p, p_count, read_only
 from .tensor import build_C
 
 CATALOG_MAX_ORDER = 10
@@ -52,29 +53,26 @@ def alpha_interval(n: int) -> tuple[float, float]:
 def in_interval(n: int, alpha: float) -> bool:
     lo, hi = alpha_interval(n)
     if n == 1:
-        return abs(alpha - math.pi) <= 1e-12
+        return catalog_order(alpha, 1) == 1
     return lo <= alpha < hi
 
 
-@lru_cache(maxsize=None)
-def _catalog_ends(top: int) -> tuple[float, ...]:
-    """fl(conj(k)) for k = top, ..., 1, ascending: the left endpoints of
-    the catalog intervals of the orders top..2, then pi."""
-    return tuple(conjectured_threshold(k) for k in range(top, 0, -1))
+# fl(conj(k)), k = 10..1, ascending: the orders' left endpoints, then pi
+_ENDS = tuple(conjectured_threshold(k) for k in range(CATALOG_MAX_ORDER, 0, -1))
 
 
 def catalog_order(alpha: float, top: int) -> int | None:
     """The order k = 1..top (top <= CATALOG_MAX_ORDER) whose interval
-    [conj(k), conj(k-1)) holds alpha exactly, or None: order 1's single
-    angle pi first, then a bisection over the cached left endpoints.  Each
-    fl(conj(k)), k = 2..10, lies just below conj(k) and so goes to order
+    [conj(k), conj(k-1)) holds alpha exactly, or None: order 1's window
+    pi +- 1e-12, then a bisection of `_ENDS` from CATALOG_MAX_ORDER - top.
+    Each fl(conj(k)), k = 2..10, lies just below conj(k) and so goes to order
     k+1, whose padded vector is nonnegative there while order k's is not;
     `in_interval` keeps the float intervals, closed at fl(conj(k)), for the
     catalog's own reports (`explicit_nns`, `verify-catalog`)."""
     if abs(alpha - math.pi) <= 1e-12:
         return 1
-    i = bisect_left(_catalog_ends(top), alpha)
-    return top + 1 - i if 1 <= i < top else None
+    i = bisect_left(_ENDS, alpha, CATALOG_MAX_ORDER - top)
+    return CATALOG_MAX_ORDER + 1 - i if CATALOG_MAX_ORDER - top < i < CATALOG_MAX_ORDER else None
 
 
 def interval_samples(n: int, count: int) -> np.ndarray:
@@ -164,13 +162,15 @@ _SIN = CATALOG_MAX_ORDER + 1
 
 
 @lru_cache(maxsize=None)
-def _grid_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_plan(n: int) -> tuple:
     """The nonzero entries of the tables of orders k = 1..min(n,
     CATALOG_MAX_ORDER), order after order, as one read-only plan: where
     order k's entries start (index k; they end at index k + 1); per entry
-    its order-n position and the trig columns of its two terms; and per
-    entry its two coefficients, then its `_pad_plan` factors padded with
-    1.0 to n - 1 steps.  A missing second term is 0 times the constant."""
+    its order-n position and the trig columns of its two terms; per entry
+    its two coefficients, then its `_pad_plan` factors padded with 1.0 to
+    n - 1 steps; and order k's walk (index k): its order-n positions, then
+    as tuples of Python numbers j1s, j2s, c1s, c2s and its n - k steps'
+    factors.  A missing second term is 0 times the constant."""
     top = min(n, CATALOG_MAX_ORDER)
     starts, index, values = [0, 0], [], []
     for k in range(1, top + 1):
@@ -182,29 +182,22 @@ def _grid_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 index.append((positions[i], j1 and j1 + shift, j2 and j2 + shift))
                 values.append((c1, c2, *factors[:, i], *[1.0] * (k - 1)))
         starts.append(len(index))
-    plan = (np.array(starts), np.array(index), np.array(values, dtype=float))
-    for table in plan:
-        table.setflags(write=False)
-    return plan
-
-
-@lru_cache(maxsize=None)
-def _rows(k: int, n: int) -> tuple:
-    """Order k's rows of `_grid_plan(n)` column by column: order-n positions
-    (read-only), then as tuples of Python numbers trig columns j1, j2,
-    coefficients c1, c2 and the n - k padding factors, step by step."""
-    starts, index, values = _grid_plan(n)
-    rows = slice(starts[k], starts[k + 1])
-    columns = [*index[rows, 1:].T.tolist(), *values[rows, :n - k + 2].T.tolist()]
-    return (index[rows, 0], *map(tuple, columns))
+    starts, index = read_only(np.array(starts)), read_only(np.array(index))
+    values = read_only(np.array(values, dtype=float))
+    walks = [None]
+    for k in range(1, top + 1):
+        rows = slice(starts[k], starts[k + 1])
+        columns = [*index[rows, 1:].T.tolist(), *values[rows, :n - k + 2].T.tolist()]
+        walks.append((index[rows, 0], *map(tuple, columns)))
+    return starts, index, values, tuple(walks)
 
 
 def _solution(k: int, n: int, alpha: float) -> np.ndarray:
-    """Order k's solution at one angle, padded to order n: its rows of
-    `_grid_plan(n)` (`_rows`) in Python floats, cheaper than numpy for one
-    angle, computed as the numpy pass does.  One trig call per j, c1*t1 +
-    c2*t2 per entry (a missing term adds +0.0), then the padding factors."""
-    positions, j1s, j2s, c1s, c2s, *steps = _rows(k, n)
+    """Order k's solution at one angle, padded to order n: its walk in
+    `_grid_plan(n)` in Python floats, cheaper than numpy for one angle,
+    computed as the numpy pass does.  One trig call per j, c1*t1 + c2*t2
+    per entry (a missing term adds +0.0), then the padding factors."""
+    positions, j1s, j2s, c1s, c2s, *steps = _grid_plan(n)[3][k]
     shift, f = (_SIN, math.sin) if k % 2 else (0, math.cos)
     t = [1.0] * (2 * _SIN)
     for j in range(1, k + 1):
@@ -219,38 +212,33 @@ def _solution(k: int, n: int, alpha: float) -> np.ndarray:
 
 def catalog_solutions(alphas, n: int) -> tuple[list[int], np.ndarray | None]:
     """The positions in `alphas`, ascending, of the angles that a catalog
-    interval of order k <= min(n, CATALOG_MAX_ORDER) holds (`catalog_order`),
-    and their cataloged solutions padded to order n, one row each in the
-    same order (None when there is no such angle), with the bits of
-    `pad_solution` once per order.  Both paths read `_grid_plan(n)`: one
-    angle walks its order's rows in Python (`_solution`); a stack takes one
-    pass over all its orders: one trig table, c1*t1 + c2*t2 per entry, the
-    padding factors step by step, and one scatter, so that a zero entry is
-    written by no product."""
+    interval of order k <= min(n, CATALOG_MAX_ORDER) holds, each angle's
+    order taken from `catalog_order`, and their cataloged solutions padded
+    to order n, one row each in the same order (None when there is no such
+    angle), with the bits of `pad_solution` once per order.  Both paths
+    read `_grid_plan(n)`: one angle walks its order's rows in Python
+    (`_solution`); a stack takes one pass over all its orders: one trig
+    table, c1*t1 + c2*t2 per entry, the padding factors step by step, and
+    one scatter, so that a zero entry is written by no product."""
     top = min(n, CATALOG_MAX_ORDER)
     if len(alphas) == 1:
-        alpha = float(alphas[0])
-        k = catalog_order(alpha, top)
+        k = catalog_order(alphas[0], top)
         if k is None:
             return [], None
-        return [0], _solution(k, n, alpha)[None]
-    alphas = np.asarray(alphas, dtype=float)
-    # `catalog_order` for every angle at once
-    i = np.searchsorted(_catalog_ends(top), alphas, side="left")
-    orders = np.where((1 <= i) & (i < top), top + 1 - i, 0)
-    orders[np.abs(alphas - math.pi) <= 1e-12] = 1
+        return [0], _solution(k, n, alphas[0])[None]
+    orders = np.fromiter((catalog_order(a, top) or 0 for a in alphas), np.intp, len(alphas))
     held = np.flatnonzero(orders)
     if not len(held):
         return [], None
     # the plan's entries of each held angle's order, angle after angle
-    starts, index, values = _grid_plan(n)
+    starts, index, values, _ = _grid_plan(n)
     ks = orders[held]
     counts = starts[ks + 1] - starts[ks]
     ends = np.cumsum(counts)
     entry = np.arange(ends[-1]) + np.repeat(starts[ks] - ends + counts, counts)
     row = np.repeat(np.arange(len(held)), counts)
     index, values = index[entry], values[entry]
-    angles = alphas[held, None] * np.arange(CATALOG_MAX_ORDER + 1)
+    angles = np.asarray(alphas, dtype=float)[held, None] * np.arange(CATALOG_MAX_ORDER + 1)
     trig = np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
     y = values[:, 0] * trig[row, index[:, 1]] + values[:, 1] * trig[row, index[:, 2]]
     for step in range(2, values.shape[1]):
@@ -339,9 +327,7 @@ def _pad_plan(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     steps = np.arange(n - k)[:, None]
     positions = np.arange(len(labels)) + (n - k) * labels[:, 1]
     factors = (labels[:, 0] + steps + 1) / (k + steps + 1)
-    positions.setflags(write=False)
-    factors.setflags(write=False)
-    return positions, factors
+    return read_only(positions), read_only(factors)
 
 
 def pad_solution(y: np.ndarray) -> np.ndarray:

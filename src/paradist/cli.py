@@ -5,7 +5,7 @@ that embeds the library version and the tolerances in effect, and is
 byte-identical across repeated runs with the same configuration.
 
 Exit codes: 0 success, 1 verification failure, 2 numerically indeterminate
-outcome, 64 usage error.
+outcome, 64 usage error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool a closed pipe stops
 
 OUTPUT_DIR_ENV = "PARADIST_OUTPUT_DIR"
 
@@ -126,6 +127,8 @@ def _report(output: str | None):
     whose report fails partway is removed rather than left cut short."""
     if output is None:
         yield sys.stdout
+        # a closed stdout raises here, inside `main`, not at shutdown
+        sys.stdout.flush()
         return
     out_dir = os.environ.get(OUTPUT_DIR_ENV)
     if out_dir and not os.path.isabs(output):
@@ -341,6 +344,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # the reader closed stdout; fd 1 on devnull, so shutdown's flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"paradist: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -77,7 +77,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import CATALOG_MAX_ORDER, catalog_solutions, conjectured_threshold
-from .labels import check_count, check_order, column_index, column_order
+from .labels import check_count, check_order, column_index, column_order, read_only
 from .nnls import IterationLimitReached, nnls
 from .tensor import build_C_stack
 
@@ -137,15 +137,10 @@ class Certificate(NamedTuple):
 FeasibilityOutcome = Witness | Certificate | Indeterminate
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _embed(c: np.ndarray) -> np.ndarray:
     """The real rows of a system, or of a stack of them, over its imaginary
     rows, read-only."""
-    return _freeze(np.concatenate((c.real, c.imag), axis=-2))
+    return read_only(np.concatenate((c.real, c.imag), axis=-2))
 
 
 def realize(alpha: float, n: int) -> np.ndarray:
@@ -187,9 +182,7 @@ def _chain_tables(n: int) -> tuple[np.ndarray, ...]:
     tables = (n1, np.stack((entry, entry + 1)), np.flatnonzero(np.diff(n1, prepend=-1)),
               np.flatnonzero(np.repeat(n1 > j[:, None], 2, axis=1)), (n - j).astype(float),
               np.stack((j, j + n + 1)) + j * 2 * (n + 1))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return tuple(map(read_only, tables))
 
 
 def _link_rows(psi: np.ndarray) -> np.ndarray:
@@ -222,14 +215,14 @@ def _chain(c: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] 
     # each entry's real part, then its imaginary part, one row per system
     flat = c.reshape(len(c), -1).view(float)
     terms = flat.take(own, axis=-1).swapaxes(0, 1) * cs.take(n1, axis=-1)
-    margins = _freeze(np.minimum.reduceat(terms[0] + terms[1], starts, axis=-1))
+    margins = read_only(np.minimum.reduceat(terms[0] + terms[1], starts, axis=-1))
     # a NaN margin is no least margin, so it fails the bar too
     holds = np.minimum.reduce(margins, axis=-1) >= TOL_MARGIN
     holds &= ~np.logical_or.reduce(flat.take(beyond, axis=-1), axis=-1)
     # each chain's (cos, sin) rows, on the two diagonals of its h
     h = np.zeros((len(c), n + 1, 2 * (n + 1)))
     h.reshape(len(c), -1)[:, links] = cs.swapaxes(0, 1)
-    h = _freeze(h)
+    h = read_only(h)
     return [(h[i], margins[i]) if ok else None for i, ok in enumerate(holds.tolist())]
 
 
@@ -245,7 +238,7 @@ def _lone_chain(c: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.nda
         return None
     h = np.zeros((n + 1, 2 * (n + 1)))
     h.reshape(-1)[links] = cs
-    return _freeze(h), _freeze(margins)
+    return read_only(h), read_only(margins)
 
 
 def nns_exists(alpha: float, n: int) -> FeasibilityOutcome:
@@ -263,21 +256,23 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
 
     More than STACK angles are decided in consecutive slices of STACK, each
     by this same body, so a call holds at most STACK systems.  Every angle
-    is checked first (ValueError unless a real number in [pi/2, pi]), then
-    their systems are built in one stack, read-only, and each stage is
+    is checked first (ValueError unless a real number in [pi/2, pi]) and
+    taken as a Python float, then their systems are built in one stack, read-only, and each stage is
     handed the rows of C it judges (`_rows`); one that judges M embeds them.
     """
     if len(alphas) > STACK:
         return [outcome for start in range(0, len(alphas), STACK)
                 for outcome in _decide(alphas[start:start + STACK], n)]
+    floats = []
     for alpha in alphas:
-        try:
-            inside = math.pi / 2 - 1e-12 <= alpha <= math.pi + 1e-12
-        except TypeError:  # no real number: a string, None or a complex
-            inside = False
-        if not inside:
+        # no string, None or complex; a real angle, float32 too, is judged at
+        # the float its system is built at (float first: the ABC check is slow)
+        value = float(alpha) if isinstance(alpha, (float, numbers.Real)) else math.nan
+        if not math.pi / 2 - 1e-12 <= value <= math.pi + 1e-12:
             raise ValueError("alpha must lie in [pi/2, pi]")
-    c = _freeze(build_C_stack(alphas, n))
+        floats.append(value)
+    alphas = floats
+    c = read_only(build_C_stack(alphas, n))
     found = _closed_form(c, alphas, n)
     rest = [i for i, outcome in enumerate(found) if outcome is None]
     if not rest:
@@ -330,7 +325,7 @@ def _witnesses(c: np.ndarray, y: np.ndarray) -> list[Witness | None]:
     fits = [t > 0 and low >= 0 for t, low in zip(total.ravel().tolist(), lows)]
     if not all(fits):
         total = np.where(total > 0, total, 1.0)
-    y = _freeze(y / total)
+    y = read_only(y / total)
     # one matrix-vector product per system, so a residual keeps its bits
     # whichever stack it is judged in
     residual = np.maximum.reduce(np.abs(c @ y[..., None]), axis=(-2, -1)).tolist()
@@ -344,7 +339,7 @@ def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
     holds y/sum(y), read-only."""
     total = float(np.add.reduce(y))
     if total > 0 and y.shape == c.shape[1:] and np.minimum.reduce(y) >= 0:
-        y = _freeze(y / total)
+        y = read_only(y / total)
         residual = float(np.maximum.reduce(np.abs(c @ y)))
         if residual <= TOL_WITNESS:
             return Witness(y=y, residual=residual)
@@ -376,7 +371,7 @@ def _support_columns(n: int) -> tuple[tuple[float, float, np.ndarray], ...]:
     from .supports import SUPPORTS
 
     index = column_index(n)
-    return tuple((lo, hi, _freeze(np.array([index[label] for label in labels])))
+    return tuple((lo, hi, read_only(np.array([index[label] for label in labels])))
                  for lo, hi, labels in SUPPORTS.get(n, ()))
 
 

@@ -28,6 +28,12 @@ def check_order(n: int) -> None:
         raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {n}")
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark the array a read-only and return it."""
+    a.setflags(write=False)
+    return a
+
+
 def check_count(count: int, name: str) -> None:
     """Refuse a count that is not an integer (`is_integer`) >= 0; `name` names it."""
     if not is_integer(count) or count < 0:
@@ -131,6 +137,4 @@ def column_positions(n: int) -> np.ndarray:
     lut = np.full((n + 1, n + 1), -1, dtype=np.int64)
     for pos, (_, k1, k2) in enumerate(column_order(n)):
         lut[k1, k2] = pos
-    cols = lut[n1, n2]
-    cols.setflags(write=False)
-    return cols
+    return read_only(lut[n1, n2])

@@ -25,7 +25,7 @@ from operator import mul
 
 import numpy as np
 
-from .labels import check_order, column_order, column_positions, p_count
+from .labels import check_order, column_order, column_positions, p_count, read_only
 
 ENTRY_BUDGET = 1 << 27
 
@@ -134,10 +134,8 @@ def _row_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             mask[j, col] = True
             coeff.append(comb(n - j, n0) * comb(j, n1) * (-1) ** e0)
             expo.append(2 * e0 + j - n1)
-    tables = (np.flatnonzero(mask), np.array(coeff, dtype=complex), np.array(expo, dtype=np.intp))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return (read_only(np.flatnonzero(mask)), read_only(np.array(coeff, dtype=complex)),
+            read_only(np.array(expo, dtype=np.intp)))
 
 
 def build_C(alpha: float, n: int) -> np.ndarray:

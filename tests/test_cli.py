@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -533,3 +536,17 @@ def test_json_output_matches_schema(capsys, request, schema_validators, schema_i
     if schema_id == "necessity-report":
         assert all([step["row"] for step in row["steps"]] == [0, 1, 2, 3]
                    for row in payload["rows"])
+
+
+def test_closed_stdout_stops_quietly():
+    # the reader takes one line and closes the pipe; the 389 kB report
+    # overruns the 64 kB pipe buffer, so a write fails for certain.  The
+    # command stops as a shell reports a tool a closed pipe stops (128 +
+    # SIGPIPE), with no error line and nothing left to fail at shutdown
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "paradist.cli", "necessity", "--n", "10", "--points", "400"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src)) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (141, b"")

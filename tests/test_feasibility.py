@@ -264,6 +264,24 @@ def test_angle_must_be_a_real_number(alpha):
         feasibility._decide([2.0, alpha, math.pi], 4)
 
 
+@pytest.mark.parametrize("alpha, n", [(1.6, 4), (2.5, 4), (2.0, 12), (math.pi, 4)],
+                         ids=["certificate", "witness", "support", "above-pi"])
+def test_float32_angle_is_its_float_value(alpha, n):
+    # a numpy float32 angle is judged at its float64 value, the one its
+    # system is built at, alone and inside a stack: that value's bits, or,
+    # for float32(pi) > pi, its ValueError
+    single = np.float32(alpha)
+    value = float(single)
+    if value > math.pi + 1e-12:
+        for alphas in ((single,), [2.0, single, 3.0]):
+            with pytest.raises(ValueError, match=r"^alpha must lie in \[pi/2, pi\]$"):
+                feasibility._decide(alphas, n)
+        return
+    assert _outcome_bits(nns_exists(single, n)) == _outcome_bits(nns_exists(value, n))
+    stacked = feasibility._decide([2.0, single, 3.0], n)
+    assert _outcome_bits(stacked[1]) == _outcome_bits(feasibility._decide([2.0, value, 3.0], n)[1])
+
+
 @pytest.fixture
 def substitute(monkeypatch):
     """Make `feasibility` build each angle's system with `builder` (build_C
@@ -366,7 +384,7 @@ def test_stage_rows_keep_their_order():
     # a stage is handed the systems at its rows in the order of the rows: a
     # view of the stack where they run consecutively, else a copy, also
     # when the rows span a consecutive range out of order
-    stack = feasibility._freeze(np.arange(5.0)[:, None] * np.ones((5, 3)))
+    stack = feasibility.read_only(np.arange(5.0)[:, None] * np.ones((5, 3)))
     for rows in ([2], [1, 2, 3], [0, 1, 2, 3, 4], [0, 2, 1, 3], [3, 1], [0, 4]):
         picked = feasibility._rows(stack, rows)
         assert picked.tobytes() == stack[rows].tobytes(), rows

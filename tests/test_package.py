@@ -90,10 +90,36 @@ def test_one_catalog_plan():
     # the integer tables become arithmetic in one plan, which the one-angle
     # walk and the stack pass both read, and padding comes from one routine
     assert _readers("_TABLES") == {"catalog._grid_plan"}
-    assert _callers("_grid_plan") == {"catalog._rows", "catalog.catalog_solutions"}
+    assert _callers("_grid_plan") == {"catalog._solution", "catalog.catalog_solutions"}
     assert _callers("_pad_plan") == {"catalog._grid_plan", "catalog.pad_solution"}
     for name in ("_one_angle_plan", "_padded", "_pad_map"):
         assert not hasattr(paradist.catalog, name), name
+
+
+def test_one_catalog_order_rule():
+    # `catalog_order` is the one statement of the rule that maps an angle to
+    # its catalog order: the stack pass takes each angle's order from it, and
+    # no vectorized copy of the rule, per-top endpoint table or second
+    # layout of the plan is left
+    assert _callers("catalog_order") == {"catalog.in_interval", "catalog.catalog_solutions"}
+    text = Path(paradist.catalog.__file__).read_text(encoding="utf-8")
+    for name in ("searchsorted", "_catalog_ends", "_rows"):
+        assert name not in text, name
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cached_tables_are_read_only(n):
+    # every table a module caches is read-only, marked so by one helper
+    catalog, feasibility = paradist.catalog, paradist.feasibility
+    starts, index, values, walks = catalog._grid_plan(n)
+    tables = [*paradist.tensor._row_tables(n), *feasibility._chain_tables(n),
+              starts, index, values, *(walk[0] for walk in walks[1:]),
+              *(a for k in range(1, min(n, 10) + 1) for a in catalog._pad_plan(k, n)),
+              paradist.labels.column_positions(n),
+              *(cols for _, _, cols in feasibility._support_columns(n))]
+    assert not any(table.flags.writeable for table in tables)
+    assert all(type(column) is tuple for walk in walks[1:] for column in walk[1:])
+    assert _callers("setflags") == {"labels.read_only"}
 
 
 def test_one_certificate_construction():
