@@ -215,17 +215,12 @@ def catalog_solutions(alphas, n: int) -> tuple[list[int], np.ndarray | None]:
     interval of order k <= min(n, CATALOG_MAX_ORDER) holds, each angle's
     order taken from `catalog_order`, and their cataloged solutions padded
     to order n, one row each in the same order (None when there is no such
-    angle), with the bits of `pad_solution` once per order.  Both paths
-    read `_grid_plan(n)`: one angle walks its order's rows in Python
-    (`_solution`); a stack takes one pass over all its orders: one trig
-    table, c1*t1 + c2*t2 per entry, the padding factors step by step, and
-    one scatter, so that a zero entry is written by no product."""
+    angle), with the bits of `pad_solution` once per order and of
+    `_solution`, the walk a lone angle takes instead.  One pass over all
+    the stack's orders in `_grid_plan(n)`: one trig table, c1*t1 + c2*t2
+    per entry, the padding factors step by step, and one scatter, so that
+    a zero entry is written by no product."""
     top = min(n, CATALOG_MAX_ORDER)
-    if len(alphas) == 1:
-        k = catalog_order(alphas[0], top)
-        if k is None:
-            return [], None
-        return [0], _solution(k, n, alphas[0])[None]
     orders = np.fromiter((catalog_order(a, top) or 0 for a in alphas), np.intp, len(alphas))
     held = np.flatnonzero(orders)
     if not len(held):

@@ -20,10 +20,12 @@ they judge.  The builder returns one C-contiguous shape per order, so
 the systems of one stack are judged together, stage by stage, on views
 of the stack where their rows run consecutively, with one matrix-vector
 product per witness and elementwise products in the chain, and an
-angle's outcome has the same bits alone and in any stack.  A stage handed a stack of one, such as
-every threshold probe, judges it in its one-system form, the same
-operations at what one system costs: `_closed_form` goes straight to
-`_witness`, and `_chain` to `_lone_chain`.  This docstring is the one
+angle's outcome has the same bits alone and in any stack.  `_decide`
+tests a stack's size once, right after checking its angles: a stack of
+one, such as every threshold probe, is judged there by each stage's
+one-system form, the same operations at what one system costs
+(`catalog_order`, `_solution` and `_witness`; the support table on the
+stack of one; `_lone_chain`; `_project`).  This docstring is the one
 statement of the stages and their order; an angle goes to the next stage
 only when the one before leaves it open.
 
@@ -76,7 +78,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import CATALOG_MAX_ORDER, catalog_solutions, conjectured_threshold
+from .catalog import (CATALOG_MAX_ORDER, _solution, catalog_order, catalog_solutions,
+                      conjectured_threshold)
 from .labels import check_count, check_order, column_index, column_order, read_only
 from .nnls import IterationLimitReached, nnls
 from .tensor import build_C_stack
@@ -143,11 +146,22 @@ def _embed(c: np.ndarray) -> np.ndarray:
     return read_only(np.concatenate((c.real, c.imag), axis=-2))
 
 
+def _angle(alpha) -> float:
+    """alpha as the float its system is built at, float32 too; ValueError
+    unless a real number in [pi/2, pi]: no string, None or complex (float
+    first, since the ABC check is slow)."""
+    value = float(alpha) if isinstance(alpha, (float, numbers.Real)) else math.nan
+    if not math.pi / 2 - 1e-12 <= value <= math.pi + 1e-12:
+        raise ValueError("alpha must lie in [pi/2, pi]")
+    return value
+
+
 def realize(alpha: float, n: int) -> np.ndarray:
     """The reduced system's real and imaginary rows stacked into a read-only
     real 2(n+1) x p_n array with the same nonnegative null vectors: the
-    system built as a stack of one and embedded."""
-    return _embed(build_C_stack((alpha,), n)[0])
+    system built as a stack of one and embedded.  alpha is checked as the
+    decision checks it (`_angle`)."""
+    return _embed(build_C_stack((_angle(alpha),), n)[0])
 
 
 def _separation(h: np.ndarray, m: np.ndarray, alive: np.ndarray) -> tuple[float, np.ndarray]:
@@ -204,13 +218,10 @@ def _chain(c: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] 
     with n1 = j.  A chain holds when every margin reaches TOL_MARGIN and
     each row j is exactly zero on the columns with n1 > j, so each link
     removes exactly its own columns; on a system of another shape, never.
-    A stack of one goes to `_lone_chain`, the same operations on one
-    system, which costs numpy less per call."""
+    `_lone_chain` is its form for one system."""
     n1, own, starts, beyond, turns, links = _chain_tables(n)
     if c.shape[1:] != (n + 1, len(n1)):
         return [None] * len(c)
-    if len(c) == 1:
-        return [_lone_chain(c[0], alphas[0], n)]
     cs = _link_rows(np.subtract(alphas, math.pi / 2)[:, None] * turns)
     # each entry's real part, then its imaginary part, one row per system
     flat = c.reshape(len(c), -1).view(float)
@@ -227,9 +238,12 @@ def _chain(c: np.ndarray, alphas, n: int) -> list[tuple[np.ndarray, np.ndarray] 
 
 
 def _lone_chain(c: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """`_chain` on the one order-n system c at alpha, with its bits: one
-    scalar offset, and h filled on its two diagonals."""
+    """`_chain` on the one order-n system c at alpha, with its bits, and
+    None on a system of another shape: one scalar offset, and h filled on
+    its two diagonals, at what one system costs numpy."""
     n1, own, starts, beyond, turns, links = _chain_tables(n)
+    if c.shape != (n + 1, len(n1)):
+        return None
     cs = _link_rows(turns * (alpha - math.pi / 2))
     flat = c.reshape(-1).view(float)
     terms = flat.take(own) * cs.take(n1, axis=-1)
@@ -256,37 +270,39 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
 
     More than STACK angles are decided in consecutive slices of STACK, each
     by this same body, so a call holds at most STACK systems.  Every angle
-    is checked first (ValueError unless a real number in [pi/2, pi]) and
-    taken as a Python float, then their systems are built in one stack, read-only, and each stage is
-    handed the rows of C it judges (`_rows`); one that judges M embeds them.
+    is checked first (`_angle`: ValueError unless a real number in
+    [pi/2, pi]) and taken as a Python float, then their systems are built
+    in one stack, read-only.  A stack of one is judged here, by each
+    stage's one-system form; a longer stack hands each stage the rows of C
+    it judges (`_rows`), and a stage that judges M embeds them.
     """
     if len(alphas) > STACK:
         return [outcome for start in range(0, len(alphas), STACK)
                 for outcome in _decide(alphas[start:start + STACK], n)]
-    floats = []
-    for alpha in alphas:
-        # no string, None or complex; a real angle, float32 too, is judged at
-        # the float its system is built at (float first: the ABC check is slow)
-        value = float(alpha) if isinstance(alpha, (float, numbers.Real)) else math.nan
-        if not math.pi / 2 - 1e-12 <= value <= math.pi + 1e-12:
-            raise ValueError("alpha must lie in [pi/2, pi]")
-        floats.append(value)
-    alphas = floats
+    alphas = [_angle(alpha) for alpha in alphas]
     c = read_only(build_C_stack(alphas, n))
+    if len(alphas) == 1:
+        alpha, system = alphas[0], c[0]
+        k = catalog_order(alpha, min(n, CATALOG_MAX_ORDER))
+        found = None if k is None else _witness(system, _solution(k, n, alpha))
+        if found is None and n > CATALOG_MAX_ORDER:
+            found = _support_witnesses(c, alphas, _support_columns(n))[0]
+        if found is None:
+            chain = _lone_chain(system, alpha, n)
+            found = _project(system) if chain is None else Certificate(*chain)
+        return [found]
     found = _closed_form(c, alphas, n)
     rest = [i for i, outcome in enumerate(found) if outcome is None]
-    if not rest:
-        return found
-    if len(rest) < len(found):
-        c, alphas = _rows(c, rest), [alphas[i] for i in rest]
-    # the chain judges every open angle; a support witness keeps its angle
-    chains = _chain(c, alphas, n)
-    if n > CATALOG_MAX_ORDER:
-        for i, witness in zip(rest, _support_witnesses(c, alphas, _support_columns(n))):
+    if rest and n > CATALOG_MAX_ORDER:
+        table = _support_witnesses(_rows(c, rest), [alphas[i] for i in rest],
+                                   _support_columns(n))
+        for i, witness in zip(rest, table):
             found[i] = witness
-    for j, (i, chain) in enumerate(zip(rest, chains)):
-        if found[i] is None:
-            found[i] = _project(c[j]) if chain is None else Certificate(*chain)
+        rest = [i for i in rest if found[i] is None]
+    if rest:
+        chains = _chain(_rows(c, rest), [alphas[i] for i in rest], n)
+        for i, chain in zip(rest, chains):
+            found[i] = _project(c[i]) if chain is None else Certificate(*chain)
     return found
 
 
@@ -352,10 +368,9 @@ def _closed_form(c: np.ndarray, alphas, n: int) -> list[Witness | None]:
     k <= min(n, CATALOG_MAX_ORDER)) holding alpha, padded to order n, if it
     passes the witness rule, judged for all of them in one stack.  Below
     the threshold of the highest such order no interval holds alpha (order
-    1 is the single angle pi).  A lone angle goes straight to `_witness`."""
+    1 is the single angle pi).  `_decide` judges a lone angle by
+    `catalog_order`, `_solution` and `_witness` instead."""
     rows, y = catalog_solutions(alphas, n)
-    if len(c) == 1:
-        return [_witness(c[0], y[0]) if rows else None]
     found = [None] * len(c)
     if rows:
         for i, witness in zip(rows, _witnesses(_rows(c, rows), y)):
@@ -402,11 +417,13 @@ def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, f
     leave in play, must hold and reach its declared margin (within 1e-12),
     and the links together must remove every column.  Returns (verdict,
     least link margin); a chain with no links, an h that is not links x
-    2(n+1), or margins of another length gives (False, 0.0)."""
+    2(n+1), margins of another length, or an h or margins with an entry
+    that is no real number gives (False, 0.0).  alpha is checked as the
+    decision checks it (`_angle`, through `realize`)."""
     m = realize(alpha, n)
-    h = np.asarray(cert.h, dtype=float)
-    declared = np.asarray(cert.margins, dtype=float)
-    if h.ndim != 2 or h.shape[1] != m.shape[0] or declared.shape != h.shape[:1]:
+    h, declared = _reals(cert.h), _reals(cert.margins)
+    if (h is None or declared is None or h.ndim != 2 or h.shape[1] != m.shape[0]
+            or declared.shape != h.shape[:1]):
         return False, 0.0
     alive = np.ones(m.shape[1], dtype=bool)
     ok, margins = True, []
@@ -417,6 +434,17 @@ def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, f
     if not margins:
         return False, 0.0
     return ok and not alive.any(), min(margins)
+
+
+def _reals(values) -> np.ndarray | None:
+    """values as a float array, or None when an entry is no real number:
+    a complex dtype, or an object array holding anything but real numbers,
+    is not converted, since the conversion would drop imaginary parts."""
+    a = np.asarray(values)
+    if a.dtype.kind in "biuf" or (
+            a.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat)):
+        return np.asarray(a, dtype=float)
+    return None
 
 
 class ThresholdEstimate(NamedTuple):
@@ -460,6 +488,10 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
        inside (a, b) is decided; one at or below a takes a's side, one at or
        above b takes b's.  When the boundary is conj, every midpoint lies
        outside (a, b): an order costs four decisions, three at order 1.
+       When both ends of the guess came out as guessed, (a, b) = [l, h],
+       every midpoint lies at or below a or at or above b, so the replay
+       would decide nothing and only retrace the guess: [l, h] is returned
+       without it.
 
     The reported [lo, hi] always holds a decided certificate a below a
     decided witness b, whatever the decisions between them, and is at most
@@ -505,10 +537,12 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
         raise NonMonotonePredicate(f"expected infeasibility near pi/2 at order {n}")
     if not decide(hi):
         raise NonMonotonePredicate(f"expected feasibility at pi at order {n}")
-    for end in bisect(lambda mid: mid >= conjectured):
+    guess = bisect(lambda mid: mid >= conjectured)
+    for end in guess:
         if a < end < b and b - a > tol_alpha:
             decide(end)
-    left, right = bisect(lambda mid: decide(mid) if a < mid < b else mid >= b)
+    left, right = guess if (a, b) == guess else bisect(
+        lambda mid: decide(mid) if a < mid < b else mid >= b)
     return ThresholdEstimate(
         order=n,
         alpha_star=0.5 * (left + right),

@@ -137,6 +137,18 @@ def test_certificate_rejections(chain4):
         assert verify_certificate(Certificate(h=h, margins=margins), alpha, 4) == (False, 0.0)
 
 
+def test_certificate_must_be_real(chain4):
+    # an h or margins holding an entry that is no real number is refused as a
+    # wrong shape is, not judged by its real part after a ComplexWarning;
+    # an object array of real numbers is judged as its floats
+    for h, margins in [(chain4.h + 5j, chain4.margins), (chain4.h, chain4.margins + 0.5j),
+                       (chain4.h.astype(object) + 1j, chain4.margins),
+                       (chain4.h, chain4.margins.astype(object) + 0j)]:
+        assert verify_certificate(Certificate(h=h, margins=margins), _ALPHA4, 4) == (False, 0.0)
+    real = Certificate(h=chain4.h.astype(object), margins=chain4.margins.astype(object))
+    assert verify_certificate(real, _ALPHA4, 4) == (True, chain4.margin)
+
+
 def test_chain_that_leaves_a_column_is_rejected(chain4):
     # every link still holds, but without the last one a column survives
     short = Certificate(h=chain4.h[:-1], margins=chain4.margins[:-1])
@@ -253,15 +265,18 @@ def test_alpha_range_enforced():
         nns_exists(3.3, 3)
 
 
-@pytest.mark.parametrize("alpha", ["2.0", None, 2 + 0j], ids=["str", "None", "complex"])
-def test_angle_must_be_a_real_number(alpha):
+@pytest.mark.parametrize("alpha", ["2.0", "1.6", None, 2 + 0j, 1.0, 3.3],
+                         ids=["str", "str-1.6", "None", "complex", "below", "above"])
+def test_angle_must_be_a_real_number(alpha, chain4):
     # an angle that is no real number cannot be compared with the range, and
     # is refused with the range's ValueError, alone and inside a stack, not
-    # failed with a TypeError
-    with pytest.raises(ValueError, match=r"^alpha must lie in \[pi/2, pi\]$"):
-        nns_exists(alpha, 4)
-    with pytest.raises(ValueError, match=r"^alpha must lie in \[pi/2, pi\]$"):
-        feasibility._decide([2.0, alpha, math.pi], 4)
+    # failed with a TypeError; so is an angle outside the range.  A system
+    # built or re-checked alone is refused by the same check
+    calls = [lambda: nns_exists(alpha, 4), lambda: feasibility._decide([2.0, alpha, math.pi], 4),
+             lambda: realize(alpha, 4), lambda: verify_certificate(chain4, alpha, 4)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[pi/2, pi\]$"):
+            call()
 
 
 @pytest.mark.parametrize("alpha, n", [(1.6, 4), (2.5, 4), (2.0, 12), (math.pi, 4)],
@@ -276,7 +291,10 @@ def test_float32_angle_is_its_float_value(alpha, n):
         for alphas in ((single,), [2.0, single, 3.0]):
             with pytest.raises(ValueError, match=r"^alpha must lie in \[pi/2, pi\]$"):
                 feasibility._decide(alphas, n)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[pi/2, pi\]$"):
+            realize(single, n)
         return
+    assert realize(single, n).tobytes() == realize(value, n).tobytes()
     assert _outcome_bits(nns_exists(single, n)) == _outcome_bits(nns_exists(value, n))
     stacked = feasibility._decide([2.0, single, 3.0], n)
     assert _outcome_bits(stacked[1]) == _outcome_bits(feasibility._decide([2.0, value, 3.0], n)[1])
@@ -409,6 +427,37 @@ def test_long_grid_is_decided_in_stacks(monkeypatch):
     assert sizes == [stack, stack, 3]
     assert len(outcomes) == len(grid)
     assert all(isinstance(outcome, Certificate) for outcome in outcomes)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_support_table_runs_before_the_chain(monkeypatch, n):
+    # in a stack the support table judges the open angles before the chain,
+    # in the stages' order, so on an ascending grid from below the threshold
+    # into the gap the chain is handed none of the angles the table decided,
+    # and still a view of the one built stack
+    build, chain = feasibility.build_C_stack, feasibility._chain
+    table = feasibility._support_witnesses
+    built, decided, chained = [], [], []
+
+    def recorded_table(c, alphas, rows):
+        found = table(c, alphas, rows)
+        decided.extend(alpha for alpha, witness in zip(alphas, found) if witness is not None)
+        return found
+
+    monkeypatch.setattr(feasibility, "build_C_stack",
+                        lambda alphas, n: built.append(build(alphas, n)) or built[-1])
+    monkeypatch.setattr(feasibility, "_support_witnesses", recorded_table)
+    monkeypatch.setattr(feasibility, "_chain",
+                        lambda c, alphas, n: chained.append((c, alphas)) or chain(c, alphas, n))
+    conj = conjectured_threshold(n)
+    grid = np.linspace(conj - 0.05, conjectured_threshold(10), 40).tolist()
+    outcomes = feasibility._decide(grid, n)
+    assert len(built) == 1 and len(chained) == 1
+    c, alphas = chained[0]
+    assert decided == [alpha for alpha in grid if alpha >= conj]
+    assert alphas == [alpha for alpha in grid if alpha < conj]
+    assert np.shares_memory(c, built[0])
+    assert [o.kind for o in outcomes] == ["certificate" if a < conj else "witness" for a in grid]
 
 
 def test_duplicate_rows_give_same_outcome_class(substitute):
@@ -1192,6 +1241,36 @@ def test_threshold_search_is_bounded(monkeypatch):
         *expected, plain = _plain_bisection(4, tol, decide)
         assert (estimate.alpha_star, estimate.bracket_width) == tuple(expected), tol
         assert len(decisions) <= plain + 2, tol
+
+
+@pytest.mark.parametrize("end, kind", [(0, Witness), (1, Certificate)],
+                         ids=["lower-end-witness", "upper-end-certificate"])
+def test_threshold_search_replays_a_missed_guess(monkeypatch, end, kind):
+    # a decision whose boundary lies just outside the bracket plain bisection
+    # ends on at order 4's conjectured boundary: the guess's lower end comes
+    # out a witness, or its upper end a certificate, so the decided bracket
+    # is not the guess, and the search replays bisection's midpoints and
+    # returns plain bisection's bits for that decision
+    n, tol = 4, 1e-6
+    conj = conjectured_threshold(n)
+    guess = [math.pi / 2 + 1e-4, math.pi]
+    while guess[1] - guess[0] > tol:
+        mid = 0.5 * (guess[0] + guess[1])
+        guess[mid >= conj] = mid
+    boundary = guess[0] - tol / 3 if end == 0 else guess[1] + tol / 3
+
+    def decide(alpha, n):
+        if alpha < boundary:
+            return Certificate(h=np.ones((1, 2 * (n + 1))), margins=np.full(1, TOL_MARGIN))
+        return Witness(y=np.ones(p_count(n)) / p_count(n), residual=0.0)
+
+    monkeypatch.setattr(feasibility, "nns_exists", decide)
+    decisions = _record_decisions(monkeypatch)
+    estimate = threshold_bisect(n, tol)
+    assert (estimate.alpha_star, estimate.bracket_width) == _plain_bisection(n, tol, decide)[:2]
+    assert estimate.alpha_star != 0.5 * (guess[0] + guess[1])
+    assert isinstance(dict(decisions)[guess[end]], kind)
+    assert len(decisions) > 4
 
 
 @pytest.mark.parametrize("n", range(1, 13))

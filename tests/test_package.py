@@ -98,10 +98,11 @@ def test_one_catalog_plan():
 
 def test_one_catalog_order_rule():
     # `catalog_order` is the one statement of the rule that maps an angle to
-    # its catalog order: the stack pass takes each angle's order from it, and
-    # no vectorized copy of the rule, per-top endpoint table or second
-    # layout of the plan is left
-    assert _callers("catalog_order") == {"catalog.in_interval", "catalog.catalog_solutions"}
+    # its catalog order: the stack pass and the decision's lone angle take
+    # each angle's order from it, and no vectorized copy of the rule, per-top
+    # endpoint table or second layout of the plan is left
+    assert _callers("catalog_order") == {"catalog.in_interval", "catalog.catalog_solutions",
+                                         "feasibility._decide"}
     text = Path(paradist.catalog.__file__).read_text(encoding="utf-8")
     for name in ("searchsorted", "_catalog_ends", "_rows"):
         assert name not in text, name
@@ -152,13 +153,14 @@ def test_one_decision_order():
 
 
 def test_one_system_forms():
-    # a lone angle is judged by the same stages in their one-system forms:
-    # the chain's is reached through the chain alone, and `_witness` stays
+    # a lone angle is judged by the same stages in their one-system forms,
+    # all reached from the decision, which tests a stack's size once: the
+    # stacked stages keep no branch for a stack of one, and `_witness` stays
     # the one witness rule, called by the witness stages and never by the
     # threshold search
-    assert _callers("_lone_chain") == {"feasibility._chain"}
+    assert _callers("_lone_chain") == {"feasibility._decide"}
     assert _callers("_link_rows") == {"feasibility._chain", "feasibility._lone_chain"}
-    assert _callers("_witness") == {"feasibility._closed_form", "feasibility._project"}
+    assert _callers("_witness") == {"feasibility._decide", "feasibility._project"}
 
 
 def test_stages_that_judge_m_embed_it():
