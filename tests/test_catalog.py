@@ -395,13 +395,14 @@ def test_solutions_keep_the_bits_of_the_paper_formulas():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_one_angle_is_its_row_of_the_grid(n):
-    # the Python path for one angle gives the row the numpy pass gives
+    # the Python path a lone angle takes (`catalog_order`, then `_solution`)
+    # gives the row the numpy pass gives
     grid = _pinned_grid()
     rows, y = catalog_solutions(grid, n)
     solved = dict(zip(rows, y))
     for row, alpha in enumerate(grid):
-        one_rows, one = catalog_solutions([alpha], n)
-        if row in solved:
-            assert one_rows == [0] and one.tobytes() == solved[row][None].tobytes(), alpha
+        k = catalog_order(alpha, min(n, catalog.CATALOG_MAX_ORDER))
+        if k is None:
+            assert row not in solved, alpha
         else:
-            assert (one_rows, one) == ([], None)
+            assert catalog._solution(k, n, alpha).tobytes() == solved[row].tobytes(), alpha

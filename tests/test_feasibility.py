@@ -1225,39 +1225,14 @@ def test_least_margin_inverts_to_the_boundary(n):
 
 
 def test_threshold_search_is_bounded(monkeypatch):
-    # certificates at margin TOL_MARGIN up to 2.5, far from order 4's
-    # conjectured boundary; phase 1 makes at most two probes, so the search
-    # makes at most two decisions more than plain bisection, with its bits
-    def decide(alpha, n):
-        if alpha < 2.5:
-            return Certificate(h=np.ones((1, 2 * (n + 1))), margins=np.full(1, TOL_MARGIN))
-        return Witness(y=np.ones(p_count(n)) / p_count(n), residual=0.0)
-
-    monkeypatch.setattr(feasibility, "nns_exists", decide)
-    decisions = _record_decisions(monkeypatch)
-    for tol in (1e-2, 1e-4, 1e-6):
-        decisions.clear()
-        estimate = threshold_bisect(4, tol)
-        *expected, plain = _plain_bisection(4, tol, decide)
-        assert (estimate.alpha_star, estimate.bracket_width) == tuple(expected), tol
-        assert len(decisions) <= plain + 2, tol
-
-
-@pytest.mark.parametrize("end, kind", [(0, Witness), (1, Certificate)],
-                         ids=["lower-end-witness", "upper-end-certificate"])
-def test_threshold_search_replays_a_missed_guess(monkeypatch, end, kind):
-    # a decision whose boundary lies just outside the bracket plain bisection
-    # ends on at order 4's conjectured boundary: the guess's lower end comes
-    # out a witness, or its upper end a certificate, so the decided bracket
-    # is not the guess, and the search replays bisection's midpoints and
-    # returns plain bisection's bits for that decision
-    n, tol = 4, 1e-6
-    conj = conjectured_threshold(n)
-    guess = [math.pi / 2 + 1e-4, math.pi]
-    while guess[1] - guess[0] > tol:
-        mid = 0.5 * (guess[0] + guess[1])
-        guess[mid >= conj] = mid
-    boundary = guess[0] - tol / 3 if end == 0 else guess[1] + tol / 3
+    # certificates at margin TOL_MARGIN up to a boundary away from order 4's
+    # conjectured one: far from it (2.5), or just outside the bracket plain
+    # bisection ends on at the conjectured boundary, so that the guess's
+    # lower end comes out a witness or its upper end a certificate.  The
+    # search then replays bisection's midpoints and returns plain
+    # bisection's bits; phase 1 makes at most two probes, so it makes at
+    # most two decisions more than plain bisection
+    conj = conjectured_threshold(4)
 
     def decide(alpha, n):
         if alpha < boundary:
@@ -1266,11 +1241,17 @@ def test_threshold_search_replays_a_missed_guess(monkeypatch, end, kind):
 
     monkeypatch.setattr(feasibility, "nns_exists", decide)
     decisions = _record_decisions(monkeypatch)
-    estimate = threshold_bisect(n, tol)
-    assert (estimate.alpha_star, estimate.bracket_width) == _plain_bisection(n, tol, decide)[:2]
-    assert estimate.alpha_star != 0.5 * (guess[0] + guess[1])
-    assert isinstance(dict(decisions)[guess[end]], kind)
-    assert len(decisions) > 4
+    for tol in (1e-2, 1e-4, 1e-6):
+        guess = [math.pi / 2 + 1e-4, math.pi]
+        while guess[1] - guess[0] > tol:
+            mid = 0.5 * (guess[0] + guess[1])
+            guess[mid >= conj] = mid
+        for boundary in (2.5, guess[0] - tol / 3, guess[1] + tol / 3):
+            decisions.clear()
+            estimate = threshold_bisect(4, tol)
+            *expected, plain = _plain_bisection(4, tol, decide)
+            assert (estimate.alpha_star, estimate.bracket_width) == tuple(expected), (tol, boundary)
+            assert len(decisions) <= plain + 2, (tol, boundary)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
