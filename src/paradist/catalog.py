@@ -219,7 +219,8 @@ def catalog_solutions(alphas, n: int) -> tuple[list[int], np.ndarray | None]:
     `_solution`, the walk a lone angle takes instead.  One pass over all
     the stack's orders in `_grid_plan(n)`: one trig table, c1*t1 + c2*t2
     per entry, the padding factors step by step, and one scatter, so that
-    a zero entry is written by no product."""
+    a zero entry is written by no product.  `feasibility._decide` calls it
+    itself, as the stacked catalog stage."""
     top = min(n, CATALOG_MAX_ORDER)
     orders = np.fromiter((catalog_order(a, top) or 0 for a in alphas), np.intp, len(alphas))
     held = np.flatnonzero(orders)

@@ -29,9 +29,11 @@ stack of one; `_lone_chain`; `_project`).  This docstring is the one
 statement of the stages and their order; an angle goes to the next stage
 only when the one before leaves it open.
 
-1. The paper's explicit solution for the catalog interval holding alpha
-   (`_closed_form`), a witness if it passes the witness rule (`_witness`);
-   fl(conj(k)) lies just below conj(k), so it takes order k+1's.
+1. The paper's explicit solution for the catalog interval holding alpha,
+   a witness if it passes the witness rule: `catalog_solutions` and
+   `_witnesses` for a stack, `catalog_order`, `_solution` and `_witness`
+   for a lone angle.  fl(conj(k)) lies just below conj(k), so it takes
+   order k+1's.
 2. For orders 11 and 12 no catalog interval holds the angles from their
    conjectured threshold up to order 10's, that endpoint included; there
    the committed support table (`supports.SUPPORTS`, built by
@@ -273,8 +275,9 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
     is checked first (`_angle`: ValueError unless a real number in
     [pi/2, pi]) and taken as a Python float, then their systems are built
     in one stack, read-only.  A stack of one is judged here, by each
-    stage's one-system form; a longer stack hands each stage the rows of C
-    it judges (`_rows`), and a stage that judges M embeds them.
+    stage's one-system form; a longer stack, by each stage's stacked form,
+    the catalog's (`catalog_solutions`, `_witnesses`) too, called here on
+    the rows of C it judges (`_rows`); a stage that judges M embeds them.
     """
     if len(alphas) > STACK:
         return [outcome for start in range(0, len(alphas), STACK)
@@ -291,7 +294,11 @@ def _decide(alphas, n: int) -> list[FeasibilityOutcome]:
             chain = _lone_chain(system, alpha, n)
             found = _project(system) if chain is None else Certificate(*chain)
         return [found]
-    found = _closed_form(c, alphas, n)
+    found = [None] * len(alphas)
+    held, y = catalog_solutions(alphas, n)
+    if held:
+        for i, witness in zip(held, _witnesses(_rows(c, held), y)):
+            found[i] = witness
     rest = [i for i, outcome in enumerate(found) if outcome is None]
     if rest and n > CATALOG_MAX_ORDER:
         table = _support_witnesses(_rows(c, rest), [alphas[i] for i in rest],
@@ -360,22 +367,6 @@ def _witness(c: np.ndarray, y: np.ndarray) -> Witness | None:
         if residual <= TOL_WITNESS:
             return Witness(y=y, residual=residual)
     return None
-
-
-def _closed_form(c: np.ndarray, alphas, n: int) -> list[Witness | None]:
-    """For each system of the stack c, the order-n systems at `alphas`: the
-    paper's explicit solution for the catalog interval (order
-    k <= min(n, CATALOG_MAX_ORDER)) holding alpha, padded to order n, if it
-    passes the witness rule, judged for all of them in one stack.  Below
-    the threshold of the highest such order no interval holds alpha (order
-    1 is the single angle pi).  `_decide` judges a lone angle by
-    `catalog_order`, `_solution` and `_witness` instead."""
-    rows, y = catalog_solutions(alphas, n)
-    found = [None] * len(c)
-    if rows:
-        for i, witness in zip(rows, _witnesses(_rows(c, rows), y)):
-            found[i] = witness
-    return found
 
 
 @lru_cache(maxsize=None)
@@ -502,8 +493,7 @@ def threshold_bisect(n: int, tol_alpha: float = TOL_ALPHA) -> ThresholdEstimate:
     plain bisection.  tol_alpha must be a real number, not a bool, finite
     and at least 1e-8 (ValueError).
     """
-    check_order(n)
-    n = int(n)
+    n = check_order(n)
     real = isinstance(tol_alpha, numbers.Real) and not isinstance(tol_alpha, bool)
     if not (real and math.isfinite(tol_alpha) and tol_alpha >= 1e-8):
         raise ValueError(f"tol_alpha must be finite and at least 1e-8, got {tol_alpha!r}")
@@ -582,8 +572,7 @@ def necessity_scan(n: int, points: int) -> list[dict]:
     """Probe the conjecturally infeasible region, every grid point in one
     `_decide`; each should produce a verified certificate.  Rows come back
     in grid order."""
-    check_order(n)
-    n = int(n)
+    n = check_order(n)
     alphas = necessity_grid(n, points).tolist()
     return [necessity_point(alpha, n, outcome)
             for alpha, outcome in zip(alphas, _decide(alphas, n))]

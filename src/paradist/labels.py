@@ -22,10 +22,12 @@ def is_integer(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
-def check_order(n: int) -> None:
-    """Refuse an order that is not an integer (`is_integer`) in 1..MAX_ORDER."""
+def check_order(n: int) -> int:
+    """Refuse an order that is not an integer (`is_integer`) in 1..MAX_ORDER;
+    return it as a Python int."""
     if not is_integer(n) or not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {n}")
+    return int(n)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

@@ -845,7 +845,9 @@ def test_necessity_point_lists_the_chain():
 
 
 def _closed_form_witness(alpha, n):
-    return feasibility._closed_form(build_C_stack((alpha,), n), [alpha], n)[0]
+    # the stacked catalog stage on the stack of one
+    held, y = catalog.catalog_solutions([alpha], n)
+    return feasibility._witnesses(build_C_stack((alpha,), n), y)[0] if held else None
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -1051,7 +1053,7 @@ def test_witness_rule_refuses_a_negative_entry(n):
     y = explicit_nns(n, alpha)
     assert y.min() < 0
     assert feasibility._witness(c, y) is None
-    assert feasibility._closed_form(c[None], [alpha], n) == [None]
+    assert catalog.catalog_solutions([alpha], n) == ([], None)
     assert isinstance(feasibility._witness(c, np.maximum(y, 0)), Witness)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paradist.labels import (
+    check_order,
     column_index,
     column_order,
     column_positions,
@@ -109,3 +110,13 @@ def test_round_trip_property(digits):
     assert linear_to_ternary(j, n) == tuple(digits)
     counts = label_orbit(digits)
     assert sum(counts) == n
+
+
+def test_check_order_hands_back_the_order():
+    # an order that passes comes back as a Python int, numpy integers too;
+    # a bool or an integral float is refused
+    order = check_order(np.int64(3))
+    assert order == 3 and type(order) is int
+    for bad in (True, 3.0, 0, 13):
+        with pytest.raises(ValueError, match="^order must lie in 1..12"):
+            check_order(bad)

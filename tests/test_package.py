@@ -138,8 +138,9 @@ def test_one_decision_order():
     # one-angle case, and a grid goes to it whole, which it decides in
     # stacks by calling itself.  A certificate is the chain's own arrays,
     # with no link objects
-    for piece in ("_closed_form", "_support_witnesses", "_chain", "Certificate", "_project"):
+    for piece in ("catalog_solutions", "_support_witnesses", "_chain", "Certificate", "_project"):
         assert _callers(piece) == {"feasibility._decide"}, piece
+    assert not hasattr(paradist.feasibility, "_closed_form")
     assert _callers("nnls") == {"feasibility._project"}
     assert _callers("_decide") == {"feasibility._decide", "feasibility.nns_exists",
                                    "feasibility.necessity_scan", "cli._cmd_sweep"}
