@@ -40,7 +40,10 @@ only when the one before leaves it open.
    `tools/support_tables.py`) names a few column sets, and the null vector
    of M on the first of them whose row holds alpha and which passes the
    witness rule is the witness (`_support_witnesses`, row by row over the
-   whole stack, each row embedding only the systems it holds).
+   whole stack, each row embedding only the systems it holds).  With Ms
+   M's columns in the set, that null vector is the least-squares solution
+   of [Ms; 1'] y = (0, ..., 0, 1), solved from its normal equations
+   (Ms'Ms + 11') y = 1 for the row's systems at once.
 3. The paper's necessity proof, a facial reduction chain (Borwein and
    Wolkowicz, 1981) written out (`_chain`).  Let theta = 2 alpha - pi.
    Row j of C vanishes on the columns with n1 > j, and on those with
@@ -385,20 +388,40 @@ def _support_witnesses(c: np.ndarray, alphas, rows) -> list[Witness | None]:
     """For each system of the stack c at `alphas`, the null vector of its
     embedding's columns in the first of `rows` ((lo, hi, column indices))
     that holds alpha and passes the witness rule, or None.  Each row embeds
-    the open systems it holds and judges them at once: one batched SVD of
-    their columns, the last right singular vector, its sum made positive."""
+    the open systems it holds and judges them at once: with Ms the support's
+    columns of each embedding, one batched solve of the bordered normal
+    equations (Ms'Ms + 11') y = 1, the least-squares solution of [Ms; 1'] y
+    = (0, ..., 0, 1), which is the support's null vector with sum 1."""
     found = [None] * len(alphas)
     for lo, hi, cols in rows:
         held = [i for i, alpha in enumerate(alphas) if found[i] is None and lo <= alpha <= hi]
         if not held:
             continue
         systems = _rows(c, held)
-        v = np.linalg.svd(_embed(systems)[..., cols], full_matrices=False)[2][:, -1]
+        m = _embed(systems)[..., cols]
         y = np.zeros((len(held), c.shape[-1]))
-        y[:, cols] = np.where(np.add.reduce(v, axis=-1, keepdims=True) > 0, v, -v)
+        y[:, cols] = _bordered_solve(np.swapaxes(m, -1, -2) @ m + 1.0)
         for i, witness in zip(held, _witnesses(systems, y)):
             found[i] = witness
     return found
+
+
+def _bordered_solve(gram: np.ndarray) -> np.ndarray:
+    """The solution y of gram y = 1 for each matrix of the stack.  numpy's
+    batched solve refuses the whole stack when one matrix is exactly
+    singular; then each is solved as a stack of one, the same call as
+    alone, and a singular one gets NaN, which no witness passes."""
+    ones = np.ones(gram.shape[-1])
+    try:
+        return np.linalg.solve(gram, ones)
+    except np.linalg.LinAlgError:
+        solved = np.full(gram.shape[:-1], np.nan)
+        for i in range(len(gram)):
+            try:
+                solved[i] = np.linalg.solve(gram[i:i + 1], ones)[0]
+            except np.linalg.LinAlgError:
+                pass
+        return solved
 
 
 def verify_certificate(cert: Certificate, alpha: float, n: int) -> tuple[bool, float]:

@@ -936,6 +936,46 @@ def test_support_witnesses_take_the_first_passing_row(n):
         assert first.y.tobytes() == together[i].y.tobytes(), alpha
 
 
+@pytest.mark.parametrize("n, row", [(n, row) for n in (11, 12)
+                                    for row in range(len(feasibility._support_columns(n)))])
+def test_support_witnesses_match_svd_null_vectors(n, row):
+    # LAPACK's SVD stays here as the reference: on 400 angles over a row,
+    # the bordered normal equations accept exactly the angles where the last
+    # right singular vector of the support's columns, its sum made 1,
+    # passes the witness rule, and both give the same y within 1e-12
+    lo, hi, cols = feasibility._support_columns(n)[row]
+    alphas = np.linspace(lo, hi, 400).tolist()
+    c = build_C_stack(alphas, n)
+    found = feasibility._support_witnesses(c, alphas, [(lo, hi, cols)])
+    v = np.linalg.svd(np.concatenate((c.real, c.imag), axis=-2)[..., cols])[2][:, -1]
+    ref = np.zeros((len(alphas), c.shape[-1]))
+    ref[:, cols] = v / v.sum(axis=-1, keepdims=True)
+    residual = np.abs(c @ ref[..., None]).max(axis=(-2, -1))
+    passes = (ref.min(axis=-1) >= 0) & (residual <= TOL_WITNESS)
+    assert passes.any()
+    assert [w is not None for w in found] == passes.tolist()
+    for witness, y in zip(found, ref):
+        if witness is not None:
+            assert_allclose(witness.y, y, rtol=0, atol=1e-12)
+
+
+def test_singular_support_system_gets_no_witness():
+    # one exactly singular system in the stack (a constant matrix, so the
+    # bordered normal equations have rank one) gets no witness, and raises
+    # nothing; every other angle keeps the bits it gets alone
+    rows = feasibility._support_columns(12)
+    alphas = np.linspace(conjectured_threshold(12), conjectured_threshold(10), 8).tolist()
+    c = build_C_stack(alphas, 12)
+    c[2] = 1e-7 + 1e-7j
+    found = feasibility._support_witnesses(c, alphas, rows)
+    for i, alpha in enumerate(alphas):
+        alone = feasibility._support_witnesses(c[i:i + 1], [alpha], rows)[0]
+        assert (alone is None) == (found[i] is None) == (i == 2), alpha
+        if alone is not None:
+            assert alone.y.tobytes() == found[i].y.tobytes(), alpha
+            assert alone.residual == found[i].residual, alpha
+
+
 @pytest.fixture
 def embedded(monkeypatch):
     """Every stack of systems `feasibility` embeds as M, in call order."""
@@ -1390,8 +1430,12 @@ def test_nns_exists_returns_every_outcome(substitute, monkeypatch):
 # witnesses on [conj(12), conj(10)), at pi/2 + 2 (pi/2)/23 and conj + 1e-3,
 # are now a table support's null vector, while every kind, certificate h
 # and margin and threshold keeps its bits (with the table skipped, the
-# digest is the previous one).
-DECISIONS_SHA = "0cc556636d451c5652032e28029df94dd7c4b65f5bb67fdb25cea78a0dcb9ecd"
+# digest is the previous one).  Re-recorded again when the support rows'
+# null vectors came from the bordered normal equations (Ms'Ms + 11') y = 1
+# in place of an SVD: those two witnesses' y and residual moved in their
+# last bits, while every kind, certificate h and margin and threshold
+# keeps its bits (with the SVD put back, the digest is the previous one).
+DECISIONS_SHA = "ec543031a5232d713961433a636068fa0aab50a22d5e4be7a1c1463d5ebd058e"
 
 
 def test_decision_bits_are_pinned():

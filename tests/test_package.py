@@ -51,8 +51,10 @@ def test_package_has_no_dead_knobs():
 
 
 def test_one_least_squares_routine():
-    # every least-squares solve goes through the engine's Householder QR;
-    # LAPACK's SVD-based gelsd (`np.linalg.lstsq`) stays out of the package
+    # the projection's least-squares solves go through the engine's
+    # Householder QR, and the support tables' null vectors through their
+    # bordered normal equations (`np.linalg.solve`); LAPACK's SVD-based
+    # gelsd (`np.linalg.lstsq`) stays out of the package
     for path in sorted(Path(paradist.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -201,6 +203,12 @@ def test_stages_judge_views_of_the_built_stack(monkeypatch, n):
     feasibility._decide(np.linspace(np.pi / 2, np.pi, 120).tolist(), n)
     assert len(built) == 1 and len(chained) == 1 and len(judged) >= 1
     assert all(np.shares_memory(c, built[0]) for c in judged + chained)
+
+
+def test_decision_calls_no_svd():
+    # the support tables' null vectors come from their bordered normal
+    # equations; only the channel realization takes an SVD
+    assert _callers("svd") == {"channels.realize_channels"}
 
 
 def test_no_private_numpy():

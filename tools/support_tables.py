@@ -9,13 +9,14 @@ projection is set up in one place only; an angle where it gives no
 witness stops the script.  The supports of those witnesses are judged over
 the whole grid by the code `nns_exists` uses for a table row
 (`feasibility._support_witnesses`): the null vector of the real system's
-columns in the support, passed to the witness bar.  Both stages are handed
-the complex systems and embed them as real ones themselves.  A greedy
-pass then covers the grid: from the first angle not yet covered it takes
-the support whose run of passing angles reaches furthest.  A row is that
-run widened by one grid step on each side (clipped to the gap, and never
-starting below the row before it), so that neighbouring rows overlap
-where one support hands over to the next.
+columns Ms in the support, solved from the bordered normal equations
+(Ms'Ms + 11') y = 1 with its sum 1, passed to the witness bar.  Both
+stages are handed the complex systems and embed them as real ones
+themselves.  A greedy pass then covers the grid: from the first angle not
+yet covered it takes the support whose run of passing angles reaches
+furthest.  A row is that run widened by one grid step on each side
+(clipped to the gap, and never starting below the row before it), so that
+neighbouring rows overlap where one support hands over to the next.
 
     python tools/support_tables.py > src/paradist/supports.py
     python tools/support_tables.py --check   # exit 1 if the committed table differs
